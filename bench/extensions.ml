@@ -338,7 +338,7 @@ let chaos () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Certified multicore fan-out (check/parallel.json): the chaos harness
+(* Certified multicore fan-out (check/analyze.json): the chaos harness
    trials and the per-pair failover precompute at --jobs 1/2/4. The
    committed numbers are honest wall-clocks for whatever cores the bench
    host has — on a single-core host the fan-out buys nothing and the rows
@@ -503,10 +503,16 @@ let analyze () =
     let record name dur = analyze_timings := (name, dur) :: !analyze_timings in
     let dirs = [ "lib"; "bin" ] in
     let entries = List.filter Sys.file_exists [ "bench"; "test"; "examples" ] in
-    let manifest name =
-      let path = Filename.concat "check" name in
-      if Sys.file_exists path then Check.Share.parse_manifest (Check.Srclint.read_file path)
-      else []
+    (* A malformed manifest fails the section: timing the passes without
+       their declarations would not measure the shipped configuration. *)
+    let manifest =
+      if not (Sys.file_exists Check.Manifest.path) then Check.Manifest.empty
+      else
+        match Check.Manifest.parse (Check.Srclint.read_file Check.Manifest.path) with
+        | Ok m -> m
+        | Error e ->
+            Printf.eprintf "bench: %s: %s\n" Check.Manifest.path (Check.Manifest.error_to_string e);
+            exit 1
     in
     let timed name f =
       let r, d = Obs.Span.timed ("bench.analyze." ^ name) f in
@@ -521,13 +527,13 @@ let analyze () =
     let graph, d_graph = timed "callgraph" (fun () -> Check.Callgraph.build ~entries dirs) in
     let eff, d_eff = timed "effect" (fun () -> Check.Effect.analyze graph) in
     let share, d_share =
-      timed "share" (fun () -> Check.Share.analyze ~manifest:(manifest "parallel.json") graph)
+      timed "share" (fun () -> Check.Share.analyze ~manifest:manifest.parallel graph)
     in
     let cost, d_cost =
-      timed "cost" (fun () -> Check.Cost.analyze ~manifest:(manifest "cost.json") graph)
+      timed "cost" (fun () -> Check.Cost.analyze ~manifest:manifest.cost graph)
     in
     let lock, d_lock =
-      timed "locks" (fun () -> Check.Lock.analyze ~manifest:(manifest "locks.json") graph)
+      timed "locks" (fun () -> Check.Lock.analyze ~manifest:manifest.locks graph)
     in
     let doc, d_doc = timed "doc" (fun () -> Check.Doc.check_paths (dirs @ entries)) in
     row "  %-12s %-10s %s@." "pass" "seconds" "findings";

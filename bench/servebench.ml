@@ -34,7 +34,7 @@ let sweep_one port pairs conns =
       Some (conns, r)
 
 (* Guard.admit sits on the per-request hot path (declared in
-   check/cost.json) and the journal append sits on every acknowledged
+   check/analyze.json) and the journal append sits on every acknowledged
    update: pin their unit costs so a regression is a visible number, not
    a vibe. The journal runs with fsync off — the bench measures the
    encode/CRC/write path, not the disk. *)

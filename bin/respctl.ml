@@ -276,46 +276,25 @@ let analyze_cmd =
     in
     Arg.(value & opt_all string [] & info [ "entries" ] ~docv:"PATH" ~doc)
   in
-  let budget_arg =
+  let manifest_arg =
     let doc =
-      "Warn-finding budget file (JSON object mapping rule id to allowed count); exceeding a \
-       budget is an error. Rules absent from the file allow zero findings."
+      "Analyze manifest (check/analyze.json): a JSON object with optional sections \"budget\" \
+       (rule id to allowed warn-finding count; exceeding it is an error, and rules absent from \
+       it allow zero), \"parallel\" (region name to certified parallel entrypoints, for \
+       Check.Share), \"cost\" (\"hot\" and \"memo\" entrypoints, for Check.Cost) and \"locks\" \
+       (\"order\", \"io_locks\", \"hot\" and \"surface\", for Check.Lock). Every pass runs \
+       without it; the manifest only supplies declarations and turns on the budget ratchet."
     in
-    Arg.(value & opt (some string) None & info [ "budget" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE" ~doc)
   in
-  let rules_arg = Arg.(value & flag & info [ "rules" ] ~doc:"List the analysis rules and exit.") in
   let list_rules_arg =
     Arg.(
       value
       & flag
       & info [ "list-rules" ]
           ~doc:
-            "List every analyze rule (lint/flow/effect/share/cost) with its pass, severity and \
-             ratchet source, then exit.")
-  in
-  let parallel_arg =
-    let doc =
-      "Parallel-region manifest (JSON object mapping region name to an array of entrypoint \
-       names); enables the shared-write-reachable and prng-shared domain-safety rules \
-       (Check.Share) for the declared entrypoints."
-    in
-    Arg.(value & opt (some string) None & info [ "parallel" ] ~docv:"FILE" ~doc)
-  in
-  let cost_arg =
-    let doc =
-      "Cost manifest (JSON object with \"hot\" and \"memo\" entrypoint arrays); enables the \
-       loop-cost and allocation rules (Check.Cost): quadratic-list-op, rebuild-in-loop, \
-       alloc-in-hot-loop and memo-unsafe."
-    in
-    Arg.(value & opt (some string) None & info [ "cost" ] ~docv:"FILE" ~doc)
-  in
-  let locks_arg =
-    let doc =
-      "Lock-discipline manifest (JSON object with \"order\", \"io_locks\", \"hot\" and \
-       \"surface\" arrays); enables the mutex analysis (Check.Lock): lock-order-cycle, \
-       blocking-under-lock, lock-held-io, atomic-rmw and useless-lock."
-    in
-    Arg.(value & opt (some string) None & info [ "locks" ] ~docv:"FILE" ~doc)
+            "List every analyze rule (lint/flow/effect/share/cost/lock) with its pass, severity \
+             and manifest section, then exit.")
   in
   let sarif_arg =
     let doc =
@@ -324,129 +303,78 @@ let analyze_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
   in
-  let rule_severity rule =
-    match rule with
-    | "undocumented-raise" | "dead-function" | "unguarded-global" | "alloc-in-hot-loop"
-    | "blocking-under-lock" | "useless-lock" ->
-        "warn"
-    | _ -> "error"
+  (* Lint and flow rules are all errors that no manifest section governs. *)
+  let catalogue =
+    let plain section rules = List.map (fun (id, doc) -> Check.Finding.rule ~section id doc) rules in
+    [
+      ("lint", plain "lint: allow pragma" Check.Srclint.rules);
+      ("flow", plain "-" Check.Flow.rules);
+      ("effect", Check.Effect.rules);
+      ("share", Check.Share.rules);
+      ("cost", Check.Cost.rules);
+      ("lock", Check.Lock.rules);
+    ]
   in
-  let rule_ratchet pass rule =
-    match rule with
-    | "undocumented-raise" | "dead-function" | "unguarded-global" | "alloc-in-hot-loop"
-    | "blocking-under-lock" | "useless-lock" ->
-        "check/budget.json"
-    | "shared-write-reachable" | "prng-shared" | "parallel-manifest" -> "check/parallel.json"
-    | "quadratic-list-op" | "rebuild-in-loop" | "memo-unsafe" | "cost-manifest" ->
-        "check/cost.json"
-    | "lock-order-cycle" | "lock-held-io" | "atomic-rmw" | "lock-manifest" -> "check/locks.json"
-    | "budget-exceeded" -> "check/budget.json"
-    | _ -> if pass = "lint" then "lint: allow pragma" else "-"
-  in
-  let run dirs entries budget parallel cost locks sarif json list_rules full_list =
+  let run dirs entries manifest_file sarif json full_list =
     if full_list then begin
       Format.printf "%-6s %-24s %-6s %-20s %s@." "PASS" "RULE" "SEV" "RATCHET" "DESCRIPTION";
       List.iter
         (fun (pass, rules) ->
           List.iter
-            (fun (id, doc) ->
-              Format.printf "%-6s %-24s %-6s %-20s %s@." pass id (rule_severity id)
-                (rule_ratchet pass id) doc)
+            (fun (r : Check.Finding.rule) ->
+              Format.printf "%-6s %-24s %-6s %-20s %s@." pass r.id
+                (match r.level with Check.Finding.Warn -> "warn" | Error -> "error")
+                r.section r.doc)
             rules)
-        [
-          ("lint", Check.Srclint.rules);
-          ("flow", Check.Flow.rules);
-          ("effect", Check.Effect.rules);
-          ("share", Check.Share.rules);
-          ("cost", Check.Cost.rules);
-          ("lock", Check.Lock.rules);
-        ];
-      0
-    end
-    else if list_rules then begin
-      List.iter
-        (fun (id, doc) -> Format.printf "%-22s %s@." id doc)
-        (Check.Flow.rules @ Check.Effect.rules @ Check.Share.rules @ Check.Cost.rules
-       @ Check.Lock.rules);
+        catalogue;
       0
     end
     else begin
-      let budget_paths = match budget with Some b -> [ b ] | None -> [] in
-      let parallel_paths = match parallel with Some p -> [ p ] | None -> [] in
-      let cost_paths = match cost with Some c -> [ c ] | None -> [] in
-      let locks_paths = match locks with Some l -> [ l ] | None -> [] in
       match
         List.filter
           (fun p -> not (Sys.file_exists p))
-          (dirs @ entries @ budget_paths @ parallel_paths @ cost_paths @ locks_paths)
+          (dirs @ entries @ Option.to_list manifest_file)
       with
       | p :: _ ->
           Format.eprintf "analyze: no such path %s@." p;
           2
       | [] -> (
-          let allowed =
-            match budget with
-            | None -> Ok None
-            | Some file -> (
-                try Ok (Some (Check.Effect.parse_budget (Check.Srclint.read_file file)))
-                with Invalid_argument msg -> Error msg)
-          in
           let manifest =
-            match parallel with
-            | None -> Ok []
-            | Some file -> (
-                try Ok (Check.Share.parse_manifest (Check.Srclint.read_file file))
-                with Invalid_argument msg -> Error msg)
+            match manifest_file with
+            | None -> Ok Check.Manifest.empty
+            | Some file ->
+                Check.Manifest.parse (Check.Srclint.read_file file)
+                |> Result.map_error (fun e -> file ^ ": " ^ Check.Manifest.error_to_string e)
           in
-          let cost_manifest =
-            match cost with
-            | None -> Ok None
-            | Some file -> (
-                try Ok (Some (Check.Share.parse_manifest (Check.Srclint.read_file file)))
-                with Invalid_argument msg -> Error msg)
-          in
-          let locks_manifest =
-            match locks with
-            | None -> Ok None
-            | Some file -> (
-                try Ok (Some (Check.Share.parse_manifest (Check.Srclint.read_file file)))
-                with Invalid_argument msg -> Error msg)
-          in
-          match (allowed, manifest, cost_manifest, locks_manifest) with
-          | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
+          match manifest with
+          | Error msg ->
               Format.eprintf "analyze: %s@." msg;
               2
-          | Ok allowed, Ok manifest, Ok cost_manifest, Ok locks_manifest -> (
+          | Ok m -> (
               let flow = Check.Flow.analyze_paths dirs in
               let graph = Check.Callgraph.build ~entries dirs in
               let effect = Check.Effect.analyze graph in
-              let share = Check.Share.analyze ~manifest graph in
-              let cost =
-                match cost_manifest with
-                | None -> []
-                | Some m -> Check.Cost.analyze ~manifest:m graph
-              in
-              let lock =
-                match locks_manifest with
-                | None -> []
-                | Some m -> Check.Lock.analyze ~manifest:m graph
-              in
+              let where = manifest_file in
+              let share = Check.Share.analyze ?where ~manifest:m.parallel graph in
+              let cost = Check.Cost.analyze ?where ~manifest:m.cost graph in
+              let lock = Check.Lock.analyze ?where ~manifest:m.locks graph in
               let ratchet =
-                match allowed with
+                match manifest_file with
                 | None -> []
-                | Some budget -> Check.Effect.over_budget ~budget (effect @ share @ cost @ lock)
+                | Some where ->
+                    Check.Manifest.over_budget ~where ~budget:m.budget
+                      (effect @ share @ cost @ lock)
               in
               let findings = flow @ effect @ share @ cost @ lock @ ratchet in
               let sarif_status =
                 match sarif with
                 | None -> Ok ()
                 | Some file -> (
-                    let all_rules =
-                      Check.Flow.rules @ Check.Effect.rules @ Check.Share.rules @ Check.Cost.rules
-                      @ Check.Lock.rules
-                      @ [ ("budget-exceeded", "a warn-rule budget from check/budget.json exceeded") ]
+                    let rules =
+                      List.concat_map (fun (pass, rules) -> if pass = "lint" then [] else rules)
+                        catalogue
                     in
-                    let doc = Check.Finding.to_sarif ~rules:all_rules findings in
+                    let doc = Check.Finding.to_sarif ~rules findings in
                     match Obs.Export.validate_json doc with
                     | Error e -> Error (Printf.sprintf "SARIF report failed validation: %s" e)
                     | Ok () -> (
@@ -463,13 +391,17 @@ let analyze_cmd =
                   2
               | Ok () -> (
                   if json then begin
-                    let passes =
-                      [ ("flow", flow); ("effect", effect); ("share", share) ]
-                      @ (match cost_manifest with None -> [] | Some _ -> [ ("cost", cost) ])
-                      @ (match locks_manifest with None -> [] | Some _ -> [ ("lock", lock) ])
-                      @ [ ("ratchet", ratchet) ]
+                    let doc =
+                      Check.Finding.to_json_document
+                        [
+                          ("flow", flow);
+                          ("effect", effect);
+                          ("share", share);
+                          ("cost", cost);
+                          ("lock", lock);
+                          ("ratchet", ratchet);
+                        ]
                     in
-                    let doc = Check.Finding.to_json_document passes in
                     match Obs.Export.validate_json doc with
                     | Error e ->
                         Format.eprintf "analyze: JSON report failed validation: %s@." e;
@@ -499,8 +431,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const run $ dirs_arg $ entries_arg $ budget_arg $ parallel_arg $ cost_arg $ locks_arg
-      $ sarif_arg $ json_arg $ rules_arg $ list_rules_arg)
+      const run $ dirs_arg $ entries_arg $ manifest_arg $ sarif_arg $ json_arg $ list_rules_arg)
 
 (* ------------------------------- check ------------------------------ *)
 

@@ -4,6 +4,7 @@
    See callgraph.mli and DESIGN.md §10 for the accepted blind spots. *)
 
 module S = Srclint
+module Ints = Set.Make (Int)
 
 type source = { sc_file : string; sc_library : string; sc_entry : bool; sc_text : string }
 
@@ -47,21 +48,14 @@ type t = {
 (* Small string helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
-
 let split_dots s = String.split_on_char '.' s
 
-let rec last_two = function
-  | [] -> ("", "")
-  | [ x ] -> ("", x)
-  | [ x; y ] -> (x, y)
-  | _ :: tl -> last_two tl
-
-let contains_sub text sub =
+let find_sub text sub =
   let n = String.length text and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub text i m = sub || at (i + 1)) in
-  m > 0 && at 0
+  let rec at i = if i + m > n then None else if String.sub text i m = sub then Some i else at (i + 1) in
+  if m > 0 then at 0 else None
+
+let contains_sub text sub = find_sub text sub <> None
 
 let module_of_file file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
@@ -73,25 +67,17 @@ let module_of_file file =
 (* Column-1 tokens that end the previous definition's body; a table because
    the membership test runs once per token of every scanned file. *)
 let boundary_kw =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun kw -> Hashtbl.replace tbl kw ())
+  S.table
     [ "let"; "and"; "type"; "module"; "open"; "exception"; "include"; "end"; "val"; "class";
-      "external" ];
-  tbl
+      "external" ]
 
 type mark = { m_idx : int; m_def : (string * string * int) option }
 (* m_def = Some (module_path, name, line) for a definition start. *)
 
-(* Name of the definition whose [let]/[and] keyword is at token [i]:
-   ["()"] for unit bindings, the operator symbol for [let ( + ) ...],
-   ["_"] for wildcard or destructuring patterns. *)
 let is_attr t = String.length t >= 2 && t.[0] = '[' && t.[1] = '@'
 
-let def_name (toks : S.tok array) i =
+let name_index (toks : S.tok array) i =
   let n = Array.length toks in
-  (* Skip, in any order: attributes ([let[@inline] f]), extension markers
-     ([let%test ...] lexes as "%" "test"), and [rec]. *)
   let rec skip j =
     if j >= n then j
     else
@@ -101,7 +87,14 @@ let def_name (toks : S.tok array) i =
       else if t = "rec" then skip (j + 1)
       else j
   in
-  let j = skip (i + 1) in
+  skip (i + 1)
+
+(* Name of the definition whose [let]/[and] keyword is at token [i]:
+   ["()"] for unit bindings, the operator symbol for [let ( + ) ...],
+   ["_"] for wildcard or destructuring patterns. *)
+let def_name (toks : S.tok array) i =
+  let n = Array.length toks in
+  let j = name_index toks i in
   if j >= n then "_"
   else
     let tj = toks.(j).S.t in
@@ -109,7 +102,7 @@ let def_name (toks : S.tok array) i =
       if j + 1 < n && toks.(j + 1).S.t = ")" then "()"
       else if j + 1 < n then toks.(j + 1).S.t
       else "_"
-    else if is_lower tj then tj
+    else if S.is_lower tj then tj
     else "_"
 
 let defs_of_ml ~library ~entry ~file text =
@@ -140,12 +133,12 @@ let defs_of_ml ~library ~entry ~file text =
       | "module" ->
           if tok_at (i + 1) <> "type" then begin
             let name = tok_at (i + 1) in
-            if is_upper name && tok_at (i + 2) = "=" then begin
+            if S.is_upper name && tok_at (i + 2) = "=" then begin
               let rhs = tok_at (i + 3) in
               if rhs = "struct" then submod := Some name
-              else if is_upper rhs then Hashtbl.replace aliases name rhs
+              else if S.is_upper rhs then Hashtbl.replace aliases name rhs
             end
-            else if is_upper name && tok_at (i + 2) = ":" then begin
+            else if S.is_upper name && tok_at (i + 2) = ":" then begin
               (* [module X : SIG = struct]: look a few tokens ahead. *)
               let rec scan j k =
                 if k = 0 || j >= n then ()
@@ -222,7 +215,7 @@ let vals_of_mli ~library ~file text =
         let t1 = toks.(i + 1).S.t in
         if t1 = "(" && i + 2 < n then toks.(i + 2).S.t else t1
       in
-      if is_lower name then decls := (name, tline) :: !decls
+      if S.is_lower name then decls := (name, tline) :: !decls
     end
   done;
   let decls = List.rev !decls in
@@ -253,87 +246,62 @@ let vals_of_mli ~library ~file text =
    set Cost uses for its pending-iteration spans, so the two layers agree
    on where an argument list stops. *)
 let span_stop_toks =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun t -> Hashtbl.replace tbl t ())
-    [ ";"; ","; "in"; "done"; "then"; "else"; "with"; "|"; "|>"; "let"; "and"; "end"; "do" ];
-  tbl
+  S.table [ ";"; ","; "in"; "done"; "then"; "else"; "with"; "|"; "|>"; "let"; "and"; "end"; "do" ]
 
-let arg_span (body : S.tok array) i =
+let span_stop t = Hashtbl.mem span_stop_toks t
+
+(* First index from [i] on whose token, with the bracket depth relative
+   to [i] that it leaves, satisfies [stop]; the body length if none does.
+   The one bracket walker behind spans, matching brackets and headers. *)
+let scan_to (body : S.tok array) i stop =
   let n = Array.length body in
-  let level = ref 0 in
-  let j = ref (i + 1) in
-  let stop = ref false in
-  while (not !stop) && !j < n do
-    let t = body.(!j).S.t in
-    match t with
-    | "(" | "[" | "{" ->
-        incr level;
-        incr j
-    | ")" | "]" | "}" -> if !level = 0 then stop := true else (decr level; incr j)
-    | t when !level = 0 && Hashtbl.mem span_stop_toks t -> stop := true
-    | _ -> incr j
-  done;
-  !j
+  let rec go j level =
+    if j >= n then n
+    else
+      let t = body.(j).S.t in
+      let level =
+        match t with "(" | "[" | "{" -> level + 1 | ")" | "]" | "}" -> level - 1 | _ -> level
+      in
+      if stop t level then j else go (j + 1) level
+  in
+  go i 0
+
+let matching_close body i = scan_to body i (fun _ level -> level = 0)
+let arg_span body i = scan_to body (i + 1) (fun t level -> level < 0 || (level = 0 && span_stop t))
+(* The scan starts past the bound name, so a parenthesised name
+   ([let ( >>= ) m f =]) closes a bracket it never opened and finds no
+   [=] at level 0: such bindings have no header end and no parameters. *)
+let header_end body = scan_to body (name_index body 0 + 1) (fun t level -> level = 0 && t = "=")
 
 let def_params (d : def) =
   let body = d.d_body in
-  let n = Array.length body in
-  (* Skip the binding keyword, attributes, extension markers and [rec] to
-     land on the bound name, then collect header tokens up to the [=] at
-     bracket level 0. *)
-  let rec skip j =
-    if j >= n then j
-    else
-      let t = body.(j).S.t in
-      if is_attr t then skip (j + 1)
-      else if t = "%" then skip (j + 2)
-      else if t = "rec" then skip (j + 1)
-      else j
-  in
-  let start = skip 1 in
+  let stop = header_end body in
   let params = ref [] in
   let seen = Hashtbl.create 8 in
-  let level = ref 0 in
-  let j = ref (start + 1) in
-  let stop = ref false in
-  while (not !stop) && !j < n do
-    let t = body.(!j).S.t in
-    (match t with
-    | "(" | "[" | "{" -> incr level
-    | ")" | "]" | "}" -> decr level
-    | "=" when !level = 0 -> stop := true
-    | t when is_lower t && t <> "_" && not (String.contains t '.') ->
-        if not (Hashtbl.mem seen t) then begin
-          Hashtbl.replace seen t ();
-          params := t :: !params
-        end
-    | _ -> ());
-    incr j
-  done;
-  if !stop then List.rev !params else []
+  if stop < Array.length body then
+    for j = name_index body 0 + 1 to stop - 1 do
+      let t = body.(j).S.t in
+      if S.is_lower t && t <> "_" && (not (String.contains t '.')) && not (Hashtbl.mem seen t) then begin
+        Hashtbl.replace seen t ();
+        params := t :: !params
+      end
+    done;
+  List.rev !params
 
 (* Keywords that can follow an identifier without making it a function
    head ([if p then ...] does not apply [p]). *)
 let application_keywords =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun t -> Hashtbl.replace tbl t ())
+  S.table
     [ "then"; "else"; "in"; "do"; "done"; "with"; "when"; "and"; "begin"; "end"; "rec"; "fun";
       "function"; "match"; "let"; "if"; "try"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr";
-      "or"; "not"; "as"; "of"; "to"; "downto"; "while"; "for" ];
-  tbl
+      "or"; "not"; "as"; "of"; "to"; "downto"; "while"; "for" ]
 
 (* Tokens after which an expression (and hence a function application)
    can start; [a b] with [a] in argument position is preceded by another
    identifier, which is not in this set, so curried-argument runs do not
    look like applications of their members. *)
 let expr_starters =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun t -> Hashtbl.replace tbl t ())
-    [ ";"; "="; "->"; "("; "["; "{"; "begin"; "in"; "then"; "else"; "@@"; "|>"; ","; "|"; ":" ];
-  tbl
+  S.table [ ";"; "="; "->"; "("; "["; "{"; "begin"; "in"; "then"; "else"; "@@"; "|>"; ","; "|"; ":" ]
 
 (* Whether the identifier token at [i] is syntactically applied: it heads
    an application (an expression can start here and an argument follows),
@@ -344,17 +312,7 @@ let applied_at (d : def) i =
   let n = Array.length body in
   let protect_before i =
     let lo = max 0 (i - 14) in
-    let rec look j =
-      j >= lo
-      &&
-      let t = body.(j).S.t in
-      let comp =
-        match String.rindex_opt t '.' with
-        | Some k -> String.sub t (k + 1) (String.length t - k - 1)
-        | None -> t
-      in
-      comp = "protect" || look (j - 1)
-    in
+    let rec look j = j >= lo && (S.last_component body.(j).S.t = "protect" || look (j - 1)) in
     look (i - 1)
   in
   protect_before i
@@ -364,8 +322,8 @@ let applied_at (d : def) i =
     &&
     let t = body.(i + 1).S.t in
     t = "(" || t = "~" || t = "!"
-    || (t <> "" && t.[0] >= '0' && t.[0] <= '9')
-    || ((is_lower t || is_upper t) && not (Hashtbl.mem application_keywords t))
+    || S.is_number t
+    || ((S.is_lower t || S.is_upper t) && not (Hashtbl.mem application_keywords t))
   in
   let prev_ok = i > 0 && Hashtbl.mem expr_starters body.(i - 1).S.t in
   next_ok && prev_ok
@@ -391,12 +349,19 @@ let applies_params (d : def) =
 (* Graph assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let multi_add tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> Hashtbl.replace tbl key (v :: l)
-  | None -> Hashtbl.add tbl key [ v ]
+let modkey d = S.last_component d.d_module
 
-let modkey module_path = snd (last_two (split_dots module_path))
+let narrow ~library ~hint def_of cands =
+  if hint = "" then
+    let same = List.filter (fun c -> (def_of c).d_library = library) cands in
+    if same = [] then cands else same
+  else
+    List.filter
+      (fun c ->
+        let d = def_of c in
+        String.capitalize_ascii d.d_library = hint
+        || List.exists (String.equal hint) (split_dots d.d_module))
+      cands
 
 let build_sources sources =
   let ml, mli = List.partition (fun s -> Filename.check_suffix s.sc_file ".ml") sources in
@@ -443,8 +408,8 @@ let build_sources sources =
   let by_file = Hashtbl.create 256 in
   Array.iter
     (fun d ->
-      multi_add by_modkey (modkey d.d_module ^ "." ^ d.d_name) d.d_id;
-      multi_add by_file (d.d_file ^ ":" ^ d.d_name) d.d_id)
+      S.multi_add by_modkey (modkey d ^ "." ^ d.d_name) d.d_id;
+      S.multi_add by_file (d.d_file ^ ":" ^ d.d_name) d.d_id)
     defs;
   (* One flat alias table, pre-split: "file:name" -> reversed components of
      the alias target, so the splice below is a rev_append not an append. *)
@@ -475,7 +440,7 @@ let build_sources sources =
           site := tok_idx;
           if String.contains t '.' then begin
             match split_dots t with
-            | first :: rest when is_upper first ->
+            | first :: rest when S.is_upper first ->
                 let comps =
                   match Hashtbl.find_opt rev_alias (d.d_file ^ ":" ^ first) with
                   | Some rev_target -> List.rev_append rev_target rest
@@ -489,27 +454,15 @@ let build_sources sources =
                   | _ -> None
                 in
                 (match split3 comps with
-                | Some (h, mk, name) when is_lower name && is_upper mk ->
+                | Some (h, mk, name) when S.is_lower name && S.is_upper mk ->
                     (match Hashtbl.find_opt by_modkey (mk ^ "." ^ name) with
                     | None -> ()
                     | Some cands ->
-                        let cands =
-                          if h = "" then
-                            let same = List.filter (fun i -> defs.(i).d_library = d.d_library) cands in
-                            if same = [] then cands else same
-                          else
-                            List.filter
-                              (fun i ->
-                                let c = defs.(i) in
-                                String.capitalize_ascii c.d_library = h
-                                || List.exists (String.equal h) (split_dots c.d_module))
-                              cands
-                        in
-                        List.iter add cands)
+                        List.iter add (narrow ~library:d.d_library ~hint:h (fun i -> defs.(i)) cands))
                 | _ -> ())
             | _ -> ()
           end
-          else if is_lower t then
+          else if S.is_lower t then
             match Hashtbl.find_opt by_file (d.d_file ^ ":" ^ t) with
             | Some cands -> List.iter add cands
             | None -> ())
@@ -538,7 +491,7 @@ let build_sources sources =
               | "(" | "[" | "{" -> incr level
               | ")" | "]" | "}" -> decr level
               | t
-                when !level = 0 && is_lower t && t <> "_" && not (String.contains t '.') -> (
+                when !level = 0 && S.is_lower t && t <> "_" && not (String.contains t '.') -> (
                   match Hashtbl.find_opt by_file (d.d_file ^ ":" ^ t) with
                   | Some cands ->
                       List.iter
@@ -571,10 +524,10 @@ let dune_info dir =
     let text = S.read_file f in
     let entry = contains_sub text "(executable" || contains_sub text "(test" in
     let name =
-      let len = String.length text in
-      let rec find i =
-        if i + 5 > len then None
-        else if String.sub text i 5 = "(name" then begin
+      match find_sub text "(name" with
+      | None -> None
+      | Some i ->
+          let len = String.length text in
           let j = ref (i + 5) in
           if !j < len && text.[!j] = 's' then incr j;
           while !j < len && (text.[!j] = ' ' || text.[!j] = '\n' || text.[!j] = '\t') do
@@ -590,10 +543,6 @@ let dune_info dir =
             incr j
           done;
           if !j > start then Some (String.sub text start (!j - start)) else None
-        end
-        else find (i + 1)
-      in
-      find 0
     in
     Some (name, entry)
   end
@@ -638,12 +587,26 @@ let build ?(entries = []) dirs =
 (* Queries                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let find_def g ~module_ ~name =
-  let found = ref None in
-  Array.iter
-    (fun d -> if !found = None && d.d_module = module_ && d.d_name = name then found := Some d)
-    g.defs;
-  !found
+let fixpoint ~n ~init ~step ~equal =
+  let v = Array.init n init in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let x = step v i in
+      if not (equal x v.(i)) then begin
+        v.(i) <- x;
+        changed := true
+      end
+    done
+  done;
+  v
+
+let propagate g ~init ~join ~equal =
+  fixpoint ~n:(Array.length g.defs) ~init ~equal ~step:(fun v i ->
+      List.fold_left (fun acc j -> join acc v.(j)) v.(i) g.callees.(i))
+
+let find_def g ~module_ ~name = Array.find_opt (fun d -> d.d_module = module_ && d.d_name = name) g.defs
 
 let reachable g ~roots =
   let n = Array.length g.defs in
@@ -657,8 +620,7 @@ let reachable g ~roots =
   List.iter visit roots;
   seen
 
-let witness g ~from ~target =
-  let n = Array.length g.defs in
+let shortest_path ~n ~succ ~from ~target =
   if from < 0 || from >= n then None
   else begin
     let parent = Array.make n (-2) in
@@ -676,7 +638,7 @@ let witness g ~from ~target =
               parent.(j) <- i;
               Queue.add j q
             end)
-          g.callees.(i)
+          (succ i)
     done;
     match !found with
     | None -> None
@@ -684,3 +646,35 @@ let witness g ~from ~target =
         let rec unwind i acc = if parent.(i) = -1 then i :: acc else unwind parent.(i) (i :: acc) in
         Some (unwind stop [])
   end
+
+let witness g = shortest_path ~n:(Array.length g.defs) ~succ:(fun i -> g.callees.(i))
+let qualified d = d.d_module ^ "." ^ d.d_name
+let where_of d = Printf.sprintf "%s:%d" d.d_file d.d_line
+
+let where_at d tok =
+  let line = if tok < Array.length d.d_body then d.d_body.(tok).S.tline else d.d_line in
+  Printf.sprintf "%s:%d" d.d_file line
+
+let via g ~from ~target =
+  match witness g ~from ~target with
+  | Some ids -> String.concat " -> " (List.map (fun i -> qualified g.defs.(i)) ids)
+  | None -> qualified g.defs.(from)
+
+let resolve_entry g name =
+  let matches d =
+    let qual = qualified d in
+    name = modkey d ^ "." ^ d.d_name
+    || name = qual
+    || name = String.capitalize_ascii d.d_library ^ "." ^ qual
+  in
+  Array.to_list g.defs |> List.filter matches
+
+let resolve_entries g ~add ~rule ~where ~unresolved names =
+  List.concat_map
+    (fun name ->
+      match resolve_entry g name with
+      | [] ->
+          add (Finding.emit rule ~where (unresolved name));
+          []
+      | ds -> ds)
+    names

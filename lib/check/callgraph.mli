@@ -17,6 +17,9 @@
     definition only when [f] resolves syntactically), method calls, and
     [include]-re-exported definitions. See DESIGN.md §10. *)
 
+module Ints : Set.S with type elt = int
+(** Sets of def, root or lock ids, a common summary lattice. *)
+
 type source = {
   sc_file : string;  (** path used in findings *)
   sc_library : string;  (** dune library (or executable) name *)
@@ -90,15 +93,84 @@ val build : ?entries:string list -> string list -> t
     stanzas). Files skipped by {!Srclint.source_files} (leading ['.'] or
     ['_']) are skipped here too. *)
 
+val fixpoint :
+  n:int -> init:(int -> 'a) -> step:('a array -> int -> 'a) -> equal:('a -> 'a -> bool) -> 'a array
+(** The Kleene solver behind every interprocedural summary: from
+    [v.(i) = init i] it replaces [v.(i)] by [step v i] in place, sweeping
+    [0 .. n-1] until a sweep changes nothing under [equal]. With [step]
+    monotone and inflationary on a lattice of finite height, the result is
+    the least fixpoint above [init] whatever the sweep order, so adding an
+    edge can never shrink a summary. *)
+
+val propagate :
+  t -> init:(int -> 'a) -> join:('a -> 'a -> 'a) -> equal:('a -> 'a -> bool) -> 'a array
+(** {!fixpoint} along call edges: the least [v] with
+    [v.(i) ⊒ init i ⊔ ⨆ { v.(j) | j ∈ callees.(i) }], indexed by [d_id]. *)
+
 val find_def : t -> module_:string -> name:string -> def option
 (** Lookup by module path and definition name, for tests. *)
 
 val reachable : t -> roots:int list -> bool array
 (** Forward BFS over [callees]. *)
 
+val shortest_path :
+  n:int -> succ:(int -> int list) -> from:int -> target:(int -> bool) -> int list option
+(** Breadth-first search over nodes [0 .. n-1], successors tried in
+    [succ] order: the shortest path ([from] first) to a node satisfying
+    [target], [from] included. *)
+
 val witness : t -> from:int -> target:(int -> bool) -> int list option
-(** Shortest call chain (as def ids, [from] first) from [from] to any
-    definition satisfying [target]; [None] if unreachable. *)
+(** {!shortest_path} along call edges. *)
+
+val qualified : def -> string
+(** ["Module.name"], the spelling findings use for a definition. *)
+
+val where_of : def -> string
+(** ["file:line"] of a definition. *)
+
+val where_at : def -> int -> string
+(** ["file:line"] of the body token at the given index (the definition's
+    own line when the index is past the body). *)
+
+val via : t -> from:int -> target:(int -> bool) -> string
+(** The "(via ...)" part of a finding: the {!witness} chain from [from]
+    to a definition satisfying [target] as ["A.f -> B.g"], or [from]'s own
+    {!qualified} name when there is none. *)
+
+val modkey : def -> string
+(** The last component of [d_module]: ["Builder"] for ["Graph.Builder"].
+    Cross-module references resolve on it. *)
+
+val resolve_entries :
+  t -> add:(Finding.t -> unit) -> rule:Finding.rule -> where:string ->
+  unresolved:(string -> string) -> string list -> def list
+(** Defs that manifest entrypoint names denote: ["Replay.run"] matches on
+    the {!modkey}, ["Response.Replay.run"] also library-qualified. A name
+    that resolves to nothing is passed to [add] as the pass's [rule] error
+    at [where] (the manifest file), with message [unresolved name]. *)
+
+val narrow : library:string -> hint:string -> ('a -> def) -> 'a list -> 'a list
+(** Disambiguates the candidates of a [Hint.Mod.name] reference: with no
+    hint, those in [library] when any are; with one, those whose library
+    or module path carries it. *)
+
+val name_index : Srclint.tok array -> int -> int
+(** Index of the name bound by the [let]/[and] at the given index, past
+    attributes, extension markers ([let%test]) and [rec]. *)
+
+val header_end : Srclint.tok array -> int
+(** Index of the [=] ending a definition's header: the first at bracket
+    level 0 counted from the token after the bound name. The body length
+    when there is none: a truncated body, or a parenthesised name
+    ([let ( >>= ) m f =]) whose closing bracket drops the level below 0. *)
+
+val span_stop : string -> bool
+(** Tokens that end an application span ([;], [in], [then], [|>], ...),
+    shared by {!arg_span} and {!Cost}'s loop depths. *)
+
+val matching_close : Srclint.tok array -> int -> int
+(** Index of the bracket closing the one opened at the given index, or
+    the array length. *)
 
 val arg_span : Srclint.tok array -> int -> int
 (** [arg_span body i] is the exclusive end of the application span that
@@ -110,10 +182,9 @@ val arg_span : Srclint.tok array -> int -> int
 
 val def_params : def -> string list
 (** Formal parameter names of a definition: the lowercase undotted tokens
-    between the bound name and the first [=] at bracket level 0 of the
-    header, in order. Empty when no toplevel [=] is found (e.g. a
-    truncated body). Type names inside annotations may be over-collected;
-    callers only test membership. *)
+    between the bound name and the {!header_end}, in order. Empty when
+    there is no header end. Type names inside annotations may be
+    over-collected; callers only test membership. *)
 
 val applied_at : def -> int -> bool
 (** Whether the identifier token at the given body index is

@@ -1,8 +1,9 @@
 (* Loop-cost and allocation analysis. Intraprocedural loop structure is
    recovered token-by-token (for/while blocks, higher-order iteration
    argument spans, recursive bodies); interprocedural facts are Kleene
-   fixpoints on finite lattices, mirroring Effect. See cost.mli and
-   DESIGN.md §12 for the accepted blind spots. *)
+   fixpoints on finite lattices, solved by Callgraph.fixpoint like every
+   other pass. See cost.mli and DESIGN.md §12 for the accepted blind
+   spots. *)
 
 module S = Srclint
 
@@ -14,13 +15,8 @@ let clamp v = if v > max_depth then max_depth else v
    token, inside the scanning loops this very pass audits)             *)
 (* ------------------------------------------------------------------ *)
 
-let table names =
-  let t = Hashtbl.create (2 * List.length names) in
-  List.iter (fun name -> Hashtbl.replace t name ()) names;
-  t
-
 let quad_prims =
-  table
+  S.table
     [ "List.append"; "@"; "List.mem"; "List.memq"; "List.mem_assoc"; "List.assoc";
       "List.assoc_opt"; "List.nth"; "List.nth_opt" ]
 
@@ -28,12 +24,12 @@ let rebuild_names =
   [ "Hashtbl.create"; "Array.make"; "Array.create_float"; "Array.make_matrix"; "Buffer.create";
     "Bytes.create"; "Queue.create"; "Stack.create"; "Array.to_list"; "Array.of_list" ]
 
-let rebuild_prims = table rebuild_names
+let rebuild_prims = S.table rebuild_names
 
 (* Everything above plus cheap-once constructors: allocating once is
    fine anywhere, so these only matter through the per-iteration bit. *)
 let alloc_prims =
-  table
+  S.table
     (List.append rebuild_names
        [ "Array.append"; "Array.copy"; "Array.sub"; "Array.concat"; "Array.init"; "List.init";
          "String.concat"; "String.sub" ])
@@ -47,17 +43,12 @@ let hof_prefixes =
 
 (* Modules whose map/fold run the callback at most once. *)
 let scalar_modules =
-  table
+  S.table
     [ "Option"; "Result"; "Either"; "Fun"; "Lazy"; "Atomic"; "Float"; "Int"; "Int32"; "Int64";
       "Nativeint"; "Bool"; "Char"; "Unit" ]
 
 let first_dot_component t =
   match String.index_opt t '.' with Some i -> String.sub t 0 i | None -> t
-
-let last_dot_component t =
-  match String.rindex_opt t '.' with
-  | Some i -> String.sub t (i + 1) (String.length t - i - 1)
-  | None -> t
 
 (* [comp] names an iteration combinator when it extends a known prefix
    with nothing, an underscore suffix (fold_left, iter_flows, sort_uniq),
@@ -72,7 +63,7 @@ let is_loop_hof t =
   String.contains t '.'
   && (not (Hashtbl.mem scalar_modules (first_dot_component t)))
   &&
-  let comp = last_dot_component t in
+  let comp = S.last_component t in
   comp <> ""
   && comp.[0] >= 'a'
   && comp.[0] <= 'z'
@@ -81,11 +72,6 @@ let is_loop_hof t =
 (* ------------------------------------------------------------------ *)
 (* Per-token lexical loop depth                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Tokens that end a pending application span at their bracket level:
-   after [let xs = List.map f ys in ...] the [in] closes the span. *)
-let stop_tokens =
-  table [ ";"; ","; "in"; "done"; "then"; "else"; "with"; "|"; "|>"; "let"; "and"; "end"; "do" ]
 
 let depths (body : S.tok array) =
   let n = Array.length body in
@@ -111,7 +97,9 @@ let depths (body : S.tok array) =
         bracket := max 0 (!bracket - 1);
         pendings := List.filter (fun l -> l <= !bracket) !pendings
     | _ -> ());
-    if Hashtbl.mem stop_tokens t then begin
+    (* A span stop ([in] after [let xs = List.map f ys]) closes the
+       pending application spans at its bracket level. *)
+    if Callgraph.span_stop t then begin
       pendings := List.filter (fun l -> l < !bracket) !pendings;
       if t = "done" then dones := max 0 (!dones - 1)
     end;
@@ -218,51 +206,28 @@ let compute (g : Callgraph.t) =
   let facts = Array.init n (fun i -> facts_of_def defs.(i)) in
   (* Cost: lexical depth plus callee cost weighted by the call site's
      depth, clamped — a finite lattice, so the iteration terminates. *)
-  let cost = Array.init n (fun i -> clamp facts.(i).f_local) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      let c =
+  let cost =
+    Callgraph.fixpoint ~n ~equal:Int.equal
+      ~init:(fun i -> clamp facts.(i).f_local)
+      ~step:(fun cost i ->
         List.fold_left
           (fun acc (tok, j) -> max acc (clamp (site_depth facts i tok + cost.(j))))
-          cost.(i) g.Callgraph.sites.(i)
-      in
-      if c > cost.(i) then begin
-        cost.(i) <- c;
-        changed := true
-      end
-    done
-  done;
+          cost.(i) g.Callgraph.sites.(i))
+  in
   (* May-allocate, then may-allocate-per-iteration (needs the former:
      calling an allocator from inside a loop allocates every pass). *)
-  let alloc = Array.init n (fun i -> facts.(i).f_alloc_any) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      if (not alloc.(i)) && List.exists (fun j -> alloc.(j)) g.Callgraph.callees.(i) then begin
-        alloc.(i) <- true;
-        changed := true
-      end
-    done
-  done;
-  let per_iter = Array.init n (fun i -> facts.(i).f_alloc_iter) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      if
-        (not per_iter.(i))
-        && List.exists
+  let alloc =
+    Callgraph.propagate g ~init:(fun i -> facts.(i).f_alloc_any) ~join:( || ) ~equal:Bool.equal
+  in
+  let per_iter =
+    Callgraph.fixpoint ~n ~equal:Bool.equal
+      ~init:(fun i -> facts.(i).f_alloc_iter)
+      ~step:(fun per_iter i ->
+        per_iter.(i)
+        || List.exists
              (fun (tok, j) -> per_iter.(j) || (site_depth facts i tok >= 1 && alloc.(j)))
-             g.Callgraph.sites.(i)
-      then begin
-        per_iter.(i) <- true;
-        changed := true
-      end
-    done
-  done;
+             g.Callgraph.sites.(i))
+  in
   { a_facts = facts; a_cost = cost; a_alloc = alloc; a_per_iter = per_iter }
 
 let infer g =
@@ -281,49 +246,35 @@ let infer g =
 (* Rules                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rules =
-  [
-    ("quadratic-list-op", "O(n) list primitive (List.append/@/mem/assoc/nth) inside a loop");
-    ("rebuild-in-loop", "container (Hashtbl/Array/Buffer/...) rebuilt on every loop iteration");
-    ( "alloc-in-hot-loop",
-      "declared hot entrypoint transitively allocates on every iteration (warn)" );
-    ( "memo-unsafe",
-      "declared memoized function shows nondet/IO/partial effects or raises directly" );
-    ("cost-manifest", "a check/cost.json entry does not resolve, or the manifest has an unknown key");
-  ]
+let quadratic_list_op =
+  Finding.rule ~section:"cost" "quadratic-list-op"
+    "O(n) list primitive (List.append/@/mem/assoc/nth) inside a loop"
 
-let qualified (d : Callgraph.def) = d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name
+let rebuild_in_loop =
+  Finding.rule ~section:"cost" "rebuild-in-loop"
+    "container (Hashtbl/Array/Buffer/...) rebuilt on every loop iteration"
 
-let chain_str (g : Callgraph.t) ids =
-  String.concat " -> " (List.map (fun i -> qualified g.Callgraph.defs.(i)) ids)
+let alloc_in_hot_loop =
+  Finding.rule ~level:Warn ~section:"budget" "alloc-in-hot-loop"
+    "declared hot entrypoint transitively allocates on every iteration (warn)"
 
-let modkey module_path =
-  match String.rindex_opt module_path '.' with
-  | Some i -> String.sub module_path (i + 1) (String.length module_path - i - 1)
-  | None -> module_path
+let memo_unsafe =
+  Finding.rule ~section:"cost" "memo-unsafe"
+    "declared memoized function shows nondet/IO/partial effects or raises directly"
 
-(* Same convention as Share.resolve_entry: "Replay.run" matches on the
-   module key, "Response.Replay.run" also library-qualified. *)
-let resolve_entry (g : Callgraph.t) name =
-  let matches (d : Callgraph.def) =
-    let mk = modkey d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name in
-    let qual = qualified d in
-    let lib_qual = String.capitalize_ascii d.Callgraph.d_library ^ "." ^ qual in
-    name = mk || name = qual || name = lib_qual
-  in
-  Array.to_list g.Callgraph.defs |> List.filter matches
+let cost_manifest =
+  Finding.rule ~section:"cost" "cost-manifest"
+    "a cost-section entry of check/analyze.json does not resolve, or the section has an unknown \
+     key"
 
-let analyze ?(manifest = []) (g : Callgraph.t) =
+let rules = [ quadratic_list_op; rebuild_in_loop; alloc_in_hot_loop; memo_unsafe; cost_manifest ]
+
+let analyze ?(where = Manifest.path) ?(manifest = []) (g : Callgraph.t) =
   let defs = g.Callgraph.defs in
   let n = Array.length defs in
   let a = compute g in
   let findings = ref [] in
   let add f = findings := f :: !findings in
-  let where_site (d : Callgraph.def) tok =
-    let body = d.Callgraph.d_body in
-    let line = if tok < Array.length body then body.(tok).S.tline else d.Callgraph.d_line in
-    Printf.sprintf "%s:%d" d.Callgraph.d_file line
-  in
   (* Intra-procedural site rules over library definitions only: entry
      points (tests, benches, executables) are reachability context. *)
   Array.iter
@@ -333,17 +284,17 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
         List.iter
           (fun (tok, prim) ->
             add
-              (Finding.v ~rule:"quadratic-list-op" ~where:(where_site d tok)
+              (Finding.emit quadratic_list_op ~where:(Callgraph.where_at d tok)
                  (Printf.sprintf "%s at loop depth %d in %s: O(n) per iteration" prim
-                    a.a_facts.(i).f_dep.(tok) (qualified d))))
+                    a.a_facts.(i).f_dep.(tok) (Callgraph.qualified d))))
           a.a_facts.(i).f_quad;
         List.iter
           (fun (tok, prim) ->
             add
-              (Finding.v ~rule:"rebuild-in-loop" ~where:(where_site d tok)
+              (Finding.emit rebuild_in_loop ~where:(Callgraph.where_at d tok)
                  (Printf.sprintf "%s at loop depth %d in %s rebuilds a container every iteration"
                     prim
-                    a.a_facts.(i).f_dep.(tok) (qualified d))))
+                    a.a_facts.(i).f_dep.(tok) (Callgraph.qualified d))))
           a.a_facts.(i).f_rebuild
       end)
     defs;
@@ -354,24 +305,13 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
       | "hot" | "memo" -> ()
       | _ ->
           add
-            (Finding.v ~rule:"cost-manifest" ~where:"check/cost.json"
+            (Finding.emit cost_manifest ~where
                (Printf.sprintf "unknown manifest key %S (expected \"hot\" or \"memo\")" key)))
     manifest;
   let resolve_all key =
-    match List.assoc_opt key manifest with
-    | None -> []
-    | Some names ->
-        List.concat_map
-          (fun name ->
-            match resolve_entry g name with
-            | [] ->
-                add
-                  (Finding.v ~rule:"cost-manifest" ~where:"check/cost.json"
-                     (Printf.sprintf "%s entrypoint %s does not resolve to any definition" key
-                        name));
-                []
-            | ds -> ds)
-          names
+    Option.value (List.assoc_opt key manifest) ~default:[]
+    |> Callgraph.resolve_entries g ~add ~rule:cost_manifest ~where
+         ~unresolved:(Printf.sprintf "%s entrypoint %s does not resolve to any definition" key)
   in
   let hot = resolve_all "hot" in
   let memo = resolve_all "memo" in
@@ -386,18 +326,12 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
   List.iter
     (fun (d : Callgraph.def) ->
       let i = d.Callgraph.d_id in
-      if a.a_per_iter.(i) then begin
-        let via =
-          match Callgraph.witness g ~from:i ~target:local_iter_evidence with
-          | Some ids -> chain_str g ids
-          | None -> qualified d
-        in
+      if a.a_per_iter.(i) then
         add
-          (Finding.v ~severity:Finding.Warn ~rule:"alloc-in-hot-loop"
-             ~where:(Printf.sprintf "%s:%d" d.Callgraph.d_file d.Callgraph.d_line)
-             (Printf.sprintf "hot entrypoint %s allocates per iteration (via %s)" (qualified d)
-                via))
-      end)
+          (Finding.emit alloc_in_hot_loop ~where:(Callgraph.where_of d)
+             (Printf.sprintf "hot entrypoint %s allocates per iteration (via %s)"
+                (Callgraph.qualified d)
+                (Callgraph.via g ~from:i ~target:local_iter_evidence))))
     hot;
   (* memo-unsafe: Effect facts with the obs library treated as
      value-transparent (spans read clocks but do not change the wrapped
@@ -409,41 +343,30 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
           if defs.(i).Callgraph.d_library = "obs" then Effect.empty
           else Effect.base_of_body defs.(i).Callgraph.d_body)
     in
-    let eff =
-      Effect.fixpoint ~n ~callees:(fun i -> g.Callgraph.callees.(i)) ~base:(fun i -> base.(i))
-    in
-    let pick set = match Effect.Strings.min_elt_opt set with Some s -> s | None -> "?" in
+    let eff = Effect.propagate g base in
     List.iter
       (fun (d : Callgraph.def) ->
         let i = d.Callgraph.d_id in
-        let where = Printf.sprintf "%s:%d" d.Callgraph.d_file d.Callgraph.d_line in
-        let witness_to sel =
-          match
-            Callgraph.witness g ~from:i ~target:(fun j -> not (Effect.Strings.is_empty (sel base.(j))))
-          with
-          | Some ids -> chain_str g ids
-          | None -> qualified d
+        let where = Callgraph.where_of d in
+        let unsafe sel what =
+          Effect.witnessed g ~base eff sel i
+          |> Option.iter (fun (prim, via) ->
+                 add
+                   (Finding.emit memo_unsafe ~where
+                      (Printf.sprintf "memoized %s %s %s (via %s)" (Callgraph.qualified d) what
+                         prim via)))
         in
-        if not (Effect.Strings.is_empty (eff.(i)).Effect.nondet) then
-          add
-            (Finding.v ~rule:"memo-unsafe" ~where
-               (Printf.sprintf "memoized %s is nondeterministic: %s (via %s)" (qualified d)
-                  (pick (eff.(i)).Effect.nondet)
-                  (witness_to (fun e -> e.Effect.nondet))));
-        if not (Effect.Strings.is_empty (eff.(i)).Effect.partial) then
-          add
-            (Finding.v ~rule:"memo-unsafe" ~where
-               (Printf.sprintf "memoized %s can hit partial %s (via %s)" (qualified d)
-                  (pick (eff.(i)).Effect.partial)
-                  (witness_to (fun e -> e.Effect.partial))));
+        unsafe (fun e -> e.Effect.nondet) "is nondeterministic:";
+        unsafe (fun e -> e.Effect.partial) "can hit partial";
         if (eff.(i)).Effect.io then
           add
-            (Finding.v ~rule:"memo-unsafe" ~where
-               (Printf.sprintf "memoized %s performs IO" (qualified d)));
+            (Finding.emit memo_unsafe ~where
+               (Printf.sprintf "memoized %s performs IO" (Callgraph.qualified d)));
         if (Effect.base_of_body d.Callgraph.d_body).Effect.raises then
           add
-            (Finding.v ~rule:"memo-unsafe" ~where
-               (Printf.sprintf "memoized %s raises directly in its own body" (qualified d))))
+            (Finding.emit memo_unsafe ~where
+               (Printf.sprintf "memoized %s raises directly in its own body"
+                  (Callgraph.qualified d))))
       memo
   end;
   List.rev !findings

@@ -11,7 +11,7 @@
     the definition's own name) each add one level.
 
     {b Interprocedural}: per-definition facts are propagated along call
-    sites to a Kleene fixpoint on finite lattices, so costs compose —
+    sites by {!Callgraph.fixpoint} on finite lattices, so costs compose —
     a depth-1 callee invoked from a depth-1 site makes the caller
     depth 2, clamped at {!max_depth}:
     - [c_cost]: loop-nest depth including callees, weighted by the
@@ -44,26 +44,23 @@ val max_depth : int
 (** Clamp for the cost lattice (3): beyond cubic, deeper is not more
     interesting and the clamp keeps the fixpoint finite. *)
 
-val depths : Srclint.tok array -> int array
-(** Per-token lexical loop depth of one body, before clamping; exposed
-    for tests. The array is indexed like the body. *)
-
 val depths_of_string : string -> (string * int) array
 (** Tokenizes [clean]ed source and pairs each token with its lexical
-    loop depth; fixture-friendly wrapper over {!depths}. *)
+    loop depth (before clamping), for fixtures. *)
 
 val infer : Callgraph.t -> info array
 (** Per-definition cost facts at the fixpoint, indexed by [d_id]. *)
 
-val rules : (string * string) list
-(** [(id, description)] pairs for [respctl analyze --list-rules]. *)
+val rules : Finding.rule list
+(** The cost rules, for [respctl analyze --list-rules]. *)
 
-val analyze : ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
+val analyze :
+  ?where:string -> ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
 (** Runs the cost rules over library definitions (entry-point bodies are
-    reachability context only). [manifest] is the parsed [check/cost.json]
-    ({!Share.parse_manifest} format) with two recognised keys: ["hot"]
-    (declared hot entrypoints) and ["memo"] (functions registered with
-    [Eutil.Memo]).
+    reachability context only). [manifest] is the {!Manifest.t.cost}
+    section, with two recognised keys: ["hot"] (declared hot entrypoints)
+    and ["memo"] (functions registered with [Eutil.Memo]). Manifest-level
+    findings point at [where] (default {!Manifest.path}).
 
     - [quadratic-list-op] (error): an O(n) list primitive ([List.append],
       [@], [List.mem]/[memq]/[mem_assoc], [List.assoc]/[assoc_opt],

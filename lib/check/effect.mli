@@ -1,10 +1,8 @@
 (** Interprocedural effect inference over a {!Callgraph}: each definition
     gets a base effect set from its own body tokens, then effects are
-    propagated along call edges to a Kleene fixpoint (the lattice is
-    finite, so termination is trivial; the transfer function is a union,
-    so the fixpoint is monotone — adding an edge can never shrink a
-    definition's effect set, a property the test suite checks with
-    QCheck).
+    propagated along call edges by {!Callgraph.propagate} (the lattice is
+    finite and the join is a union, so the fixpoint is monotone — adding
+    an edge can never shrink a definition's effect set).
 
     The effect lattice tracks:
     - {b Raises}: [failwith] / [invalid_arg] / [raise] in the body, except
@@ -42,15 +40,24 @@ val base_of_string : string -> effects
 (** Tokenizes [clean]ed source text and returns its base effects; a
     convenience wrapper over {!base_of_body} for tests. *)
 
-val fixpoint : n:int -> callees:(int -> int list) -> base:(int -> effects) -> effects array
-(** [fixpoint ~n ~callees ~base] is the least array [e] with
-    [e.(i) ⊇ base i ∪ ⋃ { e.(j) | j ∈ callees i }]. *)
+val propagate : Callgraph.t -> effects array -> effects array
+(** [propagate g base] is the least array [e] with
+    [e.(i) ⊇ base.(i) ∪ ⋃ { e.(j) | j ∈ callees.(i) }]. *)
 
 val infer : Callgraph.t -> effects array
 (** Per-definition transitive effects, indexed by [d_id]. *)
 
-val rules : (string * string) list
-(** [(id, description)] for the interprocedural rules, for [--rules]. *)
+val witnessed :
+  Callgraph.t -> base:effects array -> effects array -> (effects -> Strings.t) -> int ->
+  (string * string) option
+(** [witnessed g ~base eff sel i]: when def [i]'s transitive effects
+    [sel eff.(i)] are nonempty, their least primitive and the
+    {!Callgraph.via} chain to a definition whose [base] effects carry
+    [sel] directly. *)
+
+val rules : Finding.rule list
+(** The effect rules plus the ratchet's [budget-exceeded], for
+    [--list-rules]. *)
 
 val analyze : Callgraph.t -> Finding.t list
 (** Runs the four rules:
@@ -66,15 +73,6 @@ val analyze : Callgraph.t -> Finding.t list
     - [dead-function] (warn): a library definition unreachable from every
       entry point ([bin]/[bench]/[test]/[examples] definitions and
       [let () = ...] initializers). *)
-
-val parse_budget : string -> (string * int) list
-(** Parses the [check/budget.json] ratchet file: a flat JSON object
-    mapping rule id to the allowed number of warn-level findings.
-    @raise Invalid_argument on malformed input. *)
-
-val over_budget : budget:(string * int) list -> Finding.t list -> Finding.t list
-(** Error-level [budget-exceeded] findings for every rule whose warn
-    count exceeds its budget (rules absent from the budget allow 0). *)
 
 val is_io_prim : string -> bool
 (** Whether a token is one of the IO primitives the {b IO} effect tracks;

@@ -4,6 +4,11 @@ type t = { rule : string; severity : severity; where : string; message : string 
 
 let v ?(severity = Error) ~rule ~where message = { rule; severity; where; message }
 
+type rule = { id : string; level : severity; section : string; doc : string }
+
+let rule ?(level = Error) ?(section = "-") id doc = { id; level; section; doc }
+let emit r ~where message = { rule = r.id; severity = r.level; where; message }
+
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 
 let has_rule rule fs = List.exists (fun f -> String.equal f.rule rule) fs
@@ -45,9 +50,9 @@ let to_json fs =
    finding. [where] is "file:line" when a token anchored the finding and
    a bare path otherwise; both map onto physicalLocation. *)
 let to_sarif ~rules fs =
-  let rule_json (id, desc) =
-    Printf.sprintf "{\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}" (json_escape id)
-      (json_escape desc)
+  let rule_json r =
+    Printf.sprintf "{\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}"
+      (json_escape r.id) (json_escape r.doc)
   in
   let split_where w =
     match String.rindex_opt w ':' with

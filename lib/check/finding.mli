@@ -14,6 +14,21 @@ type t = {
 val v : ?severity:severity -> rule:string -> where:string -> string -> t
 (** Builds a finding; [severity] defaults to [Error]. *)
 
+type rule = {
+  id : string;
+  level : severity;  (** the severity of every finding of the rule *)
+  section : string;  (** the {!Manifest} section governing it; ["-"] for none *)
+  doc : string;
+}
+(** One [respctl analyze --list-rules] catalogue entry. *)
+
+val rule : ?level:severity -> ?section:string -> string -> string -> rule
+(** [rule id doc]; [level] defaults to [Error], [section] to ["-"]. *)
+
+val emit : rule -> where:string -> string -> t
+(** A finding of the given rule at its catalogue [level], so the severity
+    a pass emits and the one [--list-rules] prints cannot differ. *)
+
 val errors : t list -> t list
 (** Only the findings with severity [Error]. *)
 
@@ -37,9 +52,9 @@ val to_json_document : (string * t list) list -> string
     counts, so [respctl analyze --json] emits a single document rather
     than concatenated per-pass blobs. *)
 
-val to_sarif : rules:(string * string) list -> t list -> string
+val to_sarif : rules:rule list -> t list -> string
 (** SARIF 2.1.0 document for editor/CI ingestion: one run whose driver
-    carries the [(id, description)] rule table (the same ids
+    carries the rule table's ids and descriptions (the same ids
     [--list-rules] prints) and one result per finding, with [Warn]
     mapped to level ["warning"] and [Error] to ["error"]. The [where]
     field's trailing [:line] becomes the region start line; a bare path

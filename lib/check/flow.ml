@@ -29,44 +29,31 @@ let rules =
 
 (* ------------------------------- token taxonomy ------------------------ *)
 
-let is_ident t =
-  t <> "" && (match t.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+let is_ident t = S.is_lower t || S.is_upper t
 
 let plain_ident t = is_ident t && not (String.contains t '.')
-
-let last_component t =
-  match String.rindex_opt t '.' with
-  | Some i when i + 1 < String.length t -> String.sub t (i + 1) (String.length t - i - 1)
-  | _ -> t
 
 (* Constructors of Eutil.Units, matched on the last path component so that
    [U.bps], [Eutil.Units.bps], and a bare [bps] under an open all count. *)
 let unit_ctors = [ "watts"; "bps"; "kbps"; "mbps"; "gbps"; "ratio"; "seconds"; "joules"; "unsafe" ]
-let is_unit_ctor t = is_ident t && List.mem (last_component t) unit_ctors
-
-let is_number t = t <> "" && t.[0] >= '0' && t.[0] <= '9'
+let is_unit_ctor t = is_ident t && List.mem (S.last_component t) unit_ctors
 
 let number_value t =
-  if is_number t then
+  if S.is_number t then
     float_of_string_opt (String.concat "" (String.split_on_char '_' t))
   else None
 
 (* Scientific notation (has an exponent, is not a hex/octal/binary int):
    the spelling people use for unit-carrying magnitudes. *)
 let is_sci t =
-  is_number t
+  S.is_number t
   && (String.length t < 2
      || not (t.[0] = '0' && (match Char.lowercase_ascii t.[1] with 'x' | 'o' | 'b' -> true | _ -> false)))
   && String.exists (fun c -> c = 'e' || c = 'E') t
 
 (* Operator classes consulted per token; tables keep the scan linear. *)
-let op_table ops =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun op -> Hashtbl.replace tbl op ()) ops;
-  tbl
-
-let comparison_ops = op_table [ "="; "<>"; "<"; "<="; ">"; ">="; "=="; "!=" ]
-let arith_ops = op_table [ "+."; "-."; "*."; "/."; "+"; "-"; "*"; "/"; "**" ]
+let comparison_ops = S.table [ "="; "<>"; "<"; "<="; ">"; ">="; "=="; "!=" ]
+let arith_ops = S.table [ "+."; "-."; "*."; "/."; "+"; "-"; "*"; "/"; "**" ]
 
 (* Magnitudes at or above a mega are link capacities, demand totals, power
    budgets — quantities that carry a unit. *)
@@ -74,12 +61,10 @@ let magic_floor = 1e6
 
 (* ------------------------------- the pass ------------------------------ *)
 
-type raw = { rule : string; rline : int; rcol : int; msg : string }
-
 let scan ~magic_exempt toks =
   let out = ref [] in
   let add rule (tk : S.tok) msg =
-    out := { rule; rline = tk.S.tline; rcol = tk.S.tcol; msg } :: !out
+    out := { S.rule; rline = tk.S.tline; rcol = tk.S.tcol; msg } :: !out
   in
   let n = Array.length toks in
   let text i = if i >= 0 && i < n then toks.(i).S.t else "" in
@@ -102,7 +87,7 @@ let scan ~magic_exempt toks =
     && ((not (same_line i (i + 1)))
        ||
        let nxt = text (i + 1) in
-       not (is_ident nxt || is_number nxt || nxt = "(" || nxt = "!" || nxt = "~" || nxt = "'"))
+       not (is_ident nxt || S.is_number nxt || nxt = "(" || nxt = "!" || nxt = "~" || nxt = "'"))
   in
   for i = 0 to n - 1 do
     let tk = toks.(i) in
@@ -134,12 +119,12 @@ let scan ~magic_exempt toks =
          (* Any comparison of an identifier against a numeric literal:
             either the zero case is being handled, or the identifier is
             bounded away from zero. *)
-         if plain_ident (text (i - 1)) && is_number (text (i + 1)) then fact (text (i - 1));
-         if plain_ident (text (i + 1)) && is_number (text (i - 1)) then fact (text (i + 1))
+         if plain_ident (text (i - 1)) && S.is_number (text (i + 1)) then fact (text (i - 1));
+         if plain_ident (text (i + 1)) && S.is_number (text (i - 1)) then fact (text (i + 1))
        end);
     (* --- nan-compare ------------------------------------------------- *)
     (if Hashtbl.mem comparison_ops t then begin
-       let nan_operand j = last_component (text j) = "nan" in
+       let nan_operand j = S.last_component (text j) = "nan" in
        if nan_operand (i - 1) || nan_operand (i + 1) then
          add "nan-compare" tk
            "comparison with nan is vacuous (IEEE 754 makes it false); use Float.is_nan"
@@ -165,14 +150,14 @@ let scan ~magic_exempt toks =
                 who)
        in
        let d = text (i + 1) in
-       if is_number d then begin
+       if S.is_number d then begin
          match number_value d with
          | Some 0.0 -> add "div-unguarded" tk "division by the literal zero"
          | _ -> ()
        end
        else if d = "float_of_int" then begin
          let d2 = text (i + 2) in
-         if is_number d2 then begin
+         if S.is_number d2 then begin
            match number_value d2 with
            | Some 0.0 -> add "div-unguarded" tk "division by the literal zero"
            | _ -> ()
@@ -221,7 +206,7 @@ let scan ~magic_exempt toks =
         | "(" -> incr depth
         | ")" -> decr depth
         | ":" -> has_annot := true
-        | w when last_component w = "to_float" -> has_to_float := true
+        | w when S.last_component w = "to_float" -> has_to_float := true
         | _ -> ());
         incr j
       done;
@@ -236,17 +221,7 @@ let scan ~magic_exempt toks =
 (* ------------------------------- drivers ------------------------------- *)
 
 let analyze_string ~file source =
-  let cleaned = S.clean source in
-  let magic_exempt = Filename.basename file = "units.ml" in
-  let raw = scan ~magic_exempt (S.tokenize cleaned.S.text) in
-  List.filter_map
-    (fun r ->
-      if S.suppressed cleaned ~rule:r.rule ~line:r.rline then None
-      else
-        Some
-          (Finding.v ~rule:r.rule ~where:(Printf.sprintf "%s:%d:%d" file r.rline r.rcol) r.msg))
-    raw
+  S.findings_of_scan ~file (scan ~magic_exempt:(Filename.basename file = "units.ml")) source
 
-let analyze_file path = analyze_string ~file:path (S.read_file path)
-
-let analyze_paths paths = List.concat_map analyze_file (S.source_files paths)
+let analyze_paths paths =
+  List.concat_map (fun path -> analyze_string ~file:path (S.read_file path)) (S.source_files paths)

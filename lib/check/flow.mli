@@ -34,8 +34,6 @@ val analyze_string : file:string -> string -> Finding.t list
 (** Analyzes source text; [file] is used for locations and for the
     [magic-unit] exemption of [units.ml]. *)
 
-val analyze_file : string -> Finding.t list
-
 val analyze_paths : string list -> Finding.t list
 (** Analyzes every [.ml]/[.mli] under the given files/directories,
     with {!Srclint.source_files} traversal rules. *)

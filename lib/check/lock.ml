@@ -1,8 +1,8 @@
 (* Lock-discipline analysis over the Callgraph token stream: lock-region
    recognition (Mutex.lock/unlock, Mutex.protect bodies, Fun.protect
-   finalisers), per-definition held-lock summaries to an interprocedural
-   fixpoint, a global lock-acquisition order graph with cycle reporting,
-   blocking-under-lock detection, and atomic read-modify-write
+   finalisers), per-definition held-lock summaries propagated by
+   Callgraph.propagate, a global lock-acquisition order graph with cycle
+   reporting, blocking-under-lock detection, and atomic read-modify-write
    discipline. Zero dependencies beyond the token stream, like Effect and
    Share; the heuristics and their blind spots are documented in
    DESIGN.md §15. *)
@@ -10,26 +10,14 @@
 module S = Srclint
 module Cg = Callgraph
 
-let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
-
-let last_comp s =
-  match String.rindex_opt s '.' with
-  | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-  | None -> s
-
-let modkey = last_comp
-let qualified (d : Cg.def) = d.Cg.d_module ^ "." ^ d.Cg.d_name
+module Ints = Cg.Ints
 
 (* Blocking primitives beyond the Effect IO table: calls that can park
    the calling domain outright. *)
 let blocking_prims =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun t -> Hashtbl.replace tbl t ())
+  S.table
     [ "Unix.read"; "Unix.write"; "Unix.select"; "Unix.sleep"; "Unix.sleepf"; "Unix.fsync";
-      "Unix.waitpid"; "Unix.accept"; "Unix.connect"; "Domain.join"; "Thread.join" ];
-  tbl
+      "Unix.waitpid"; "Unix.accept"; "Unix.connect"; "Domain.join"; "Thread.join" ]
 
 let is_blocking t = Hashtbl.mem blocking_prims t || Effect.is_io_prim t
 
@@ -63,10 +51,10 @@ let harvest (g : Cg.t) =
             if
               tk.S.t = "Mutex.create" && i >= 2
               && body.(i - 1).S.t = "="
-              && is_lower body.(i - 2).S.t
+              && S.is_lower body.(i - 2).S.t
               && not (String.contains body.(i - 2).S.t '.')
             then begin
-              let name = modkey d.Cg.d_module ^ "." ^ body.(i - 2).S.t in
+              let name = Cg.modkey d ^ "." ^ body.(i - 2).S.t in
               if not (Hashtbl.mem tbl name) then begin
                 Hashtbl.replace tbl name !count;
                 acc :=
@@ -95,34 +83,18 @@ let resolve_lock tbl (d : Cg.def) t =
     let name =
       if String.contains t '.' then
         match String.split_on_char '.' t with
-        | first :: _ :: _ when is_upper first -> (
+        | first :: _ :: _ when S.is_upper first -> (
             match List.rev (String.split_on_char '.' t) with
             | name :: mk :: _ -> mk ^ "." ^ name
             | _ -> t)
-        | _ -> modkey d.Cg.d_module ^ "." ^ last_comp t
-      else modkey d.Cg.d_module ^ "." ^ t
+        | _ -> Cg.modkey d ^ "." ^ S.last_component t
+      else Cg.modkey d ^ "." ^ t
     in
     Hashtbl.find_opt tbl name
 
 (* ------------------------------------------------------------------ *)
 (* Finally spans                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let matching_close (body : S.tok array) i =
-  let n = Array.length body in
-  let level = ref 0 in
-  let j = ref i in
-  let r = ref n in
-  while !r = n && !j < n do
-    (match body.(!j).S.t with
-    | "(" | "[" | "{" -> incr level
-    | ")" | "]" | "}" ->
-        decr level;
-        if !level = 0 then r := !j
-    | _ -> ());
-    incr j
-  done;
-  !r
 
 (* [finally_map body].(k) is, for tokens inside a [~finally:EXPR]
    argument, the index at which the enclosing [Fun.protect] application
@@ -135,11 +107,11 @@ let finally_map (body : S.tok array) =
     if body.(i).S.t = "~" && body.(i + 1).S.t = "finally" && body.(i + 2).S.t = ":" then begin
       let start = i + 3 in
       let stop =
-        if body.(start).S.t = "(" then min n (matching_close body start + 1) else min n (start + 1)
+        if body.(start).S.t = "(" then min n (Cg.matching_close body start + 1) else min n (start + 1)
       in
       let rec back j =
         if j < 0 || i - j > 6 then None
-        else if last_comp body.(j).S.t = "protect" then Some j
+        else if S.last_component body.(j).S.t = "protect" then Some j
         else back (j - 1)
       in
       let pend = match back (i - 1) with Some p -> Cg.arg_span body p | None -> stop in
@@ -177,27 +149,15 @@ let scan ~tbl ~io_locked ~wrapper ~sites (d : Cg.def) =
   let params = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace params p ()) (Cg.def_params d);
   let sites_at = Hashtbl.create 16 in
-  List.iter (fun (tok, c) -> Hashtbl.replace sites_at tok (c :: Option.value ~default:[] (Hashtbl.find_opt sites_at tok))) sites;
+  List.iter (fun (tok, c) -> S.multi_add sites_at tok c) sites;
   (* [let NAME = Atomic.get TARGET] binders, for the RMW check. *)
   let binders = Hashtbl.create 4 in
   for j = 2 to n - 2 do
-    if body.(j).S.t = "Atomic.get" && body.(j - 1).S.t = "=" && is_lower body.(j - 2).S.t && fin.(j) < 0
+    if body.(j).S.t = "Atomic.get" && body.(j - 1).S.t = "=" && S.is_lower body.(j - 2).S.t && fin.(j) < 0
     then Hashtbl.replace binders body.(j - 2).S.t body.(j + 1).S.t
   done;
-  (* First [=] at bracket level 0 ends the header; params only count as
-     closure applications past it. *)
-  let header_end =
-    let level = ref 0 and j = ref 1 and r = ref n in
-    while !r = n && !j < n do
-      (match body.(!j).S.t with
-      | "(" | "[" | "{" -> incr level
-      | ")" | "]" | "}" -> decr level
-      | "=" when !level = 0 -> r := !j
-      | _ -> ());
-      incr j
-    done;
-    !r
-  in
+  (* Params only count as closure applications past the header. *)
+  let header_end = Cg.header_end body in
   let held = ref [] in
   (* lock id, pending release index (max_int = explicit unlock) *)
   let starts = Hashtbl.create 4 in
@@ -311,46 +271,48 @@ let scan ~tbl ~io_locked ~wrapper ~sites (d : Cg.def) =
 (* Analysis                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rules =
-  [
-    ( "lock-order-cycle",
-      "two locks acquired in opposite orders somewhere in the program (potential deadlock), or a \
-       mutex re-acquired while already held" );
-    ( "blocking-under-lock",
-      "blocking or IO operation reachable while a lock is held (warn; budgeted)" );
-    ("lock-held-io", "blocking or IO operation under a lock on the declared serve hot path");
-    ( "atomic-rmw",
-      "naked Atomic.get-then-Atomic.set read-modify-write on the same atomic; use \
-       compare_and_set/fetch_and_add" );
-    ("useless-lock", "mutex never acquired, or whose critical sections guard nothing (warn)");
-    ( "lock-manifest",
-      "a check/locks.json entry does not resolve, an unknown key, or a certified-surface lock \
-       missing from the declared order" );
-  ]
+let lock_order_cycle =
+  Finding.rule ~section:"locks" "lock-order-cycle"
+    "two locks acquired in opposite orders somewhere in the program (potential deadlock), or a \
+     mutex re-acquired while already held"
 
-(* Same convention as Share/Cost: "Server.handle_request" matches on the
-   module key, optionally library-qualified. *)
-let resolve_entry (g : Cg.t) name =
-  let matches (d : Cg.def) =
-    let mk = modkey d.Cg.d_module ^ "." ^ d.Cg.d_name in
-    let qual = qualified d in
-    let lib_qual = String.capitalize_ascii d.Cg.d_library ^ "." ^ qual in
-    name = mk || name = qual || name = lib_qual
-  in
-  Array.to_list g.Cg.defs |> List.filter matches
+let blocking_under_lock =
+  Finding.rule ~level:Warn ~section:"budget" "blocking-under-lock"
+    "blocking or IO operation reachable while a lock is held (warn; budgeted)"
+
+let lock_held_io =
+  Finding.rule ~section:"locks" "lock-held-io"
+    "blocking or IO operation under a lock on the declared serve hot path"
+
+let atomic_rmw =
+  Finding.rule ~section:"locks" "atomic-rmw"
+    "naked Atomic.get-then-Atomic.set read-modify-write on the same atomic; use \
+     compare_and_set/fetch_and_add"
+
+let useless_lock =
+  Finding.rule ~level:Warn ~section:"budget" "useless-lock"
+    "mutex never acquired, or whose critical sections guard nothing (warn)"
+
+let lock_manifest =
+  Finding.rule ~section:"locks" "lock-manifest"
+    "a locks-section entry of check/analyze.json does not resolve, an unknown key, or a \
+     certified-surface lock missing from the declared order"
+
+let rules =
+  [ lock_order_cycle; blocking_under_lock; lock_held_io; atomic_rmw; useless_lock; lock_manifest ]
 
 let locks (g : Cg.t) =
   let ls, _ = harvest g in
   Array.to_list (Array.map (fun l -> (l.l_name, l.l_file, l.l_line)) ls)
 
-let analyze ?(manifest = []) (g : Cg.t) =
+let analyze ?(where = Manifest.path) ?(manifest = []) (g : Cg.t) =
   let defs = g.Cg.defs in
   let nd = Array.length defs in
   let locks, tbl = harvest g in
   let nl = Array.length locks in
   let findings = ref [] in
   let add f = findings := f :: !findings in
-  let manifest_err msg = add (Finding.v ~rule:"lock-manifest" ~where:"check/locks.json" msg) in
+  let manifest_err msg = add (Finding.emit lock_manifest ~where msg) in
   (* ---- manifest ---- *)
   List.iter
     (fun (key, _) ->
@@ -363,34 +325,20 @@ let analyze ?(manifest = []) (g : Cg.t) =
                key))
     manifest;
   let lock_list key =
-    match List.assoc_opt key manifest with
-    | None -> []
-    | Some names ->
-        List.filter_map
-          (fun name ->
-            match Hashtbl.find_opt tbl name with
-            | Some id -> Some id
-            | None ->
-                manifest_err (Printf.sprintf "%s entry %s does not name a known mutex" key name);
-                None)
-          names
+    Option.value (List.assoc_opt key manifest) ~default:[]
+    |> List.filter_map (fun name ->
+           let id = Hashtbl.find_opt tbl name in
+           if id = None then
+             manifest_err (Printf.sprintf "%s entry %s does not name a known mutex" key name);
+           id)
   in
   let declared_order = lock_list "order" in
   let io_locked = Array.make (max nl 1) false in
   List.iter (fun l -> io_locked.(l) <- true) (lock_list "io_locks");
   let hot_defs =
-    match List.assoc_opt "hot" manifest with
-    | None -> []
-    | Some names ->
-        List.concat_map
-          (fun name ->
-            match resolve_entry g name with
-            | [] ->
-                manifest_err
-                  (Printf.sprintf "hot entrypoint %s does not resolve to any definition" name);
-                []
-            | ds -> ds)
-          names
+    Option.value (List.assoc_opt "hot" manifest) ~default:[]
+    |> Cg.resolve_entries g ~add ~rule:lock_manifest ~where
+         ~unresolved:(Printf.sprintf "hot entrypoint %s does not resolve to any definition")
   in
   let hot_reach =
     match hot_defs with
@@ -425,79 +373,41 @@ let analyze ?(manifest = []) (g : Cg.t) =
                  l.l_name))
         locks);
   begin
+    let scan_all wrapper =
+      Array.map
+        (fun (d : Cg.def) ->
+          if d.Cg.d_entry then None
+          else Some (scan ~tbl ~io_locked ~wrapper ~sites:g.Cg.sites.(d.Cg.d_id) d))
+        defs
+    in
     (* ---- pass 1: wrapper detection (no wrapper spans yet) ---- *)
-    let no_wrap _ = [] in
-    let wrapper_locks = Array.make nd [] in
-    Array.iter
-      (fun (d : Cg.def) ->
-        if not d.Cg.d_entry then
-          let r = scan ~tbl ~io_locked ~wrapper:no_wrap ~sites:g.Cg.sites.(d.Cg.d_id) d in
-          wrapper_locks.(d.Cg.d_id) <- (if Cg.applies_params d then r.sr_params_held else []))
-      defs;
+    let wrapper_locks =
+      Array.mapi
+        (fun i r ->
+          match r with
+          | Some r when Cg.applies_params defs.(i) -> r.sr_params_held
+          | _ -> [])
+        (scan_all (fun _ -> []))
+    in
     (* ---- pass 2: full event scan with wrapper spans ---- *)
-    let results = Array.make nd None in
-    Array.iter
-      (fun (d : Cg.def) ->
-        if not d.Cg.d_entry then
-          results.(d.Cg.d_id) <-
-            Some
-              (scan ~tbl ~io_locked
-                 ~wrapper:(fun c -> wrapper_locks.(c))
-                 ~sites:g.Cg.sites.(d.Cg.d_id) d))
-      defs;
-    (* ---- may-acquire fixpoint ---- *)
-    let acq = Array.make_matrix nd nl false in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some r -> List.iter (fun (l, _, _) -> acq.(i).(l) <- true) r.sr_acquires
-        | None -> ())
-      results;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for i = 0 to nd - 1 do
-        List.iter
-          (fun c ->
-            for l = 0 to nl - 1 do
-              if acq.(c).(l) && not acq.(i).(l) then begin
-                acq.(i).(l) <- true;
-                changed := true
-              end
-            done)
-          g.Cg.callees.(i)
-      done
-    done;
-    (* ---- may-block fixpoint ---- *)
-    let direct_block = Array.make nd false in
-    Array.iter
-      (fun (d : Cg.def) ->
-        let b = ref false in
-        Array.iter
-          (fun tk -> if is_blocking tk.S.t || tk.S.t = "Condition.wait" then b := true)
-          d.Cg.d_body;
-        direct_block.(d.Cg.d_id) <- !b)
-      defs;
-    let blk = Array.copy direct_block in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for i = 0 to nd - 1 do
-        if not blk.(i) then
-          if List.exists (fun c -> blk.(c)) g.Cg.callees.(i) then begin
-            blk.(i) <- true;
-            changed := true
-          end
-      done
-    done;
+    let results = scan_all (fun c -> wrapper_locks.(c)) in
+    (* ---- may-acquire and may-block summaries ---- *)
+    let acq =
+      Cg.propagate g ~join:Ints.union ~equal:Ints.equal ~init:(fun i ->
+          match results.(i) with
+          | Some r -> Ints.of_list (List.map (fun (l, _, _) -> l) r.sr_acquires)
+          | None -> Ints.empty)
+    in
+    let direct_block =
+      Array.map
+        (fun (d : Cg.def) ->
+          Array.exists (fun tk -> is_blocking tk.S.t || tk.S.t = "Condition.wait") d.Cg.d_body)
+        defs
+    in
+    let blk = Cg.propagate g ~init:(fun i -> direct_block.(i)) ~join:( || ) ~equal:Bool.equal in
     (* ---- order graph ---- *)
     let edges = Hashtbl.create 32 in
     let add_edge h l w = if h <> l && not (Hashtbl.mem edges (h, l)) then Hashtbl.replace edges (h, l) w in
-    let where_tok (d : Cg.def) tok =
-      let line = if tok < Array.length d.Cg.d_body then d.Cg.d_body.(tok).S.tline else d.Cg.d_line in
-      Printf.sprintf "%s:%d" d.Cg.d_file line
-    in
-    let held_arr = Array.make nl false in
     Array.iter
       (fun (d : Cg.def) ->
         match results.(d.Cg.d_id) with
@@ -508,25 +418,23 @@ let analyze ?(manifest = []) (g : Cg.t) =
                 List.iter
                   (fun h ->
                     add_edge h l
-                      (Printf.sprintf "%s (%s) acquires %s while holding %s" (qualified d)
-                         (where_tok d tok) locks.(l).l_name locks.(h).l_name))
+                      (Printf.sprintf "%s (%s) acquires %s while holding %s" (Cg.qualified d)
+                         (Cg.where_at d tok) locks.(l).l_name locks.(h).l_name))
                   held_before)
               r.sr_acquires;
             List.iter
               (fun (tok, c, held) ->
-                Array.fill held_arr 0 nl false;
-                List.iter (fun h -> held_arr.(h) <- true) held;
-                for l = 0 to nl - 1 do
-                  if acq.(c).(l) && not held_arr.(l) then
+                Ints.iter
+                  (fun l ->
                     List.iter
                       (fun h ->
                         add_edge h l
                           (Printf.sprintf "%s (%s) calls %s which may acquire %s while holding %s"
-                             (qualified d) (where_tok d tok)
-                             (qualified defs.(c))
+                             (Cg.qualified d) (Cg.where_at d tok)
+                             (Cg.qualified defs.(c))
                              locks.(l).l_name locks.(h).l_name))
-                      held
-                done)
+                      held)
+                  (Ints.diff acq.(c) (Ints.of_list held)))
               r.sr_calls)
       defs;
     (* Declared edges: the manifest order is the canonical total order; a
@@ -536,56 +444,34 @@ let analyze ?(manifest = []) (g : Cg.t) =
       | [] -> ()
       | x :: rest ->
           List.iter
-            (fun y -> add_edge x y (Printf.sprintf "declared order in check/locks.json (%s before %s)" locks.(x).l_name locks.(y).l_name))
+            (fun y ->
+              add_edge x y
+                (Printf.sprintf "declared order in %s (%s before %s)" where locks.(x).l_name
+                   locks.(y).l_name))
             rest;
           declared_pairs rest
     in
     declared_pairs declared_order;
-    (* ---- cycles: mutually reachable lock pairs ---- *)
-    let reach = Array.make_matrix nl nl false in
-    Hashtbl.iter (fun (h, l) _ -> reach.(h).(l) <- true) edges;
-    for k = 0 to nl - 1 do
-      for i = 0 to nl - 1 do
-        for j = 0 to nl - 1 do
-          if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
-        done
-      done
-    done;
+    (* ---- cycles: lock pairs with an order path both ways ---- *)
+    let all_locks = List.init nl Fun.id in
+    let succ x = List.filter (fun y -> Hashtbl.mem edges (x, y)) all_locks in
+    let rec steps = function a :: (b :: _ as rest) -> (a, b) :: steps rest | _ -> [] in
+    (* The edge witnesses along a shortest order path from [u] to [v]. *)
     let path u v =
-      (* BFS over [edges], returning the edge witnesses along a shortest
-         path from [u] to [v]. *)
-      let prev = Array.make nl (-1) in
-      let seen = Array.make nl false in
-      seen.(u) <- true;
-      let q = Queue.create () in
-      Queue.add u q;
-      let found = ref false in
-      while (not !found) && not (Queue.is_empty q) do
-        let x = Queue.pop q in
-        for y = 0 to nl - 1 do
-          if (not seen.(y)) && Hashtbl.mem edges (x, y) then begin
-            seen.(y) <- true;
-            prev.(y) <- x;
-            if y = v then found := true else Queue.add y q
-          end
-        done
-      done;
-      if not !found then []
-      else begin
-        let rec walk y acc = if y = u then acc else walk prev.(y) ((prev.(y), y) :: acc) in
-        List.filter_map (fun (a, b) -> Hashtbl.find_opt edges (a, b)) (walk v [])
-      end
+      Cg.shortest_path ~n:nl ~succ ~from:u ~target:(Int.equal v)
+      |> Option.map (fun ids -> List.filter_map (Hashtbl.find_opt edges) (steps ids))
     in
     for u = 0 to nl - 1 do
       for v = u + 1 to nl - 1 do
-        if reach.(u).(v) && reach.(v).(u) then
-          add
-            (Finding.v ~rule:"lock-order-cycle"
-               ~where:(Printf.sprintf "%s:%d" locks.(u).l_file locks.(u).l_line)
-               (Printf.sprintf "%s and %s are acquired in both orders: [%s] vs [%s]"
-                  locks.(u).l_name locks.(v).l_name
-                  (String.concat "; " (path u v))
-                  (String.concat "; " (path v u))))
+        match (path u v, path v u) with
+        | Some uv, Some vu ->
+            add
+              (Finding.emit lock_order_cycle
+                 ~where:(Printf.sprintf "%s:%d" locks.(u).l_file locks.(u).l_line)
+                 (Printf.sprintf "%s and %s are acquired in both orders: [%s] vs [%s]"
+                    locks.(u).l_name locks.(v).l_name (String.concat "; " uv)
+                    (String.concat "; " vu)))
+        | _ -> ()
       done
     done;
     (* ---- per-definition findings ---- *)
@@ -599,48 +485,39 @@ let analyze ?(manifest = []) (g : Cg.t) =
             List.iter
               (fun (tok, l) ->
                 add
-                  (Finding.v ~rule:"lock-order-cycle" ~where:(where_tok d tok)
+                  (Finding.emit lock_order_cycle ~where:(Cg.where_at d tok)
                      (Printf.sprintf
                         "%s re-acquires %s while already holding it (OCaml mutexes are not \
                          reentrant)"
-                        (qualified d) locks.(l).l_name)))
+                        (Cg.qualified d) locks.(l).l_name)))
               r.sr_self;
             let names ls = String.concat ", " (List.map (fun l -> locks.(l).l_name) ls) in
-            let blocking_rule () =
-              if hot_reach.(d.Cg.d_id) then ("lock-held-io", Finding.Error)
-              else ("blocking-under-lock", Finding.Warn)
-            in
+            let blocking = if hot_reach.(d.Cg.d_id) then lock_held_io else blocking_under_lock in
             List.iter
               (fun (tok, op, eff) ->
-                let rule, severity = blocking_rule () in
                 add
-                  (Finding.v ~severity ~rule ~where:(where_tok d tok)
-                     (Printf.sprintf "%s: %s while holding %s" (qualified d) op (names eff))))
+                  (Finding.emit blocking ~where:(Cg.where_at d tok)
+                     (Printf.sprintf "%s: %s while holding %s" (Cg.qualified d) op (names eff))))
               r.sr_blocking;
             List.iter
               (fun (tok, c, held) ->
                 let eff = List.filter (fun l -> not io_locked.(l)) held in
                 if eff <> [] && blk.(c) then begin
-                  let chain =
-                    match Cg.witness g ~from:c ~target:(fun j -> direct_block.(j)) with
-                    | Some ids -> String.concat " -> " (List.map (fun j -> qualified defs.(j)) ids)
-                    | None -> qualified defs.(c)
-                  in
-                  let rule, severity = blocking_rule () in
+                  let chain = Cg.via g ~from:c ~target:(fun j -> direct_block.(j)) in
                   add
-                    (Finding.v ~severity ~rule ~where:(where_tok d tok)
+                    (Finding.emit blocking ~where:(Cg.where_at d tok)
                        (Printf.sprintf "%s calls %s, which may block (%s), while holding %s"
-                          (qualified d) (qualified defs.(c)) chain (names eff)))
+                          (Cg.qualified d) (Cg.qualified defs.(c)) chain (names eff)))
                 end)
               r.sr_calls;
             List.iter
               (fun (tok, target) ->
                 add
-                  (Finding.v ~rule:"atomic-rmw" ~where:(where_tok d tok)
+                  (Finding.emit atomic_rmw ~where:(Cg.where_at d tok)
                      (Printf.sprintf
                         "%s: naked Atomic.get-then-Atomic.set read-modify-write on %s; use a \
                          compare_and_set retry loop or fetch_and_add"
-                        (qualified d) target)))
+                        (Cg.qualified d) target)))
               r.sr_rmw;
             (* useless-lock evidence: anything in a critical section that
                plausibly touches shared state — a field/module access, a
@@ -655,7 +532,7 @@ let analyze ?(manifest = []) (g : Cg.t) =
                     tj = "<-" || tj = ":=" || tj = "!" || tj = "incr" || tj = "decr"
                     || (String.contains tj '.'
                        && tj.[0] <> '.'
-                       && not (tj.[0] >= '0' && tj.[0] <= '9')
+                       && (not (S.is_number tj))
                        && (not (String.starts_with ~prefix:"Mutex." tj))
                        && (not (String.starts_with ~prefix:"Condition." tj))
                        && (not (String.starts_with ~prefix:"Fun." tj))
@@ -678,17 +555,14 @@ let analyze ?(manifest = []) (g : Cg.t) =
       defs;
     Array.iter
       (fun l ->
-        if not locked_once.(l.l_id) then
+        let useless what =
           add
-            (Finding.v ~severity:Finding.Warn ~rule:"useless-lock"
+            (Finding.emit useless_lock
                ~where:(Printf.sprintf "%s:%d" l.l_file l.l_line)
-               (Printf.sprintf "mutex %s is never acquired" l.l_name))
-        else if not used.(l.l_id) then
-          add
-            (Finding.v ~severity:Finding.Warn ~rule:"useless-lock"
-               ~where:(Printf.sprintf "%s:%d" l.l_file l.l_line)
-               (Printf.sprintf "mutex %s is acquired but its critical sections guard nothing"
-                  l.l_name)))
+               (Printf.sprintf "mutex %s %s" l.l_name what))
+        in
+        if not locked_once.(l.l_id) then useless "is never acquired"
+        else if not used.(l.l_id) then useless "is acquired but its critical sections guard nothing")
       locks;
     List.rev !findings
   end

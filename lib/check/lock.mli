@@ -20,7 +20,7 @@
     [Memo.locked]-style wrapper idiom) exports that lock as a wrapper
     summary; call sites of such wrappers re-play the lock over the
     caller's argument span, so inline closures are scanned in context.
-    Summaries compose interprocedurally to a Kleene fixpoint
+    Summaries compose interprocedurally through {!Callgraph.propagate}
     (may-acquire per definition), as {!Effect} does for effects.
 
     Rules (see DESIGN.md §15 for the model and known false negatives):
@@ -44,21 +44,24 @@
     - [useless-lock] (warn): a mutex never acquired, or whose critical
       sections contain no field access, mutation operator, or resolved
       call — locking nothing guards nothing.
-    - [lock-manifest] (error): a [check/locks.json] entry that does not
+    - [lock-manifest] (error): a [locks]-section entry that does not
       resolve, an unknown key, or a certified-surface lock missing from
       the declared order. *)
 
-val rules : (string * string) list
-(** [(id, description)] pairs for [respctl analyze --list-rules]. *)
+val rules : Finding.rule list
+(** The lock rules, for [respctl analyze --list-rules]. *)
 
 val locks : Callgraph.t -> (string * string * int) list
 (** Harvested lock identities as [(name, file, line)], for tests. *)
 
-val analyze : ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
-(** Runs the pass. [manifest] is the parsed [check/locks.json]
-    ({!Share.parse_manifest} format) with four recognised keys:
+val analyze :
+  ?where:string -> ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
+(** Runs the pass. [manifest] is the {!Manifest.t.locks} section, with
+    four recognised keys:
     ["order"] (the canonical lock acquisition order, outermost first),
     ["io_locks"] (locks whose critical sections may block by design),
     ["hot"] (serve hot-path entrypoints escalating blocking findings to
     [lock-held-io]), and ["surface"] (certified modules/libraries whose
-    locks must all appear in ["order"]). *)
+    locks must all appear in ["order"]). Manifest-level findings, and the
+    declared-order edges of cycle witnesses, name [where] (default
+    {!Manifest.path}). *)

@@ -10,7 +10,7 @@
    spots. *)
 
 module S = Srclint
-module Ints = Set.Make (Int)
+module Ints = Callgraph.Ints
 
 type root_kind = Mutable | Prng | Lazy_val
 
@@ -27,7 +27,6 @@ type root = {
 type klass = Domain_safe | Reader | Writer
 
 type audit = {
-  a_graph : Callgraph.t;
   a_roots : root array;
   a_base_reads : Ints.t array;  (* per def: roots read directly *)
   a_base_writes : Ints.t array;  (* per def: roots written directly *)
@@ -47,22 +46,17 @@ let kind_to_string = function
 (* Allocators of mutable storage. [Atomic.make] and [Mutex.create] are
    deliberately absent: state reachable only through them is its own
    discipline. *)
-let prim_table names =
-  let tbl = Hashtbl.create (2 * List.length names) in
-  List.iter (fun nm -> Hashtbl.replace tbl nm ()) names;
-  tbl
-
 let alloc_prims =
-  prim_table
+  S.table
     [ "Hashtbl.create"; "Hashtbl.copy"; "Array.make"; "Array.create_float"; "Array.init";
       "Array.copy"; "Array.make_matrix"; "Bytes.create"; "Bytes.make"; "Bytes.of_string";
       "Buffer.create"; "Queue.create"; "Stack.create" ]
 
-let prng_prims = prim_table [ "Eutil.Prng.create"; "Eutil.Prng.split"; "Prng.create"; "Prng.split" ]
+let prng_prims = S.table [ "Eutil.Prng.create"; "Eutil.Prng.split"; "Prng.create"; "Prng.split" ]
 
 (* Mutating primitives whose next token is the mutated value. *)
 let mutator_prims =
-  prim_table
+  S.table
     [ "Hashtbl.replace"; "Hashtbl.add"; "Hashtbl.remove"; "Hashtbl.reset"; "Hashtbl.clear";
       "Hashtbl.filter_map_inplace"; "Array.set"; "Array.fill"; "Array.blit"; "Array.sort";
       "Array.fast_sort"; "Array.unsafe_set"; "Bytes.set"; "Bytes.fill"; "Bytes.blit";
@@ -84,13 +78,6 @@ let mutator_prims =
    discipline; mutable state it allocates is considered guarded. *)
 let discipline_prefixes = [ "Mutex."; "Atomic."; "Domain.DLS" ]
 
-let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
-let is_attr t = String.length t >= 2 && t.[0] = '[' && t.[1] = '@'
-let starts_with ~prefix s = String.starts_with ~prefix s
-
-let split_dots s = String.split_on_char '.' s
-
 (* ------------------------------------------------------------------ *)
 (* File-scope context: discipline and mutable record fields           *)
 (* ------------------------------------------------------------------ *)
@@ -101,7 +88,8 @@ let file_discipline (files : Callgraph.file list) =
     (fun (f : Callgraph.file) ->
       let disciplined =
         Array.exists
-          (fun { S.t; _ } -> List.exists (fun p -> starts_with ~prefix:p t) discipline_prefixes)
+          (fun { S.t; _ } ->
+            List.exists (fun p -> String.starts_with ~prefix:p t) discipline_prefixes)
           f.Callgraph.f_toks
       in
       Hashtbl.replace tbl f.Callgraph.f_path disciplined)
@@ -119,7 +107,7 @@ let mutable_fields (files : Callgraph.file list) =
         (fun i { S.t; _ } ->
           if t = "mutable" && i + 1 < Array.length toks then begin
             let next = toks.(i + 1).S.t in
-            if is_lower next && not (String.contains next '.') then
+            if S.is_lower next && not (String.contains next '.') then
               Hashtbl.replace tbl (f.Callgraph.f_library, next) ()
           end)
         toks)
@@ -138,14 +126,13 @@ let alloc_none = { au = false; ag = false; ap = false; al = false }
 let alloc_union a b =
   { au = a.au || b.au; ag = a.ag || b.ag; ap = a.ap || b.ap; al = a.al || b.al }
 
-let alloc_equal a b = a = b
 let alloc_any a = a.au || a.ag || a.ap || a.al
 
 (* [ref] is an allocator only when applied; after an identifier or inside
    a type expression ([int ref], [: bool ref =]) it is a type constructor. *)
 let ref_applied (body : S.tok array) i =
   let n = Array.length body in
-  (i = 0 || not (is_lower body.(i - 1).S.t || is_upper body.(i - 1).S.t))
+  (i = 0 || not (S.is_lower body.(i - 1).S.t || S.is_upper body.(i - 1).S.t))
   && i + 1 < n
   &&
   let next = body.(i + 1).S.t in
@@ -162,7 +149,7 @@ let base_alloc ~disciplined ~mut_fields (d : Callgraph.def) =
       else if Hashtbl.mem prng_prims t then a := alloc_union !a { alloc_none with ap = true }
       else if t = "lazy" then a := alloc_union !a { alloc_none with al = true }
       else if
-        is_lower t
+        S.is_lower t
         && (not (String.contains t '.'))
         && Hashtbl.mem mut_fields (d.Callgraph.d_library, t)
         && i + 1 < Array.length body
@@ -179,69 +166,27 @@ let base_alloc ~disciplined ~mut_fields (d : Callgraph.def) =
    as opposed to a function or destructuring pattern? Only value bindings
    hold state that outlives module initialisation. *)
 let binding_is_value (body : S.tok array) =
-  let n = Array.length body in
-  let rec skip j =
-    if j >= n then n
-    else
-      let t = body.(j).S.t in
-      if is_attr t then skip (j + 1)
-      else if t = "%" then skip (j + 2)
-      else if t = "rec" then skip (j + 1)
-      else j
-  in
-  let j = skip 1 in
-  j + 1 < n
-  && is_lower body.(j).S.t
+  let j = Callgraph.name_index body 0 in
+  j + 1 < Array.length body
+  && S.is_lower body.(j).S.t
   && (not (String.contains body.(j).S.t '.'))
   && (body.(j + 1).S.t = "=" || body.(j + 1).S.t = ":")
-
-let modkey module_path =
-  match List.rev (split_dots module_path) with x :: _ -> x | [] -> module_path
 
 (* ------------------------------------------------------------------ *)
 (* Audit                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fixpoint_sets ~n ~callees base =
-  let sets = Array.init n base in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      let merged = List.fold_left (fun acc j -> Ints.union acc sets.(j)) sets.(i) (callees i) in
-      if not (Ints.equal merged sets.(i)) then begin
-        sets.(i) <- merged;
-        changed := true
-      end
-    done
-  done;
-  sets
-
 let audit (g : Callgraph.t) =
   let defs = g.Callgraph.defs in
-  let n = Array.length defs in
   let discipline = file_discipline g.Callgraph.files in
   let disciplined file = Option.value (Hashtbl.find_opt discipline file) ~default:false in
   let mut_fields = mutable_fields g.Callgraph.files in
   (* 1. May-allocate fixpoint: does evaluating this def (transitively)
      allocate mutable storage? *)
   let alloc =
-    let base = Array.init n (fun i -> base_alloc ~disciplined ~mut_fields defs.(i)) in
-    let sets = Array.copy base in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for i = 0 to n - 1 do
-        let merged =
-          List.fold_left (fun acc j -> alloc_union acc sets.(j)) sets.(i) g.Callgraph.callees.(i)
-        in
-        if not (alloc_equal merged sets.(i)) then begin
-          sets.(i) <- merged;
-          changed := true
-        end
-      done
-    done;
-    sets
+    Callgraph.propagate g
+      ~init:(fun i -> base_alloc ~disciplined ~mut_fields defs.(i))
+      ~join:alloc_union ~equal:( = )
   in
   (* 2. Roots: non-entry toplevel value bindings whose evaluation allocates
      mutable storage, plus the ambient Stdlib.Random state. *)
@@ -261,7 +206,7 @@ let audit (g : Callgraph.t) =
           {
             r_id = !next_id;
             r_def = d.Callgraph.d_id;
-            r_name = modkey d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name;
+            r_name = Callgraph.modkey d ^ "." ^ d.Callgraph.d_name;
             r_kind = kind;
             r_guarded = guarded;
             r_file = d.Callgraph.d_file;
@@ -288,25 +233,20 @@ let audit (g : Callgraph.t) =
      lowercase-dotted uses and by (modkey, name) for qualified uses. *)
   let by_file = Hashtbl.create 64 in
   let by_modkey = Hashtbl.create 64 in
-  let multi_add tbl k v =
-    match Hashtbl.find_opt tbl k with
-    | Some l -> Hashtbl.replace tbl k (v :: l)
-    | None -> Hashtbl.add tbl k [ v ]
-  in
   Array.iter
     (fun r ->
       if r.r_def >= 0 then begin
         let d = defs.(r.r_def) in
-        multi_add by_file (d.Callgraph.d_file, d.Callgraph.d_name) r.r_id;
-        multi_add by_modkey (modkey d.Callgraph.d_module, d.Callgraph.d_name) r.r_id
+        S.multi_add by_file (d.Callgraph.d_file, d.Callgraph.d_name) r.r_id;
+        S.multi_add by_modkey (Callgraph.modkey d, d.Callgraph.d_name) r.r_id
       end)
     roots;
   let resolve (d : Callgraph.def) t =
-    if starts_with ~prefix:"Random." t then [ random_id ]
+    if String.starts_with ~prefix:"Random." t then [ random_id ]
     else if String.contains t '.' then begin
-      let comps = split_dots t in
+      let comps = String.split_on_char '.' t in
       match comps with
-      | first :: _ when is_lower first ->
+      | first :: _ when S.is_lower first ->
           (* Field or method access on a local/file-scope name: resolve the
              base against this file's roots. *)
           Option.value (Hashtbl.find_opt by_file (d.Callgraph.d_file, first)) ~default:[]
@@ -317,33 +257,18 @@ let audit (g : Callgraph.t) =
           let m = Array.length arr in
           let idx = ref (-1) in
           for k = 0 to m - 2 do
-            if is_upper arr.(k) && is_lower arr.(k + 1) then idx := k
+            if S.is_upper arr.(k) && S.is_lower arr.(k + 1) then idx := k
           done;
           if !idx < 0 then []
           else begin
             let mk = arr.(!idx) and name = arr.(!idx + 1) in
             let hint = if !idx > 0 then arr.(!idx - 1) else "" in
-            let cands =
-              Option.value (Hashtbl.find_opt by_modkey (mk, name)) ~default:[]
-            in
-            if hint = "" then begin
-              let same =
-                List.filter
-                  (fun r -> defs.(roots.(r).r_def).Callgraph.d_library = d.Callgraph.d_library)
-                  cands
-              in
-              if same = [] then cands else same
-            end
-            else
-              List.filter
-                (fun r ->
-                  let rd = defs.(roots.(r).r_def) in
-                  String.capitalize_ascii rd.Callgraph.d_library = hint
-                  || List.exists (String.equal hint) (split_dots rd.Callgraph.d_module))
-                cands
+            Callgraph.narrow ~library:d.Callgraph.d_library ~hint
+              (fun r -> defs.(roots.(r).r_def))
+              (Option.value (Hashtbl.find_opt by_modkey (mk, name)) ~default:[])
           end
     end
-    else if is_lower t then
+    else if S.is_lower t then
       Option.value (Hashtbl.find_opt by_file (d.Callgraph.d_file, t)) ~default:[]
     else []
   in
@@ -356,15 +281,9 @@ let audit (g : Callgraph.t) =
     (* [a.(i) <- v]: the root token is followed by ".", "(", a balanced
        group, then "<-". *)
     let index_assign i =
-      if tok (i + 1) <> "." || tok (i + 2) <> "(" then false
-      else begin
-        let depth = ref 1 and j = ref (i + 3) in
-        while !depth > 0 && !j < nb do
-          (match tok !j with "(" -> incr depth | ")" -> decr depth | _ -> ());
-          incr j
-        done;
-        !depth = 0 && tok !j = "<-"
-      end
+      tok (i + 1) = "."
+      && tok (i + 2) = "("
+      && tok (Callgraph.matching_close body (i + 2) + 1) = "<-"
     in
     Array.iteri
       (fun i { S.t; _ } ->
@@ -376,7 +295,7 @@ let audit (g : Callgraph.t) =
               next = ":=" || next = "<-"
               || prev = "incr" || prev = "decr" || prev = "Stdlib.incr" || prev = "Stdlib.decr"
               || Hashtbl.mem mutator_prims prev
-              || List.exists (fun p -> starts_with ~prefix:p prev) [ "Eutil.Prng."; "Prng." ]
+              || List.exists (fun p -> String.starts_with ~prefix:p prev) [ "Eutil.Prng."; "Prng." ]
               || index_assign i
             in
             List.iter
@@ -395,14 +314,12 @@ let audit (g : Callgraph.t) =
   let base = Array.map scan defs in
   let base_reads = Array.map fst base in
   let base_writes = Array.map snd base in
-  let reads =
-    fixpoint_sets ~n ~callees:(fun i -> g.Callgraph.callees.(i)) (fun i -> base_reads.(i))
+  let sets base =
+    Callgraph.propagate g ~init:(fun i -> base.(i)) ~join:Ints.union ~equal:Ints.equal
   in
-  let writes =
-    fixpoint_sets ~n ~callees:(fun i -> g.Callgraph.callees.(i)) (fun i -> base_writes.(i))
-  in
+  let reads = sets base_reads in
+  let writes = sets base_writes in
   {
-    a_graph = g;
     a_roots = roots;
     a_base_reads = base_reads;
     a_base_writes = base_writes;
@@ -421,99 +338,28 @@ let reads a i = Ints.elements a.a_reads.(i)
 let writes a i = Ints.elements a.a_writes.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Manifest                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let parse_manifest s =
-  let n = String.length s in
-  let i = ref 0 in
-  let fail msg = invalid_arg ("Share.parse_manifest: " ^ msg) in
-  let skip () =
-    while !i < n && (match s.[!i] with ' ' | '\n' | '\t' | '\r' | ',' -> true | _ -> false) do
-      incr i
-    done
-  in
-  let string () =
-    if !i >= n || s.[!i] <> '"' then fail "expected a string";
-    incr i;
-    let start = !i in
-    while !i < n && s.[!i] <> '"' do
-      incr i
-    done;
-    if !i >= n then fail "unterminated string";
-    let v = String.sub s start (!i - start) in
-    incr i;
-    v
-  in
-  skip ();
-  if !i >= n || s.[!i] <> '{' then fail "expected '{'";
-  incr i;
-  let out = ref [] in
-  let closed = ref false in
-  while not !closed do
-    skip ();
-    if !i < n && s.[!i] = '}' then begin
-      incr i;
-      closed := true
-    end
-    else begin
-      let region = string () in
-      skip ();
-      if !i >= n || s.[!i] <> ':' then fail "expected ':'";
-      incr i;
-      skip ();
-      if !i >= n || s.[!i] <> '[' then fail "expected '['";
-      incr i;
-      let entries = ref [] in
-      let done_ = ref false in
-      while not !done_ do
-        skip ();
-        if !i < n && s.[!i] = ']' then begin
-          incr i;
-          done_ := true
-        end
-        else entries := string () :: !entries
-      done;
-      out := (region, List.rev !entries) :: !out
-    end
-  done;
-  List.rev !out
-
-(* ------------------------------------------------------------------ *)
 (* Rules                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rules =
-  [
-    ( "shared-write-reachable",
-      "a declared parallel entrypoint transitively writes an unguarded shared mutable root" );
-    ( "unguarded-global",
-      "toplevel mutable root without owning-module Mutex/Atomic/Domain.DLS discipline (warn)" );
-    ("prng-shared", "one PRNG stream is reachable from two or more parallel entrypoints");
-    ("parallel-manifest", "an entrypoint named in check/parallel.json does not resolve");
-  ]
+let shared_write_reachable =
+  Finding.rule ~section:"parallel" "shared-write-reachable"
+    "a declared parallel entrypoint transitively writes an unguarded shared mutable root"
 
-let qualified (d : Callgraph.def) = d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name
-let where_of (d : Callgraph.def) = Printf.sprintf "%s:%d" d.Callgraph.d_file d.Callgraph.d_line
+let unguarded_global =
+  Finding.rule ~level:Warn ~section:"budget" "unguarded-global"
+    "toplevel mutable root without owning-module Mutex/Atomic/Domain.DLS discipline (warn)"
 
-let chain_str (g : Callgraph.t) ids =
-  String.concat " -> " (List.map (fun i -> qualified g.Callgraph.defs.(i)) ids)
+let prng_shared =
+  Finding.rule ~section:"parallel" "prng-shared"
+    "one PRNG stream is reachable from two or more parallel entrypoints"
 
-(* Defs an entrypoint name resolves to: "Harness.run_trial" matches on the
-   module key, "Fault.Harness.run_trial" also on the library-qualified
-   path. *)
-let resolve_entry (g : Callgraph.t) name =
-  let matches (d : Callgraph.def) =
-    let mk = modkey d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name in
-    let qual = qualified d in
-    let lib_qual =
-      String.capitalize_ascii d.Callgraph.d_library ^ "." ^ qual
-    in
-    name = mk || name = qual || name = lib_qual
-  in
-  Array.to_list g.Callgraph.defs |> List.filter matches
+let parallel_manifest =
+  Finding.rule ~section:"parallel" "parallel-manifest"
+    "an entrypoint named in the parallel section of check/analyze.json does not resolve"
 
-let analyze ?(manifest = []) (g : Callgraph.t) =
+let rules = [ shared_write_reachable; unguarded_global; prng_shared; parallel_manifest ]
+
+let analyze ?(where = Manifest.path) ?(manifest = []) (g : Callgraph.t) =
   let a = audit g in
   let findings = ref [] in
   let add f = findings := f :: !findings in
@@ -527,7 +373,7 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
     (fun r ->
       if r.r_def >= 0 && (not r.r_guarded) && written r.r_id then
         add
-          (Finding.v ~severity:Finding.Warn ~rule:"unguarded-global"
+          (Finding.emit unguarded_global
              ~where:(Printf.sprintf "%s:%d" r.r_file r.r_line)
              (Printf.sprintf "toplevel %s %s has no Mutex/Atomic/Domain.DLS discipline"
                 (kind_to_string r.r_kind) r.r_name)))
@@ -536,40 +382,27 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
   let entries =
     List.concat_map
       (fun (region, names) ->
-        List.concat_map
-          (fun name ->
-            match resolve_entry g name with
-            | [] ->
-                add
-                  (Finding.v ~rule:"parallel-manifest" ~where:"check/parallel.json"
-                     (Printf.sprintf "parallel entrypoint %s (region %s) does not resolve" name
-                        region));
-                []
-            | ds -> List.map (fun d -> (region, name, d)) ds)
-          names)
+        Callgraph.resolve_entries g ~add ~rule:parallel_manifest ~where names
+          ~unresolved:(fun name ->
+            Printf.sprintf "parallel entrypoint %s (region %s) does not resolve" name region)
+        |> List.map (fun d -> (region, d)))
       manifest
   in
   (* shared-write-reachable: an entrypoint whose transitive write set
      contains an unguarded root, with the shortest call chain to the
      writing definition as witness. *)
   List.iter
-    (fun (region, _name, (d : Callgraph.def)) ->
+    (fun (region, (d : Callgraph.def)) ->
       let i = d.Callgraph.d_id in
       Ints.iter
         (fun r ->
           let root = a.a_roots.(r) in
           if not root.r_guarded then begin
-            let via =
-              match
-                Callgraph.witness g ~from:i ~target:(fun j -> Ints.mem r a.a_base_writes.(j))
-              with
-              | Some ids -> chain_str g ids
-              | None -> qualified d
-            in
+            let via = Callgraph.via g ~from:i ~target:(fun j -> Ints.mem r a.a_base_writes.(j)) in
             add
-              (Finding.v ~rule:"shared-write-reachable" ~where:(where_of d)
+              (Finding.emit shared_write_reachable ~where:(Callgraph.where_of d)
                  (Printf.sprintf "parallel entrypoint %s (region %s) reaches a write of %s %s via %s"
-                    (qualified d) region (kind_to_string root.r_kind) root.r_name via))
+                    (Callgraph.qualified d) region (kind_to_string root.r_kind) root.r_name via))
           end)
         a.a_writes.(i))
     entries;
@@ -581,23 +414,23 @@ let analyze ?(manifest = []) (g : Callgraph.t) =
       if root.r_kind = Prng then begin
         let users =
           List.filter
-            (fun (_, _, (d : Callgraph.def)) ->
+            (fun (_, (d : Callgraph.def)) ->
               let i = d.Callgraph.d_id in
               Ints.mem root.r_id a.a_reads.(i) || Ints.mem root.r_id a.a_writes.(i))
             entries
         in
         let distinct =
           List.sort_uniq Int.compare
-            (List.map (fun (_, _, (d : Callgraph.def)) -> d.Callgraph.d_id) users)
+            (List.map (fun (_, (d : Callgraph.def)) -> d.Callgraph.d_id) users)
         in
         if List.length distinct >= 2 then
           add
-            (Finding.v ~rule:"prng-shared"
+            (Finding.emit prng_shared
                ~where:(Printf.sprintf "%s:%d" root.r_file root.r_line)
                (Printf.sprintf "PRNG stream %s is reachable from %d parallel entrypoints: %s"
                   root.r_name (List.length distinct)
                   (String.concat ", "
-                     (List.map (fun i -> qualified g.Callgraph.defs.(i)) distinct))))
+                     (List.map (fun i -> Callgraph.qualified g.Callgraph.defs.(i)) distinct))))
       end)
     a.a_roots;
   List.rev !findings

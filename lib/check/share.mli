@@ -10,8 +10,8 @@
     extra builtin root. Reads and writes of roots are harvested from body
     tokens in context ([x := ...], [h.f <- ...], [a.(i) <- ...],
     [Hashtbl.replace x ...], [incr x]; any use of a PRNG or lazy root
-    counts as a write) and propagated through the call graph to a Kleene
-    fixpoint, classifying every definition on the lattice
+    counts as a write) and propagated through the call graph by
+    {!Callgraph.propagate}, classifying every definition on the lattice
     [Domain_safe < Reader < Writer].
 
     A root is {e guarded} when its owning file (or the file of the
@@ -58,17 +58,15 @@ val reads : audit -> int -> int list
 val writes : audit -> int -> int list
 (** Transitive root ids written by a def id (sorted). *)
 
-val parse_manifest : string -> (string * string list) list
-(** Parses the [check/parallel.json] manifest: a flat JSON object mapping
-    a region name to an array of entrypoint names
-    (["Module.definition"], optionally library-qualified).
-    @raise Invalid_argument on malformed input. *)
+val rules : Finding.rule list
+(** The share rules, for [respctl analyze --list-rules]. *)
 
-val rules : (string * string) list
-(** Rule names and one-line descriptions, for [respctl analyze --rules]. *)
-
-val analyze : ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
-(** Runs the audit and emits findings:
+val analyze :
+  ?where:string -> ?manifest:(string * string list) list -> Callgraph.t -> Finding.t list
+(** Runs the audit and emits findings. [manifest] is the
+    {!Manifest.t.parallel} section: region names mapped to entrypoint
+    names. Manifest-level findings point at [where] (default
+    {!Manifest.path}).
 
     - [shared-write-reachable] (error): a manifest entrypoint transitively
       writes an unguarded root; the message carries the shortest call

@@ -13,8 +13,8 @@ let rules =
    newlines and byte offsets) and harvest suppression pragmas.        *)
 (* ------------------------------------------------------------------ *)
 
-let is_lower c = c >= 'a' && c <= 'z'
-let is_rule_char c = is_lower c || (c >= '0' && c <= '9') || c = '-' || c = '_'
+let is_lower_char c = c >= 'a' && c <= 'z'
+let is_rule_char c = is_lower_char c || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
 (* A pragma comment reads "lint: allow <rule> <rule> ...". *)
 let parse_pragma text =
@@ -128,12 +128,12 @@ let clean source =
     end
     else if
       c = '{' && !i + 1 < n
-      && (source.[!i + 1] = '|' || is_lower source.[!i + 1] || source.[!i + 1] = '_')
+      && (source.[!i + 1] = '|' || is_lower_char source.[!i + 1] || source.[!i + 1] = '_')
     then begin
       (* Possible quoted string {id|...|id}; the delimiter id is lowercase
          letters and underscores (so [{_|...|_}] is legal too). *)
       let j = ref (!i + 1) in
-      while !j < n && (is_lower source.[!j] || source.[!j] = '_') do
+      while !j < n && (is_lower_char source.[!j] || source.[!j] = '_') do
         incr j
       done;
       if !j < n && source.[!j] = '|' then begin
@@ -195,6 +195,7 @@ type tok = { t : string; tline : int; tcol : int }
 let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_id_char c = is_id_start c || (c >= '0' && c <= '9') || c = '\''
 let is_digit c = c >= '0' && c <= '9'
+let is_number t = t <> "" && is_digit t.[0]
 
 let is_number_char c =
   is_digit c || c = '.' || c = '_'
@@ -202,15 +203,30 @@ let is_number_char c =
   || (c >= 'A' && c <= 'F')
   || c = 'x' || c = 'o' || c = 'b' || c = 'e' || c = 'E'
 
+let table names =
+  let tbl = Hashtbl.create (2 * List.length names) in
+  List.iter (fun name -> Hashtbl.replace tbl name ()) names;
+  tbl
+
+let multi_add tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> Hashtbl.replace tbl key (v :: l)
+  | None -> Hashtbl.add tbl key [ v ]
+
+let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
+
+let last_component s =
+  match String.rindex_opt s '.' with
+  | Some i -> String.sub s (i + 1) (String.length s - i - 1)
+  | None -> s
+
 (* Two-character operators kept as single tokens; a table so the per-character
    scan loop does constant-time membership tests. *)
 let two_char_ops =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun op -> Hashtbl.replace tbl op ())
+  table
     [ "->"; "<-"; "/."; "*."; "+."; "-."; "<="; ">="; "<>"; "**"; ":="; "::"; "|>"; "||"; "&&";
-      "@@"; "=="; "!=" ];
-  tbl
+      "@@"; "=="; "!=" ]
 
 let tokenize text =
   let n = String.length text in
@@ -319,12 +335,7 @@ type raw = { rule : string; rline : int; rcol : int; msg : string }
 
 (* Keywords after which a bare [compare] token is a definition or a label,
    not a use of the polymorphic primitive. *)
-let compare_definers =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun kw -> Hashtbl.replace tbl kw ())
-    [ "let"; "and"; "rec"; "val"; "external"; "method"; "~"; "?" ];
-  tbl
+let compare_definers = table [ "let"; "and"; "rec"; "val"; "external"; "method"; "~"; "?" ]
 
 let scan_tokens toks =
   let out = ref [] in
@@ -384,24 +395,23 @@ let suppressed cleaned ~rule ~line =
   let allowed = Option.value (Hashtbl.find_opt cleaned.pragmas line) ~default:[] in
   List.mem rule allowed || List.mem "all" allowed
 
-let lint_string ~file source =
+let findings_of_scan ~file scan source =
   let cleaned = clean source in
-  let raw = scan_tokens (tokenize cleaned.text) in
   List.filter_map
     (fun r ->
       if suppressed cleaned ~rule:r.rule ~line:r.rline then None
       else
         Some
           (Finding.v ~rule:r.rule ~where:(Printf.sprintf "%s:%d:%d" file r.rline r.rcol) r.msg))
-    raw
+    (scan (tokenize cleaned.text))
+
+let lint_string ~file source = findings_of_scan ~file scan_tokens source
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file path = lint_string ~file:path (read_file path)
 
 let is_source path =
   Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
@@ -421,4 +431,5 @@ let rec collect acc path =
 
 let source_files paths = List.fold_left collect [] paths |> List.rev
 
-let lint_paths paths = List.concat_map lint_file (source_files paths)
+let lint_paths paths =
+  List.concat_map (fun path -> lint_string ~file:path (read_file path)) (source_files paths)

@@ -34,10 +34,6 @@ type cleaned = { text : string; pragmas : (int, string list) Hashtbl.t }
 
 val clean : string -> cleaned
 
-val suppressed : cleaned -> rule:string -> line:int -> bool
-(** Whether a [(* lint: allow <rule> ... *)] pragma (or [allow all]) covers
-    [rule] on [line]. *)
-
 type tok = { t : string; tline : int; tcol : int }
 (** One token of cleaned source: an identifier (dotted paths joined, e.g.
     ["Hashtbl.find"]), a number literal with its spelling preserved (e.g.
@@ -47,6 +43,33 @@ type tok = { t : string; tline : int; tcol : int }
 val tokenize : string -> tok array
 (** Tokenizes cleaned text; positions are 1-based line/column. *)
 
+type raw = { rule : string; rline : int; rcol : int; msg : string }
+(** One rule hit of a token scan, before suppression. *)
+
+val findings_of_scan : file:string -> (tok array -> raw list) -> string -> Finding.t list
+(** Cleans and tokenizes source text, runs [scan] over the tokens, drops
+    the hits a [(* lint: allow <rule> ... *)] pragma (or [allow all])
+    suppresses, and locates the rest at ["file:line:col"]. *)
+
+val is_number : string -> bool
+(** Whether a token is a number literal (starts with a digit). *)
+
+val table : string list -> (string, unit) Hashtbl.t
+(** A constant-time membership set over the given names, for the token
+    vocabularies every pass consults once per token. *)
+
+val multi_add : ('a, 'b list) Hashtbl.t -> 'a -> 'b -> unit
+(** Conses a value onto the list bound to a key. *)
+
+val is_upper : string -> bool
+(** Starts with an uppercase letter: a module or constructor. *)
+
+val is_lower : string -> bool
+(** Starts with a lowercase letter or ['_']: a value name. *)
+
+val last_component : string -> string
+(** The text after the last ['.'], or the whole string. *)
+
 val read_file : string -> string
 
 val source_files : string list -> string list
@@ -55,9 +78,6 @@ val source_files : string list -> string list
 
 val lint_string : file:string -> string -> Finding.t list
 (** Lints source text; [file] is used only for locations. *)
-
-val lint_file : string -> Finding.t list
-(** Reads and lints one file. *)
 
 val lint_paths : string list -> Finding.t list
 (** Lints every [.ml]/[.mli] under the given files/directories

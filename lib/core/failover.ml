@@ -2,7 +2,7 @@
    reads the immutable graph and the fully-built [protect] table, and
    allocates only locally — which is what lets [compute] fan the per-pair
    loop out across domains. [pair_path] is a certified parallel entrypoint
-   declared in check/parallel.json; Check.Share verifies it cannot reach a
+   declared in check/analyze.json; Check.Share verifies it cannot reach a
    write of any unguarded shared root. *)
 let pair_path g ~protect (o, d) =
   let installed = Option.value (Hashtbl.find_opt protect (o, d)) ~default:[] in

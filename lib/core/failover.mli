@@ -12,7 +12,7 @@ val pair_path :
     beyond the already-installed paths. Reads only the graph and the
     fully-built [protect] table — no shared mutable state — so distinct
     pairs may be computed on distinct domains (certified parallel
-    entrypoint, see check/parallel.json). *)
+    entrypoint, see check/analyze.json). *)
 
 val compute :
   ?jobs:int ->

@@ -53,7 +53,7 @@ val precompute_cached :
     {!Traffic.Matrix.signature} of any embedded matrix. [jobs] is not part
     of the key — tables are identical for any fan-out. Certified memo-safe
     by the [memo-unsafe] rule of [respctl analyze --cost] (see
-    [check/cost.json]); a raising computation (infeasible demands, invariant
+    [check/analyze.json]); a raising computation (infeasible demands, invariant
     violation) is never cached.
 
     The returned tables may reference the structurally-identical graph of

@@ -127,7 +127,7 @@ let conservation_tolerance = 1e-6
    trial-local, so distinct trials share nothing but the read-only tables.
    The only shared state touched is the Obs counters, which shard
    per-domain (see Obs.Metric). This is a certified parallel entrypoint
-   declared in check/parallel.json. *)
+   declared in check/analyze.json. *)
 let run_trial ~config ~threshold ~tables ~power ~base ~spec ~pairs ~links k =
   let spec = { spec with Scenario.seed = spec.Scenario.seed + k } in
   let events = Scenario.events spec (Response.Tables.graph tables) ~base in

@@ -61,7 +61,7 @@ val run_trial :
     simulated and measured. Trials are independent — everything reachable
     is trial-local or read-only except the per-domain Obs counters — so
     distinct trials may run on distinct domains (certified parallel
-    entrypoint, see check/parallel.json).
+    entrypoint, see check/analyze.json).
     @raise Invalid_argument on a traffic-conservation violation. *)
 
 val run :

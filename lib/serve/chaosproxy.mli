@@ -6,7 +6,7 @@
     and the client's retry/timeout discipline (mangled replies).
 
     One background domain pumps every link with [select]
-    ([Chaosproxy.proxy_loop], certified in [check/parallel.json]); the
+    ([Chaosproxy.proxy_loop], certified in [check/analyze.json]); the
     fault is an atomic the harness flips between probes. Randomness
     (corruption position/value, partial-write split) is seeded: equal
     seeds give equal fault streams, so drill outcomes golden-diff. *)

@@ -3,7 +3,7 @@
     One {!t} guards a server: workers consult {!admit} once per decoded
     request (an atomic in-flight read plus an atomic mode read — no lock,
     no allocation while the mode is steady, which is why [Guard.admit] is
-    declared hot in [check/cost.json]) and bracket request handling with
+    declared hot in [check/analyze.json]) and bracket request handling with
     {!enter}/{!leave}. The accept loop consults {!conn_opened} per
     accepted binary connection.
 

@@ -67,7 +67,7 @@ val guard : t -> Guard.t
 val handle_request : t -> Wire.request -> Wire.response
 (** The pure request dispatcher the workers run — exposed so tests and
     in-process harnesses can exercise exactly the served semantics
-    without a socket. Declared hot in [check/cost.json]. *)
+    without a socket. Declared hot in [check/analyze.json]. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain readable requests, close

@@ -9,7 +9,7 @@
 
     Safety contract: the function passed in must be [Domain_safe] in the
     {!Check.Share} sense — it may not write any shared mutable root. The
-    [check/parallel.json] manifest plus the [shared-write-reachable] /
+    [check/analyze.json] manifest plus the [shared-write-reachable] /
     [prng-shared] analyze rules enforce this statically for the fan-outs
     shipped in this repository. *)
 
@@ -35,7 +35,7 @@ module Background : sig
       lifetime (accept loops, connection workers) and is joined once at
       shutdown. The same [Domain_safe] contract applies to the body —
       shared state must go through the [Atomic]/[Mutex] discipline that
-      [check/parallel.json] certifies. *)
+      [check/analyze.json] certifies. *)
 
   type t
 

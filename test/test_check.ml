@@ -533,8 +533,9 @@ let test_effect_undocumented_raise_rule () =
   in
   Alcotest.(check (list string)) "only the undocumented val" [ "alib/r.mli:5" ] hits
 
-(* Monotonicity: adding one edge to a random graph never shrinks any
-   definition's fixpoint effect set. *)
+(* Monotonicity of the shared solver: adding one edge to a random graph
+   never shrinks any summary, on Effect's union lattice and on Cost's
+   clamped-max loop-depth lattice (edges weighted by call-site depth). *)
 let prop_fixpoint_monotone =
   let n = 8 in
   let base_of_seed st i =
@@ -546,6 +547,7 @@ let prop_fixpoint_monotone =
       Eff.io = bit 3;
     }
   in
+  let clamp v = min v Check.Cost.max_depth in
   QCheck.Test.make ~name:"effect fixpoint is monotone in the edge set" ~count:200
     QCheck.(triple (int_bound ((1 lsl 30) - 1)) (int_bound ((1 lsl 30) - 1)) (pair (int_bound (n - 1)) (int_bound (n - 1))))
     (fun (bseed, eseed, (extra_src, extra_dst)) ->
@@ -553,24 +555,75 @@ let prop_fixpoint_monotone =
         (* A deterministic pseudo-random adjacency from the seed. *)
         List.filter (fun j -> (eseed lsr ((3 * i) + j)) land 1 = 1) [ 0; 1; 2; 3; 4; 5; 6; 7 ]
       in
-      let base i = base_of_seed bseed i in
-      let before = Eff.fixpoint ~n ~callees:edges ~base in
       let edges' i = if i = extra_src then extra_dst :: edges i else edges i in
-      let after = Eff.fixpoint ~n ~callees:edges' ~base in
+      let effects callees =
+        Cg.fixpoint ~n ~init:(base_of_seed bseed) ~equal:Eff.equal_effects ~step:(fun v i ->
+            List.fold_left (fun acc j -> Eff.union acc v.(j)) v.(i) (callees i))
+      in
+      (* Site depth 0 or 1 per edge, and a base depth 0..3, from the seeds. *)
+      let depths callees =
+        Cg.fixpoint ~n ~equal:Int.equal
+          ~init:(fun i -> (bseed lsr (2 * i)) land 3)
+          ~step:(fun v i ->
+            List.fold_left
+              (fun acc j -> max acc (clamp (((eseed lsr (i + j)) land 1) + v.(j))))
+              v.(i) (callees i))
+      in
+      let before = effects edges and after = effects edges' in
+      let dbefore = depths edges and dafter = depths edges' in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if not (Eff.leq before.(i) after.(i)) then ok := false
+        if not (Eff.leq before.(i) after.(i) && dbefore.(i) <= dafter.(i)) then ok := false
       done;
       !ok)
 
+module Mf = Check.Manifest
+
+let parse_ok text =
+  match Mf.parse text with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "manifest rejected: %s" (Mf.error_to_string e)
+
+let rejects text = match Mf.parse text with Ok _ -> false | Error _ -> true
+
 let test_budget_parse () =
   Alcotest.(check (list (pair string int)))
-    "parses"
+    "parses the budget section"
     [ ("dead-function", 3); ("undocumented-raise", 0) ]
-    (Eff.parse_budget "{\n  \"dead-function\": 3,\n  \"undocumented-raise\": 0\n}\n");
-  Alcotest.(check (list (pair string int))) "empty object" [] (Eff.parse_budget "{}");
-  Alcotest.check_raises "malformed" (Invalid_argument "Effect.parse_budget: expected '{'")
-    (fun () -> ignore (Eff.parse_budget "[]"))
+    (parse_ok "{\n  \"budget\": {\n  \"dead-function\": 3,\n  \"undocumented-raise\": 0\n}}\n")
+      .Mf.budget;
+  Alcotest.(check bool) "empty object is the empty manifest" true (parse_ok " {} " = Mf.empty);
+  Alcotest.(check bool) "not an object" true (rejects "[]");
+  Alcotest.(check bool) "budget beyond max_int" true
+    (rejects "{\"budget\": {\"dead-function\": 99999999999999999999999}}");
+  Alcotest.(check bool) "negative budget" true (rejects "{\"budget\": {\"dead-function\": -1}}");
+  Alcotest.(check bool) "unknown section" true (rejects "{\"dead-function\": 0}");
+  Alcotest.(check bool) "trailing bytes" true (rejects "{} x")
+
+(* Totality, the way the wire decoder is fuzzed: random bytes and byte
+   mutations of the committed manifest parse to [Ok] or a typed error
+   whose offset lies inside the input, and never raise. *)
+let prop_manifest_total =
+  let committed = Lint.read_file "../check/analyze.json" in
+  let n = String.length committed in
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [
+        string_size ~gen:char (int_range 0 64);
+        ( int_range 0 (n - 1) >>= fun pos ->
+          int_range 1 255 >>= fun flip ->
+          int_range 0 n >>= fun keep ->
+          let b = Bytes.of_string committed in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+          return (Bytes.sub_string b 0 keep) );
+      ]
+  in
+  QCheck.Test.make ~name:"manifest parser is total on junk" ~count:1000 (QCheck.make gen)
+    (fun s ->
+      match Mf.parse s with
+      | Ok (_ : Mf.t) -> true
+      | Error (e : Mf.error) -> e.Mf.offset >= 0 && e.Mf.offset <= String.length s)
 
 let test_cg_attributed_defs () =
   (* [let[@inline] f] and [let%ext f] are definitions: the lexer folds the
@@ -596,8 +649,8 @@ let test_budget_ratchet () =
   let findings = [ warn "dead-function"; warn "dead-function"; warn "undocumented-raise" ] in
   Alcotest.(check int) "within budget -> no finding" 0
     (List.length
-       (Eff.over_budget ~budget:[ ("dead-function", 2); ("undocumented-raise", 1) ] findings));
-  let over = Eff.over_budget ~budget:[ ("dead-function", 1) ] findings in
+       (Mf.over_budget ~budget:[ ("dead-function", 2); ("undocumented-raise", 1) ] findings));
+  let over = Mf.over_budget ~budget:[ ("dead-function", 1) ] findings in
   Alcotest.(check (list string)) "both rules over" [ "budget-exceeded"; "budget-exceeded" ]
     (List.map (fun f -> f.F.rule) over);
   Alcotest.(check bool) "budget violations are errors" true
@@ -777,20 +830,36 @@ let test_share_manifest_errors () =
   let all = Sh.analyze ~manifest:[ ("w", [ "Nope.nothing" ]) ] (Cg.build_sources sources) in
   Alcotest.(check bool) "and it is Error severity" true
     (List.for_all (fun f -> f.F.severity = F.Error)
-       (List.filter (fun f -> f.F.rule = "parallel-manifest") all))
+       (List.filter (fun f -> f.F.rule = "parallel-manifest") all));
+  let elsewhere =
+    Sh.analyze ~where:"other.json" ~manifest:[ ("w", [ "Nope.nothing" ]) ] (Cg.build_sources sources)
+  in
+  Alcotest.(check (list string)) "the finding points at the manifest given" [ "other.json" ]
+    (List.filter_map
+       (fun f -> if f.F.rule = "parallel-manifest" then Some f.F.where else None)
+       elsewhere)
 
 let test_share_manifest_parse () =
+  let m =
+    parse_ok
+      "{\"parallel\": {\n  \"chaos\": [\"Harness.run_trial\"],\n  \"pairs\": [\"Failover.pair_path\", \"X.y\"]\n},\n\
+       \"cost\": {\"hot\": []}, \"locks\": {\"order\": [\"A.m\"]}}"
+  in
   Alcotest.(check (list (pair string (list string))))
     "parses regions"
     [ ("chaos", [ "Harness.run_trial" ]); ("pairs", [ "Failover.pair_path"; "X.y" ]) ]
-    (Sh.parse_manifest
-       "{\n  \"chaos\": [\"Harness.run_trial\"],\n  \"pairs\": [\"Failover.pair_path\", \"X.y\"]\n}\n");
-  Alcotest.(check (list (pair string (list string)))) "empty object" [] (Sh.parse_manifest "{}");
-  Alcotest.check_raises "malformed" (Invalid_argument "Share.parse_manifest: expected '{'")
-    (fun () -> ignore (Sh.parse_manifest "[]"))
+    m.Mf.parallel;
+  Alcotest.(check (list (pair string (list string)))) "cost section" [ ("hot", []) ] m.Mf.cost;
+  Alcotest.(check (list (pair string (list string)))) "locks section" [ ("order", [ "A.m" ]) ]
+    m.Mf.locks;
+  Alcotest.(check bool) "region must map to an array" true
+    (rejects "{\"parallel\": {\"chaos\": \"Harness.run_trial\"}}");
+  Alcotest.(check bool) "unterminated string" true (rejects "{\"parallel\": {\"chaos")
+
+let rule_ids_of rules = List.map (fun (r : F.rule) -> r.F.id) rules
 
 let test_share_rules_catalogue () =
-  let ids = List.map fst Sh.rules in
+  let ids = rule_ids_of Sh.rules in
   Alcotest.(check (list string))
     "all four rules listed"
     [ "shared-write-reachable"; "unguarded-global"; "prng-shared"; "parallel-manifest" ]
@@ -961,7 +1030,7 @@ let test_cost_infer_propagation () =
 let test_cost_rules_catalogue () =
   Alcotest.(check (list string)) "rule ids"
     [ "quadratic-list-op"; "rebuild-in-loop"; "alloc-in-hot-loop"; "memo-unsafe"; "cost-manifest" ]
-    (List.map fst Co.rules)
+    (rule_ids_of Co.rules)
 
 (* ----------------------- Check.Doc (odoc stand-in) -------------------- *)
 
@@ -1032,7 +1101,8 @@ let test_cg_closure_args () =
     Cg.build_sources
       [
         src ~lib:"alib" "alib/w.ml"
-          "let run f = f ()\n\nlet task () = print_endline \"t\"\n\nlet go () = run task\n";
+          "let run f = f ()\n\nlet task () = print_endline \"t\"\n\nlet go () = run task\n\n\
+           let ( >>= ) m f = f m\n";
       ]
   in
   let id n = (Option.get (Cg.find_def g ~module_:"W" ~name:n)).Cg.d_id in
@@ -1041,6 +1111,10 @@ let test_cg_closure_args () =
   Alcotest.(check (list string)) "run's params" [ "f" ] (Cg.def_params run_def);
   Alcotest.(check bool) "run applies its param" true (Cg.applies_params run_def);
   Alcotest.(check bool) "go applies nothing" false (Cg.applies_params go_def);
+  (* The header scan starts past the name token, so an operator's closing
+     parenthesis drops below level 0 and no parameters are collected. *)
+  let bind_def = List.find (fun d -> d.Cg.d_line = 7) (Array.to_list g.Cg.defs) in
+  Alcotest.(check (list string)) "operator binding has no params" [] (Cg.def_params bind_def);
   Alcotest.(check bool) "wrapper gains the closure callee" true
     (List.mem (id "task") g.Cg.callees.(id "run"))
 
@@ -1087,7 +1161,7 @@ let test_lock_rules_catalogue () =
       "lock-order-cycle"; "blocking-under-lock"; "lock-held-io"; "atomic-rmw"; "useless-lock";
       "lock-manifest";
     ]
-    (List.map fst Lk.rules)
+    (rule_ids_of Lk.rules)
 
 (* Two-lock AB/BA inversion: the classic deadlock, reported once with a
    two-chain witness naming both locks. *)
@@ -1363,6 +1437,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_budget_parse;
           Alcotest.test_case "ratchet" `Quick test_budget_ratchet;
+          QCheck_alcotest.to_alcotest prop_manifest_total;
         ] );
       ( "share",
         [
