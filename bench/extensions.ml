@@ -336,171 +336,19 @@ let chaos () =
   kvf "of the lossy cuts, partitioning" "%d of %d" partitioning (List.length lossy);
   note "a partitioning cut cannot be routed around; its loss is booked, not hidden"
 
-(* ------------------------------------------------------------------ *)
-
-(* Certified multicore fan-out (check/analyze.json): the chaos harness
-   trials and the per-pair failover precompute at --jobs 1/2/4. The
-   committed numbers are honest wall-clocks for whatever cores the bench
-   host has — on a single-core host the fan-out buys nothing and the rows
-   show it; the byte-identity column is the part that must never change. *)
-
-let parallel_timings : (string * int * float) list ref = ref []
-
-let parallel () =
-  section "Parallel: certified fan-out wall-clock and determinism at jobs 1/2/4";
-  let g = Lazy.force Figures.geant in
-  let power = Lazy.force Figures.geant_power in
-  let pairs = Traffic.Gravity.random_node_pairs g ~seed:7 ~fraction:0.7 in
-  let tables = Response.Framework.precompute g power ~pairs in
-  let base = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 5.0) () in
-  let trials = if fast then 2 else 4 in
-  let duration = if fast then 4.0 else 8.0 in
-  let spec =
-    {
-      Fault.Scenario.default with
-      Fault.Scenario.seed = 42;
-      duration;
-      link_faults = Some { Fault.Scenario.mtbf = 3.0; mttr = 0.5 };
-    }
-  in
-  parallel_timings := [];
-  kvf "domains recommended by the runtime" "%d" (Eutil.Pool.default_jobs ());
-  row "  %-12s %-6s %-12s %s@." "workload" "jobs" "seconds" "output vs jobs 1";
-  let chaos_ref = ref "" in
-  List.iter
-    (fun jobs ->
-      let r, dur =
-        Obs.Span.timed "bench.parallel.chaos" (fun () ->
-            Fault.Harness.run ~jobs ~tables ~power ~base ~spec ~trials ())
-      in
-      let json = Fault.Harness.to_json r in
-      if !chaos_ref = "" then chaos_ref := json;
-      parallel_timings := ("chaos", jobs, dur) :: !parallel_timings;
-      row "  %-12s %-6d %-12.3f %s@." "chaos" jobs dur
-        (if json = !chaos_ref then "byte-identical" else "DIVERGED"))
-    [ 1; 2; 4 ];
-  let pre_ref = ref "" in
-  List.iter
-    (fun jobs ->
-      let t, dur =
-        Obs.Span.timed "bench.parallel.precompute" (fun () ->
-            Response.Framework.precompute ~jobs g power ~pairs)
-      in
-      let rendered = Format.asprintf "%a" Response.Tables.pp t in
-      if !pre_ref = "" then pre_ref := rendered;
-      parallel_timings := ("precompute", jobs, dur) :: !parallel_timings;
-      row "  %-12s %-6d %-12.3f %s@." "precompute" jobs dur
-        (if rendered = !pre_ref then "byte-identical" else "DIVERGED"))
-    [ 1; 2; 4 ];
-  parallel_timings := List.rev !parallel_timings
-
-(* Before/after ledger for the Check.Cost campaign (DESIGN.md 12): the
-   memoized precompute against the uncached path, and a warm-started
-   re-solve of a tightened LP against a cold two-phase solve. The hit must
-   beat the uncached path by orders of magnitude and return the very same
-   tables; the warm re-solve must agree with the cold one exactly. *)
-
-let cost_timings : (string * float) list ref = ref []
-
-let cost () =
-  section "Cost: memoized precompute and warm-started simplex re-solves";
-  cost_timings := [];
-  let record name dur = cost_timings := (name, dur) :: !cost_timings in
-  let g = Lazy.force Figures.geant in
-  let power = Lazy.force Figures.geant_power in
-  let pairs = Traffic.Gravity.random_node_pairs g ~seed:7 ~fraction:0.7 in
-  Response.Framework.cache_clear ();
-  let plain, d_plain =
-    Obs.Span.timed "bench.cost.uncached" (fun () -> Response.Framework.precompute g power ~pairs)
-  in
-  let miss, d_miss =
-    Obs.Span.timed "bench.cost.miss" (fun () ->
-        Response.Framework.precompute_cached g power ~pairs)
-  in
-  let hit, d_hit =
-    Obs.Span.timed "bench.cost.hit" (fun () ->
-        Response.Framework.precompute_cached g power ~pairs)
-  in
-  record "precompute-uncached" d_plain;
-  record "precompute-miss" d_miss;
-  record "precompute-hit" d_hit;
-  row "  %-26s %-12s %s@." "workload" "seconds" "vs uncached";
-  row "  %-26s %-12.4f %s@." "precompute (uncached)" d_plain "1.00x";
-  row "  %-26s %-12.4f %.2fx@." "precompute_cached (miss)" d_miss
-    (d_plain /. Float.max 1e-9 d_miss);
-  row "  %-26s %-12.6f %.0fx@." "precompute_cached (hit)" d_hit
-    (d_plain /. Float.max 1e-9 d_hit);
-  kvf "hit returned the cached tables" "%b" (miss == hit);
-  kvf "cached tables match uncached" "%b"
-    (Format.asprintf "%a" Response.Tables.pp plain = Format.asprintf "%a" Response.Tables.pp miss);
-  (let s = Response.Framework.cache_stats () in
-   kvf "cache counters" "hits=%d misses=%d evictions=%d" s.Eutil.Memo.hits s.Eutil.Memo.misses
-     s.Eutil.Memo.evictions);
-  subsection "warm-started re-solve of a branched LP (Simplex.solve_with_basis)";
-  (* Shaped like the power-down formulation: equality rows (flow
-     conservation blocks) force a cold solve through phase 1 with
-     artificials, Le rows cap the blocks. Each block of 4 variables sums
-     to 2, so x_i = 0.5 everywhere is feasible against caps at 0.75 of
-     each row's coefficient mass. *)
-  let n = if fast then 24 else 48 in
-  let reps = if fast then 20 else 100 in
-  let rng = Eutil.Prng.create 11 in
-  let objective = Array.init n (fun _ -> Eutil.Prng.range rng (-5.0) 5.0) in
-  let eq_rows =
-    List.init (n / 4) (fun b ->
-        (Array.init n (fun v -> if v / 4 = b then 1.0 else 0.0), Lp.Simplex.Eq, 2.0))
-  in
-  let cap_rows =
-    List.init n (fun _ ->
-        let coeffs = Array.init n (fun _ -> Eutil.Prng.range rng 0.0 1.0) in
-        (coeffs, Lp.Simplex.Le, 0.75 *. Array.fold_left ( +. ) 0.0 coeffs))
-  in
-  let rows = eq_rows @ cap_rows in
-  let parent = { Lp.Simplex.n_vars = n; objective; rows } in
-  let _, basis = Lp.Simplex.solve_with_basis parent in
-  (* The production shape (Milp branch-and-bound): the child appends one
-     bound row at the end, so the parent basis stays index-stable. *)
-  let cut = (Array.init n (fun v -> if v = 0 then 1.0 else 0.0), Lp.Simplex.Le, 0.25) in
-  let child = { parent with Lp.Simplex.rows = rows @ [ cut ] } in
-  let cold = ref Lp.Simplex.Infeasible and warm = ref Lp.Simplex.Infeasible in
-  let (), d_cold =
-    Obs.Span.timed "bench.cost.lp_cold" (fun () ->
-        for _ = 1 to reps do
-          cold := Lp.Simplex.solve child
-        done)
-  in
-  let (), d_warm =
-    Obs.Span.timed "bench.cost.lp_warm" (fun () ->
-        for _ = 1 to reps do
-          warm := fst (Lp.Simplex.solve_with_basis ?hint:basis child)
-        done)
-  in
-  record "lp-resolve-cold" d_cold;
-  record "lp-resolve-warm" d_warm;
-  row "  %-26s %-12.4f (%d re-solves)@." "cold two-phase re-solve" d_cold reps;
-  row "  %-26s %-12.4f %.2fx@." "warm dual re-solve" d_warm (d_cold /. Float.max 1e-9 d_warm);
-  kvf "warm outcome matches cold" "%b"
-    (match (!cold, !warm) with
-    | Lp.Simplex.Optimal { objective = a; _ }, Lp.Simplex.Optimal { objective = b; _ } ->
-        Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a)
-    | _ -> false);
-  cost_timings := List.rev !cost_timings
-
 (* Self-hosted analyzer wall-clocks ("analyze" section): every pass of
    `respctl analyze` timed over the repo's own sources — the price CI
    pays on each @analyze run, with the call-graph build (shared by the
    four interprocedural passes) broken out. Skipped when the sources
-   are not at hand (run from outside the repository root). *)
-
-let analyze_timings : (string * float) list ref = ref []
+   are not at hand (run from outside the repository root). With --json
+   the per-pass times land in the obs block as bench.analyze.<pass>
+   spans. *)
 
 let analyze () =
   section "Analyze: self-hosted static-analysis pass wall-clocks";
-  analyze_timings := [];
   if not (Sys.file_exists "lib" && Sys.file_exists "bin") then
     kvf "skipped" "%s" "sources not found (run from the repository root)"
   else begin
-    let record name dur = analyze_timings := (name, dur) :: !analyze_timings in
     let dirs = [ "lib"; "bin" ] in
     let entries = List.filter Sys.file_exists [ "bench"; "test"; "examples" ] in
     (* A malformed manifest fails the section: timing the passes without
@@ -514,11 +362,7 @@ let analyze () =
             Printf.eprintf "bench: %s: %s\n" Check.Manifest.path (Check.Manifest.error_to_string e);
             exit 1
     in
-    let timed name f =
-      let r, d = Obs.Span.timed ("bench.analyze." ^ name) f in
-      record name d;
-      (r, d)
-    in
+    let timed name f = Obs.Span.timed ("bench.analyze." ^ name) f in
     (* Mirror the dune aliases: @lint covers lib/bin/bench/test (examples
        keep their deliberate violations), @doc covers everything. *)
     let lint_dirs = List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ] in
@@ -550,6 +394,5 @@ let analyze () =
       ];
     row "  %-12s %-10.4f (shared by effect/share/cost/locks)@." "callgraph" d_graph;
     kvf "errors across all passes" "%d"
-      (List.length (Check.Finding.errors (flow @ eff @ share @ cost @ lock)));
-    analyze_timings := List.rev !analyze_timings
+      (List.length (Check.Finding.errors (flow @ eff @ share @ cost @ lock)))
   end

@@ -1,5 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md for the experiment index).
+   evaluation (see DESIGN.md for the experiment index). Engineering
+   measurements (serving, memoization, per-layer costs) live in the repo
+   benchmark under bench/perf.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig5    # selected sections
@@ -31,10 +33,7 @@ let sections : (string * (unit -> unit)) list =
     ("openflow", Extensions.openflow);
     ("eate", Extensions.eate);
     ("chaos", Extensions.chaos);
-    ("parallel", Extensions.parallel);
-    ("cost", Extensions.cost);
     ("analyze", Extensions.analyze);
-    ("serve", Servebench.serve);
     ("micro", Micro.run);
   ]
 
@@ -48,72 +47,10 @@ let emit_json path timings total_s =
     Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.6f}" (Obs.Export.json_escape name) dur
   in
   let samples = Obs.Registry.snapshot Obs.Registry.default in
-  (* Wall-clocks from the certified fan-outs ("parallel" section): honest
-     numbers for this host's core count, keyed by workload and job count. *)
-  let parallel_json =
-    match !Extensions.parallel_timings with
-    | [] -> ""
-    | ts ->
-        Printf.sprintf ",\"parallel\":[%s]"
-          (String.concat ","
-             (List.map
-                (fun (workload, jobs, dur) ->
-                  Printf.sprintf "{\"workload\":\"%s\",\"jobs\":%d,\"seconds\":%.6f}"
-                    (Obs.Export.json_escape workload) jobs dur)
-                ts))
-  in
-  (* Before/after wall-clocks from the Check.Cost campaign ("cost"
-     section): uncached vs memoized precompute and cold vs warm-started
-     LP re-solves. *)
-  let cost_json =
-    match !Extensions.cost_timings with
-    | [] -> ""
-    | ts ->
-        Printf.sprintf ",\"cost\":[%s]"
-          (String.concat ","
-             (List.map
-                (fun (workload, dur) ->
-                  Printf.sprintf "{\"workload\":\"%s\",\"seconds\":%.6f}"
-                    (Obs.Export.json_escape workload) dur)
-                ts))
-  in
-  (* Per-pass wall-clocks of the self-hosted static analysis ("analyze"
-     section): what each `respctl analyze` pass costs over the repo's
-     own sources. *)
-  let analyze_json =
-    match !Extensions.analyze_timings with
-    | [] -> ""
-    | ts ->
-        Printf.sprintf ",\"analyze\":[%s]"
-          (String.concat ","
-             (List.map
-                (fun (pass, dur) ->
-                  Printf.sprintf "{\"pass\":\"%s\",\"seconds\":%.6f}"
-                    (Obs.Export.json_escape pass) dur)
-                ts))
-  in
-  (* Loopback serving sweep ("serve" section): closed-loop throughput and
-     latency percentiles against an in-process respctld, per client
-     connection count. *)
-  let serve_json =
-    match !Servebench.serve_timings with
-    | [] -> ""
-    | ts ->
-        Printf.sprintf ",\"serve\":[%s]"
-          (String.concat ","
-             (List.map
-                (fun (conns, (r : Serve.Load.report)) ->
-                  Printf.sprintf
-                    "{\"conns\":%d,\"completed\":%d,\"failed\":%d,\"qps\":%.1f,\
-                     \"p50_ms\":%.4f,\"p90_ms\":%.4f,\"p99_ms\":%.4f}"
-                    conns r.Serve.Load.completed r.Serve.Load.failed r.Serve.Load.qps
-                    r.Serve.Load.p50_ms r.Serve.Load.p90_ms r.Serve.Load.p99_ms)
-                ts))
-  in
   let doc =
-    Printf.sprintf "{\"sections\":[%s],\"total_seconds\":%.6f%s%s%s%s,\"obs\":%s}"
+    Printf.sprintf "{\"sections\":[%s],\"total_seconds\":%.6f,\"obs\":%s}"
       (String.concat "," (List.map section_json timings))
-      total_s parallel_json cost_json analyze_json serve_json
+      total_s
       (String.trim (Obs.Export.to_json samples))
   in
   (match Obs.Export.validate_json doc with

@@ -451,23 +451,11 @@ let check_cmd =
               let config = { Response.Framework.default with latency_beta = beta } in
               Response.Framework.precompute ~config g power ~pairs)
         in
-        let entries =
-          List.map
-            (fun e ->
-              {
-                Check.Invariant.origin = e.Response.Tables.origin;
-                dest = e.Response.Tables.dest;
-                always_on = e.Response.Tables.always_on;
-                on_demand = e.Response.Tables.on_demand;
-                failover = e.Response.Tables.failover;
-              })
-            (Response.Tables.entries tables)
-        in
         let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 1.0) () in
         let findings =
           Check.Invariant.check_graph g
           @ Check.Invariant.check_power power g
-          @ Check.Invariant.check_tables g ~pairs entries
+          @ Response.Framework.table_findings g ~pairs tables
           @ Check.Invariant.check_matrix g tm
         in
         report_findings ~json findings;

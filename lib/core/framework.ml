@@ -1,6 +1,6 @@
 module U = Eutil.Units
 
-type variant =
+type variant = On_demand.variant =
   | Solver of Traffic.Matrix.t
   | Stress of float
   | Ospf
@@ -41,7 +41,7 @@ let m_evaluations =
    concurrently running precompute. *)
 let install_checks = Atomic.make (Sys.getenv_opt "RESPONSE_CHECKS" <> Some "0")
 
-let validate_tables g ~pairs tables =
+let table_findings g ~pairs tables =
   let entries =
     List.map
       (fun e ->
@@ -54,7 +54,10 @@ let validate_tables g ~pairs tables =
         })
       (Tables.entries tables)
   in
-  match Check.Finding.errors (Check.Invariant.check_tables g ~pairs entries) with
+  Check.Invariant.check_tables g ~pairs entries
+
+let validate_tables g ~pairs tables =
+  match Check.Finding.errors (table_findings g ~pairs tables) with
   | [] -> ()
   | errors ->
       invalid_arg
@@ -69,16 +72,10 @@ let precompute ?(config = default) ?(jobs = 1) g power ~pairs =
               ?latency_beta:config.latency_beta g power ~pairs ())
       in
       let rounds = max 1 (config.n_paths - 2) in
-      let variant =
-        match config.on_demand with
-        | Solver tm -> On_demand.Solver tm
-        | Stress q -> On_demand.Stress q
-        | Ospf -> On_demand.Ospf
-        | Heuristic tm -> On_demand.Heuristic tm
-      in
       let on_demand =
         Obs.Span.with_ "core.precompute.on_demand" (fun () ->
-            On_demand.compute ~margin:config.margin ~rounds g power ~always_on ~pairs variant)
+            On_demand.compute ~margin:config.margin ~rounds g power ~always_on ~pairs
+              config.on_demand)
       in
       let protect = Hashtbl.create (List.length pairs) in
       List.iter

@@ -9,7 +9,7 @@
     no traffic sleep. This is how the power curves of Figures 4, 5 and 6 are
     produced (the time-domain behaviour is in {!Netsim}). *)
 
-type variant =
+type variant = On_demand.variant =
   | Solver of Traffic.Matrix.t  (** baseline REsPoNse (peak-TM solver) *)
   | Stress of float  (** demand-oblivious, stress-factor exclusion *)
   | Ospf  (** REsPoNse-ospf *)
@@ -33,6 +33,12 @@ val install_checks : bool Atomic.t
     freshly built tables and raises [Invalid_argument] on any error-severity
     finding (path validity, coverage, duplicate installs). Warnings, such as
     a maximally- but not fully-disjoint failover, are not fatal. *)
+
+val table_findings :
+  Topo.Graph.t -> pairs:(int * int) list -> Tables.t -> Check.Finding.t list
+(** Every {!Check.Invariant.check_tables} finding for [tables] over [pairs],
+    errors and warnings alike: what {!install_checks} validates, for callers
+    that report rather than raise. *)
 
 val precompute :
   ?config:config -> ?jobs:int -> Topo.Graph.t -> Power.Model.t -> pairs:(int * int) list -> Tables.t

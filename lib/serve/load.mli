@@ -18,8 +18,8 @@
 
     Latencies are recorded per reply and reported as exact percentiles
     of the full sample set (no histogram error) — the numbers behind the
-    serve section of [BENCH_baseline.json] and the [respctl load] SLO
-    gate. *)
+    [serve-read]/[serve-write] workloads of the repo benchmark
+    ([bench/perf]) and the [respctl load] SLO gate. *)
 
 type config = {
   host : string;

@@ -319,6 +319,14 @@ let prop_precompute_cached_equals_uncached =
       let plain = Response.Framework.precompute ~config g power ~pairs in
       tables_equal cached plain)
 
+(* The failover stage fans out over [jobs] domains; the tables must not
+   depend on the fan-out. Compared path by path: [Tables.pp] prints only a
+   pair count and the deepest path level. *)
+let test_precompute_jobs_identical () =
+  let pairs = Traffic.Gravity.random_node_pairs geant ~seed:7 ~fraction:0.7 in
+  let at jobs = Response.Framework.precompute ~jobs geant geant_power ~pairs in
+  Alcotest.(check bool) "jobs 4 builds the tables of jobs 1" true (tables_equal (at 1) (at 4))
+
 let test_evaluate_energy_proportionality () =
   let t = Lazy.force geant_tables in
   let power_at total =
@@ -666,6 +674,7 @@ let () =
           Alcotest.test_case "precompute structure" `Quick test_precompute_structure;
           Alcotest.test_case "precompute_cached hits" `Quick test_precompute_cached_hits;
           QCheck_alcotest.to_alcotest prop_precompute_cached_equals_uncached;
+          Alcotest.test_case "precompute jobs-identical" `Quick test_precompute_jobs_identical;
           Alcotest.test_case "energy proportionality" `Quick test_evaluate_energy_proportionality;
           Alcotest.test_case "activates levels" `Quick test_evaluate_activates_levels;
           Alcotest.test_case "always-on carries ~half" `Quick test_carried_fraction_always_on_about_half;
