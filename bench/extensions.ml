@@ -337,12 +337,12 @@ let chaos () =
   note "a partitioning cut cannot be routed around; its loss is booked, not hidden"
 
 (* Self-hosted analyzer wall-clocks ("analyze" section): every pass of
-   `respctl analyze` timed over the repo's own sources — the price CI
-   pays on each @analyze run, with the call-graph build (shared by the
-   four interprocedural passes) broken out. Skipped when the sources
-   are not at hand (run from outside the repository root). With --json
-   the per-pass times land in the obs block as bench.analyze.<pass>
-   spans. *)
+   `respctl analyze` timed over the repo's own sources as the @analyze
+   alias runs it — the price CI pays on each run, with the walk, lexing
+   and call-graph build (shared by every pass) broken out. Skipped when
+   the sources are not at hand (run from outside the repository root).
+   With --json the per-pass times land in the obs block as
+   bench.analyze.<pass> spans. *)
 
 let analyze () =
   section "Analyze: self-hosted static-analysis pass wall-clocks";
@@ -363,12 +363,10 @@ let analyze () =
             exit 1
     in
     let timed name f = Obs.Span.timed ("bench.analyze." ^ name) f in
-    (* Mirror the dune aliases: @lint covers lib/bin/bench/test (examples
-       keep their deliberate violations), @doc covers everything. *)
-    let lint_dirs = List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ] in
-    let lint, d_lint = timed "lint" (fun () -> Check.Srclint.lint_paths lint_dirs) in
-    let flow, d_flow = timed "flow" (fun () -> Check.Flow.analyze_paths dirs) in
     let graph, d_graph = timed "callgraph" (fun () -> Check.Callgraph.build ~entries dirs) in
+    let per_file ?entry_trees pass = Check.Callgraph.per_file ?entry_trees graph pass in
+    let lint, d_lint = timed "lint" (fun () -> per_file Check.Srclint.lint) in
+    let flow, d_flow = timed "flow" (fun () -> per_file ~entry_trees:false Check.Flow.analyze) in
     let eff, d_eff = timed "effect" (fun () -> Check.Effect.analyze graph) in
     let share, d_share =
       timed "share" (fun () -> Check.Share.analyze ~manifest:manifest.parallel graph)
@@ -379,7 +377,7 @@ let analyze () =
     let lock, d_lock =
       timed "locks" (fun () -> Check.Lock.analyze ~manifest:manifest.locks graph)
     in
-    let doc, d_doc = timed "doc" (fun () -> Check.Doc.check_paths (dirs @ entries)) in
+    let doc, d_doc = timed "doc" (fun () -> per_file Check.Doc.check) in
     row "  %-12s %-10s %s@." "pass" "seconds" "findings";
     List.iter
       (fun (name, d, fs) -> row "  %-12s %-10.4f %d@." name d (List.length fs))
@@ -392,7 +390,7 @@ let analyze () =
         ("locks", d_lock, lock);
         ("doc", d_doc, doc);
       ];
-    row "  %-12s %-10.4f (shared by effect/share/cost/locks)@." "callgraph" d_graph;
+    row "  %-12s %-10.4f (walk + lex + graph, shared by every pass)@." "callgraph" d_graph;
     kvf "errors across all passes" "%d"
-      (List.length (Check.Finding.errors (flow @ eff @ share @ cost @ lock)))
+      (List.length (Check.Finding.errors (lint @ flow @ eff @ share @ cost @ lock @ doc)))
   end

@@ -179,7 +179,7 @@ let replay_cmd =
     Term.(const run $ topology_arg $ seed_arg $ fraction_arg $ days_arg $ metrics_opt_arg)
 
 
-(* ------------------------------- lint ------------------------------- *)
+(* ------------------------------ analyze ----------------------------- *)
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit a machine-readable JSON report.")
@@ -187,79 +187,6 @@ let json_arg =
 let report_findings ~json findings =
   if json then print_string (Check.Finding.to_json findings)
   else List.iter (fun f -> Format.printf "%a@." Check.Finding.pp f) findings
-
-let lint_cmd =
-  let dirs_arg =
-    let doc = "Files or directories to lint (default: lib bin bench test)." in
-    Arg.(value & pos_all string [ "lib"; "bin"; "bench"; "test" ] & info [] ~docv:"PATH" ~doc)
-  in
-  let rules_arg =
-    Arg.(value & flag & info [ "rules" ] ~doc:"List the lint rules and exit.")
-  in
-  let run dirs json list_rules =
-    if list_rules then begin
-      List.iter (fun (id, doc) -> Format.printf "%-14s %s@." id doc) Check.Srclint.rules;
-      0
-    end
-    else begin
-      match List.filter (fun p -> not (Sys.file_exists p)) dirs with
-      | p :: _ ->
-          (* A typo'd path must not report "clean" to a CI caller. *)
-          Format.eprintf "lint: no such path %s@." p;
-          2
-      | [] -> (
-          let findings = Check.Srclint.lint_paths dirs in
-          report_findings ~json findings;
-          match findings with
-          | [] ->
-              if not json then Format.printf "lint: clean@.";
-              0
-          | fs ->
-              if not json then Format.printf "lint: %d finding(s)@." (List.length fs);
-              1)
-    end
-  in
-  let doc = "Lint the OCaml sources for banned patterns (Check.Srclint)." in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ dirs_arg $ json_arg $ rules_arg)
-
-(* -------------------------------- doc ------------------------------- *)
-
-(* The container carries no odoc, so `dune build @doc` cannot render the
-   API documentation; this stand-in validates the structure odoc would
-   reject — most importantly the @raise contracts the effect analysis
-   audits (DESIGN.md Â§10). *)
-let doc_cmd =
-  let dirs_arg =
-    let doc = "Files or directories whose doc comments to validate (default: lib bin)." in
-    Arg.(value & pos_all string [ "lib"; "bin" ] & info [] ~docv:"PATH" ~doc)
-  in
-  let rules_arg = Arg.(value & flag & info [ "rules" ] ~doc:"List the doc rules and exit.") in
-  let run dirs json list_rules =
-    if list_rules then begin
-      List.iter (fun (id, doc) -> Format.printf "%-18s %s@." id doc) Check.Doc.rules;
-      0
-    end
-    else begin
-      match List.filter (fun p -> not (Sys.file_exists p)) dirs with
-      | p :: _ ->
-          Format.eprintf "doc: no such path %s@." p;
-          2
-      | [] -> (
-          let findings = Check.Doc.check_paths dirs in
-          report_findings ~json findings;
-          match findings with
-          | [] ->
-              if not json then Format.printf "doc: clean@.";
-              0
-          | fs ->
-              if not json then Format.printf "doc: %d finding(s)@." (List.length fs);
-              1)
-    end
-  in
-  let doc = "Validate doc-comment structure (@raise tags) without odoc (Check.Doc)." in
-  Cmd.v (Cmd.info "doc" ~doc) Term.(const run $ dirs_arg $ json_arg $ rules_arg)
-
-(* ------------------------------ analyze ----------------------------- *)
 
 let analyze_cmd =
   let dirs_arg =
@@ -271,8 +198,9 @@ let analyze_cmd =
   in
   let entries_arg =
     let doc =
-      "Additional entry-point trees (executables/tests): their definitions seed reachability for \
-       dead-function but are not themselves analyzed. Repeatable."
+      "Additional entry-point trees (executables/tests/examples): the lint and doc passes check \
+       them and their definitions seed reachability for dead-function, but the other passes do \
+       not analyze them. Repeatable."
     in
     Arg.(value & opt_all string [] & info [ "entries" ] ~docv:"PATH" ~doc)
   in
@@ -293,8 +221,8 @@ let analyze_cmd =
       & flag
       & info [ "list-rules" ]
           ~doc:
-            "List every analyze rule (lint/flow/effect/share/cost/lock) with its pass, severity \
-             and manifest section, then exit.")
+            "List every analyze rule (lint/flow/effect/share/cost/lock/doc) with its pass, \
+             severity and manifest section, then exit.")
   in
   let sarif_arg =
     let doc =
@@ -303,16 +231,15 @@ let analyze_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
   in
-  (* Lint and flow rules are all errors that no manifest section governs. *)
   let catalogue =
-    let plain section rules = List.map (fun (id, doc) -> Check.Finding.rule ~section id doc) rules in
     [
-      ("lint", plain "lint: allow pragma" Check.Srclint.rules);
-      ("flow", plain "-" Check.Flow.rules);
+      ("lint", Check.Srclint.rules);
+      ("flow", Check.Flow.rules);
       ("effect", Check.Effect.rules);
       ("share", Check.Share.rules);
       ("cost", Check.Cost.rules);
       ("lock", Check.Lock.rules);
+      ("doc", Check.Doc.rules);
     ]
   in
   let run dirs entries manifest_file sarif json full_list =
@@ -351,7 +278,6 @@ let analyze_cmd =
               Format.eprintf "analyze: %s@." msg;
               2
           | Ok m -> (
-              let flow = Check.Flow.analyze_paths dirs in
               let graph = Check.Callgraph.build ~entries dirs in
               let effect = Check.Effect.analyze graph in
               let where = manifest_file in
@@ -365,15 +291,24 @@ let analyze_cmd =
                     Check.Manifest.over_budget ~where ~budget:m.budget
                       (effect @ share @ cost @ lock)
               in
-              let findings = flow @ effect @ share @ cost @ lock @ ratchet in
+              let passes =
+                [
+                  ("lint", Check.Callgraph.per_file graph Check.Srclint.lint);
+                  ("flow", Check.Callgraph.per_file ~entry_trees:false graph Check.Flow.analyze);
+                  ("effect", effect);
+                  ("share", share);
+                  ("cost", cost);
+                  ("lock", lock);
+                  ("doc", Check.Callgraph.per_file graph Check.Doc.check);
+                  ("ratchet", ratchet);
+                ]
+              in
+              let findings = List.concat_map snd passes in
               let sarif_status =
                 match sarif with
                 | None -> Ok ()
                 | Some file -> (
-                    let rules =
-                      List.concat_map (fun (pass, rules) -> if pass = "lint" then [] else rules)
-                        catalogue
-                    in
+                    let rules = List.concat_map snd catalogue in
                     let doc = Check.Finding.to_sarif ~rules findings in
                     match Obs.Export.validate_json doc with
                     | Error e -> Error (Printf.sprintf "SARIF report failed validation: %s" e)
@@ -391,17 +326,7 @@ let analyze_cmd =
                   2
               | Ok () -> (
                   if json then begin
-                    let doc =
-                      Check.Finding.to_json_document
-                        [
-                          ("flow", flow);
-                          ("effect", effect);
-                          ("share", share);
-                          ("cost", cost);
-                          ("lock", lock);
-                          ("ratchet", ratchet);
-                        ]
-                    in
+                    let doc = Check.Finding.to_json_document passes in
                     match Obs.Export.validate_json doc with
                     | Error e ->
                         Format.eprintf "analyze: JSON report failed validation: %s@." e;
@@ -423,10 +348,12 @@ let analyze_cmd =
     end
   in
   let doc =
-    "Static analysis of the OCaml sources: numeric-safety dataflow (Check.Flow), \
-     interprocedural effect inference over the call graph (Check.Callgraph, Check.Effect), the \
-     domain-safety shared-mutable-state audit (Check.Share), the loop-cost and allocation \
-     analysis (Check.Cost) and the lock-discipline audit (Check.Lock)."
+    "Static analysis of the OCaml sources, each file walked and lexed once: the banned-pattern \
+     linter (Check.Srclint), numeric-safety dataflow (Check.Flow), interprocedural effect \
+     inference over the call graph (Check.Callgraph, Check.Effect), the domain-safety \
+     shared-mutable-state audit (Check.Share), the loop-cost and allocation analysis \
+     (Check.Cost), the lock-discipline audit (Check.Lock) and doc-comment validation, the odoc \
+     stand-in (Check.Doc)."
   in
   Cmd.v
     (Cmd.info "analyze" ~doc)
@@ -1212,5 +1139,5 @@ let () =
        (Cmd.group info
           [
             topo_cmd; tables_cmd; power_cmd; replay_cmd; chaos_cmd; chaos_serve_cmd; stats_cmd;
-            export_cmd; query_cmd; load_cmd; lint_cmd; analyze_cmd; check_cmd; doc_cmd;
+            export_cmd; query_cmd; load_cmd; analyze_cmd; check_cmd;
           ]))

@@ -34,15 +34,17 @@ let () =
     (Response.Tables.n_tables tables);
 
   (* 3. Inspect one pair's energy-critical paths. *)
-  let o, d = List.nth pairs 0 in
-  (match Response.Tables.find tables o d with
-  | Some e ->
-      Format.printf "@.Energy-critical paths %s -> %s:@." (Topo.Graph.name g o)
-        (Topo.Graph.name g d);
-      Format.printf "  always-on: %a@." (Topo.Path.pp g) e.Response.Tables.always_on;
-      List.iter (Format.printf "  on-demand: %a@." (Topo.Path.pp g)) e.Response.Tables.on_demand;
-      Option.iter (Format.printf "  failover:  %a@." (Topo.Path.pp g)) e.Response.Tables.failover
-  | None -> ());
+  (match pairs with
+  | (o, d) :: _ -> (
+      match Response.Tables.find tables o d with
+      | Some e ->
+          Format.printf "@.Energy-critical paths %s -> %s:@." (Topo.Graph.name g o)
+            (Topo.Graph.name g d);
+          Format.printf "  always-on: %a@." (Topo.Path.pp g) e.Response.Tables.always_on;
+          List.iter (Format.printf "  on-demand: %a@." (Topo.Path.pp g)) e.Response.Tables.on_demand;
+          Option.iter (Format.printf "  failover:  %a@." (Topo.Path.pp g)) e.Response.Tables.failover
+      | None -> ())
+  | [] -> ());
 
   (* 4. Energy proportionality: evaluate the steady state REsPoNseTE reaches
      for increasing gravity-model demand. *)

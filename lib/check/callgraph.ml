@@ -1,6 +1,7 @@
-(* Heuristic project-wide call graph over toplevel definitions. Shares the
-   Srclint lexer; tuned to this repo's ocamlformat layout (column-1
-   toplevel items, column-3 items inside a column-1 [module _ = struct]).
+(* Heuristic project-wide call graph over toplevel definitions, built from
+   the one Srclint lexing of each file; tuned to this repo's ocamlformat
+   layout (column-1 toplevel items, column-3 items inside a column-1
+   [module _ = struct]).
    See callgraph.mli and DESIGN.md §10 for the accepted blind spots. *)
 
 module S = Srclint
@@ -29,12 +30,7 @@ type vdecl = {
   v_raise_doc : bool;
 }
 
-type file = {
-  f_path : string;
-  f_library : string;
-  f_entry : bool;
-  f_toks : S.tok array;
-}
+type file = { f_path : string; f_library : string; f_entry_tree : bool; f_lex : S.lexed }
 
 type t = {
   defs : def array;
@@ -105,9 +101,7 @@ let def_name (toks : S.tok array) i =
     else if S.is_lower tj then tj
     else "_"
 
-let defs_of_ml ~library ~entry ~file text =
-  let cleaned = S.clean text in
-  let toks = S.tokenize cleaned.S.text in
+let defs_of_ml ~library ~entry ~file toks =
   let n = Array.length toks in
   let file_module = module_of_file file in
   let marks = ref [] in
@@ -189,24 +183,29 @@ let defs_of_ml ~library ~entry ~file text =
             }
             :: !defs)
     marks;
-  (List.rev !defs, aliases, toks)
+  (List.rev !defs, aliases)
 
 (* ------------------------------------------------------------------ *)
 (* val declarations (and @raise docs) from one .mli file              *)
 (* ------------------------------------------------------------------ *)
 
-let vals_of_mli ~library ~file text =
-  let cleaned = S.clean text in
-  let toks = S.tokenize cleaned.S.text in
+let vals_of_mli ~library ~file (lexed : S.lexed) =
+  let toks = lexed.toks in
   let n = Array.length toks in
   let file_module = module_of_file file in
-  (* Doc comments are blanked by [clean], so scan the raw text for the
-     lines that mention @raise. *)
-  let raise_lines = ref [] in
-  List.iteri
-    (fun i line -> if contains_sub line "@raise" then raise_lines := (i + 1) :: !raise_lines)
-    (String.split_on_char '\n' text);
-  let raise_lines = !raise_lines in
+  (* The lines of doc comments that mention @raise; a plain comment
+     documents nothing. *)
+  let raise_lines =
+    List.concat_map
+      (fun (c : S.comment) ->
+        if not c.c_doc then []
+        else
+          List.concat
+            (List.mapi
+               (fun k line -> if contains_sub line "@raise" then [ c.c_line + k ] else [])
+               (String.split_on_char '\n' c.c_text)))
+      lexed.comments
+  in
   let decls = ref [] in
   for i = 0 to n - 1 do
     let { S.t; tcol; tline } = toks.(i) in
@@ -363,9 +362,18 @@ let narrow ~library ~hint def_of cands =
         || List.exists (String.equal hint) (split_dots d.d_module))
       cands
 
-let build_sources sources =
-  let ml, mli = List.partition (fun s -> Filename.check_suffix s.sc_file ".ml") sources in
-  let vals = List.concat_map (fun s -> vals_of_mli ~library:s.sc_library ~file:s.sc_file s.sc_text) mli in
+let build_sources ?(entries = []) sources =
+  (* The one lexing of every file; each pass below reads it. *)
+  let lex entry_tree s =
+    let s = { s with sc_entry = s.sc_entry || entry_tree } in
+    let lexed = S.clean s.sc_text in
+    (s, { f_path = s.sc_file; f_library = s.sc_library; f_entry_tree = entry_tree; f_lex = lexed })
+  in
+  let lexed = List.concat [ List.map (lex false) sources; List.map (lex true) entries ] in
+  let ml, mli = List.partition (fun (s, _) -> Filename.check_suffix s.sc_file ".ml") lexed in
+  let vals =
+    List.concat_map (fun (s, f) -> vals_of_mli ~library:s.sc_library ~file:s.sc_file f.f_lex) mli
+  in
   (* Library modules that have an .mli: their surface is the val list. *)
   let mli_modules = Hashtbl.create 16 in
   let mli_vals = Hashtbl.create 64 in
@@ -375,18 +383,17 @@ let build_sources sources =
       Hashtbl.replace mli_vals (v.v_library, v.v_module, v.v_name) ())
     vals;
   List.iter
-    (fun s ->
+    (fun (s, _) ->
       if Filename.check_suffix s.sc_file ".mli" then
         Hashtbl.replace mli_modules (s.sc_library, module_of_file s.sc_file) ())
     mli;
-  let per_file = List.map (fun s -> (s, defs_of_ml ~library:s.sc_library ~entry:s.sc_entry ~file:s.sc_file s.sc_text)) ml in
-  let all = List.concat_map (fun (_, (ds, _, _)) -> ds) per_file in
-  let files =
+  let per_file =
     List.map
-      (fun (s, (_, _, toks)) ->
-        { f_path = s.sc_file; f_library = s.sc_library; f_entry = s.sc_entry; f_toks = toks })
-      per_file
+      (fun (s, f) ->
+        (s, defs_of_ml ~library:s.sc_library ~entry:s.sc_entry ~file:s.sc_file f.f_lex.S.toks))
+      ml
   in
+  let all = List.concat_map (fun (_, (ds, _)) -> ds) per_file in
   let defs =
     Array.of_list
       (List.mapi
@@ -415,7 +422,7 @@ let build_sources sources =
      the alias target, so the splice below is a rev_append not an append. *)
   let rev_alias = Hashtbl.create 64 in
   List.iter
-    (fun (s, (_, al, _)) ->
+    (fun (s, (_, al)) ->
       Hashtbl.iter
         (fun name target ->
           if target <> name then
@@ -511,7 +518,7 @@ let build_sources sources =
         callees.(c) <-
           List.sort_uniq Int.compare (List.rev_append ids callees.(c)))
     extra;
-  { defs; callees; sites; vals; files }
+  { defs; callees; sites; vals; files = List.map snd lexed }
 
 (* ------------------------------------------------------------------ *)
 (* Directory walking and dune stanza sniffing                         *)
@@ -575,13 +582,17 @@ let rec gather inherited acc path =
   end
 
 let build ?(entries = []) dirs =
-  let acc = ref [] in
-  List.iter (gather None acc) dirs;
-  let lib_sources = !acc in
-  let acc = ref [] in
-  List.iter (gather None acc) entries;
-  let entry_sources = List.map (fun s -> { s with sc_entry = true }) !acc in
-  build_sources (List.rev_append lib_sources (List.rev entry_sources))
+  let walk paths =
+    let acc = ref [] in
+    List.iter (gather None acc) paths;
+    List.rev !acc
+  in
+  build_sources ~entries:(walk entries) (walk dirs)
+
+let per_file ?(entry_trees = true) g pass =
+  List.concat_map
+    (fun f -> if entry_trees || not f.f_entry_tree then pass ~file:f.f_path f.f_lex else [])
+    g.files
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                            *)

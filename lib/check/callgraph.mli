@@ -1,9 +1,10 @@
 (** Project-wide call graph over toplevel definitions, extracted from the
-    {!Srclint} token streams. No ppx, no compiler front end: like the rest
-    of the [check] layer this is a deliberately heuristic, zero-dependency
-    analysis tuned to this repository's ocamlformat style (toplevel
-    definitions at column 1; definitions inside a column-1
-    [module X = struct] block at column 3).
+    one {!Srclint.clean} lexing of each file, which the per-file passes
+    ({!Srclint.lint}, {!Flow}, {!Doc}) read too. No ppx, no compiler front
+    end: like the rest of the [check] layer this is a deliberately
+    heuristic, zero-dependency analysis tuned to this repository's
+    ocamlformat style (toplevel definitions at column 1; definitions
+    inside a column-1 [module X = struct] block at column 3).
 
     The graph is the substrate for {!Effect}: each node is one toplevel
     [let]/[and] definition carrying its body tokens; edges link a
@@ -53,21 +54,21 @@ type vdecl = {
   v_name : string;
   v_line : int;
   v_raise_doc : bool;
-      (** the val's doc comment (after-style, between this [val] and the
-          next) mentions [@raise] *)
+      (** a doc comment (after-style, between this [val] and the next)
+          mentions [@raise]; plain comments do not count *)
 }
 (** One [val] declaration from an [.mli]. *)
 
 type file = {
   f_path : string;
   f_library : string;
-  f_entry : bool;
-  f_toks : Srclint.tok array;  (** full cleaned token stream of the [.ml] *)
+  f_entry_tree : bool;  (** from an [entries] tree, not a PATH: {!Flow} skips it *)
+  f_lex : Srclint.lexed;  (** the file's tokens and comments *)
 }
-(** One analysed [.ml] file's whole token stream, kept alongside the defs
-    so passes that need file-scope context (e.g. {!Share} scanning for
-    [mutable] field declarations or Mutex/Atomic discipline) do not
-    re-tokenize. *)
+(** One lexed [.ml] or [.mli] file, kept alongside the defs so the
+    per-file passes and those that need file-scope context (e.g. {!Share}
+    scanning for [mutable] field declarations or Mutex/Atomic discipline)
+    do not re-lex. *)
 
 type t = {
   defs : def array;
@@ -78,20 +79,27 @@ type t = {
           appears once per site. {!Cost} pairs the token index with its
           lexical loop depth to weight the call. *)
   vals : vdecl list;
-  files : file list;  (** token streams of the [.ml] inputs, in source order *)
+  files : file list;  (** every input, PATH trees first, in walk order *)
 }
 
-val build_sources : source list -> t
-(** Builds the graph from in-memory sources (fixture-friendly). *)
+val build_sources : ?entries:source list -> source list -> t
+(** Builds the graph from in-memory sources (fixture-friendly); [entries]
+    are entry-tree sources, whose [sc_entry] is forced. *)
 
 val build : ?entries:string list -> string list -> t
-(** [build ~entries dirs] scans every [.ml]/[.mli] under [dirs] (library
-    code) and [entries] (executables/tests: their definitions become
-    reachability roots), reading each directory's [dune] file for the
-    library name ([(name ...)], defaulting to the directory basename) and
-    the entry flag ([(executable], [(executables], [(test] or [(tests]
-    stanzas). Files skipped by {!Srclint.source_files} (leading ['.'] or
-    ['_']) are skipped here too. *)
+(** [build ~entries dirs] lexes every [.ml]/[.mli] under [dirs] (library
+    code) and [entries] (executables/tests/examples: their definitions
+    become reachability roots), reading each directory's [dune] file for
+    the library name ([(name ...)], defaulting to the directory basename)
+    and the entry flag ([(executable], [(executables], [(test] or [(tests]
+    stanzas). Entries whose basename starts with ['.'] or ['_'] (e.g.
+    [_build]) are skipped; files are visited in sorted order. This is the
+    one directory walk of [respctl analyze]. *)
+
+val per_file :
+  ?entry_trees:bool -> t -> (file:string -> Srclint.lexed -> Finding.t list) -> Finding.t list
+(** Runs a per-file pass over {!t.files} in order; [~entry_trees:false]
+    skips the files of [entries] trees. *)
 
 val fixpoint :
   n:int -> init:(int -> 'a) -> step:('a array -> int -> 'a) -> equal:('a -> 'a -> bool) -> 'a array

@@ -114,7 +114,7 @@ let depths (body : S.tok array) =
   d
 
 let depths_of_string text =
-  let toks = S.tokenize (S.clean text).S.text in
+  let toks = (S.clean text).S.toks in
   let d = depths toks in
   Array.mapi (fun i { S.t; _ } -> (t, d.(i))) toks
 

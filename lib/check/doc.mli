@@ -1,7 +1,7 @@
 (** Odoc-build stand-in: structural validation of doc comments.
 
-    The container has no [odoc], so [dune build @doc] cannot render the
-    API docs; this pass catches the mistakes an odoc build would reject
+    The container has no [odoc] to render the API docs; this pass of
+    [respctl analyze] catches the mistakes an odoc build would reject
     (or silently swallow) in the [@raise] contracts that the effect
     analysis leans on: a tag line whose tag odoc does not know (the
     [@raises] typo turns a documented raise into prose), a [@raise]
@@ -10,13 +10,9 @@
     odoc's block-tag grammar, so an [@@] inside an inline code span is
     never misread as a tag. *)
 
-val rules : (string * string) list
-(** Rule ids and one-line descriptions, for [--rules] listings. *)
+val rules : Finding.rule list
+(** The three doc rules, all errors. *)
 
-val check_string : file:string -> string -> Finding.t list
-(** Validate one source file's doc comments. [file] is used for
-    positions only. *)
-
-val check_paths : string list -> Finding.t list
-(** Validate every [.ml]/[.mli] under the given files/directories
-    (recursively, via {!Srclint.source_files}). *)
+val check : file:string -> Srclint.lexed -> Finding.t list
+(** Validates the doc comments of one lexed file, read from its
+    {!Srclint.comment} list; [file] is used for positions only. *)

@@ -99,7 +99,7 @@ let base_of_body (body : S.tok array) =
   done;
   !e
 
-let base_of_string text = base_of_body (S.tokenize (S.clean text).S.text)
+let base_of_string text = base_of_body (S.clean text).S.toks
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                           *)

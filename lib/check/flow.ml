@@ -14,18 +14,24 @@
 
 module S = Srclint
 
-let rules =
-  [
-    ( "div-unguarded",
-      "float division whose divisor is not provably nonzero via a dominating guard, a nonzero \
-       binding, or max <positive>" );
-    ("nan-compare", "comparison that mishandles NaN: a [nan] operand, or the x <> x idiom");
-    ( "magic-unit",
-      "raw unit-carrying literal (magnitude >= 1e6) outside Eutil.Units constructors and named \
-       bindings" );
-    ( "unit-relabel",
-      "to_float fed straight back into a Units constructor without a dimension annotation" );
-  ]
+let div_unguarded =
+  Finding.rule "div-unguarded"
+    "float division whose divisor is not provably nonzero via a dominating guard, a nonzero \
+     binding, or max <positive>"
+
+let nan_compare =
+  Finding.rule "nan-compare" "comparison that mishandles NaN: a [nan] operand, or the x <> x idiom"
+
+let magic_unit =
+  Finding.rule "magic-unit"
+    "raw unit-carrying literal (magnitude >= 1e6) outside Eutil.Units constructors and named \
+     bindings"
+
+let unit_relabel =
+  Finding.rule "unit-relabel"
+    "to_float fed straight back into a Units constructor without a dimension annotation"
+
+let rules = [ div_unguarded; nan_compare; magic_unit; unit_relabel ]
 
 (* ------------------------------- token taxonomy ------------------------ *)
 
@@ -126,7 +132,7 @@ let scan ~magic_exempt toks =
     (if Hashtbl.mem comparison_ops t then begin
        let nan_operand j = S.last_component (text j) = "nan" in
        if nan_operand (i - 1) || nan_operand (i + 1) then
-         add "nan-compare" tk
+         add nan_compare tk
            "comparison with nan is vacuous (IEEE 754 makes it false); use Float.is_nan"
        else if
          (* Only the disequality spellings: [let f x = x ...] makes [=]
@@ -136,14 +142,14 @@ let scan ~magic_exempt toks =
          && text (i - 1) = text (i + 1)
          && not (same_line (i + 1) (i + 2) && (is_ident (text (i + 2)) || text (i + 2) = "("))
        then
-         add "nan-compare" tk
+         add nan_compare tk
            "self-comparison is a NaN probe in disguise; say Float.is_nan explicitly"
      end);
     (* --- div-unguarded ----------------------------------------------- *)
     (if t = "/." then begin
        let flag_ident who =
          if not (known who) then
-           add "div-unguarded" tk
+           add div_unguarded tk
              (Printf.sprintf
                 "divisor [%s] is not provably nonzero here; guard it, bind it via max, or use \
                  Eutil.Units.div_opt"
@@ -152,14 +158,14 @@ let scan ~magic_exempt toks =
        let d = text (i + 1) in
        if S.is_number d then begin
          match number_value d with
-         | Some 0.0 -> add "div-unguarded" tk "division by the literal zero"
+         | Some 0.0 -> add div_unguarded tk "division by the literal zero"
          | _ -> ()
        end
        else if d = "float_of_int" then begin
          let d2 = text (i + 2) in
          if S.is_number d2 then begin
            match number_value d2 with
-           | Some 0.0 -> add "div-unguarded" tk "division by the literal zero"
+           | Some 0.0 -> add div_unguarded tk "division by the literal zero"
            | _ -> ()
          end
          else if standalone_operand (i + 2) then flag_ident d2
@@ -168,13 +174,13 @@ let scan ~magic_exempt toks =
        else if d = "max" || d = "Float.max" then begin
          match number_value (text (i + 2)) with
          | Some v when v <= 0.0 ->
-             add "div-unguarded" tk
+             add div_unguarded tk
                "max with a non-positive floor does not bound the divisor away from zero"
          | Some _ -> ()
          | None ->
              (* no literal floor in sight: the bound is not evident *)
              if standalone_operand (i + 2) then
-               add "div-unguarded" tk
+               add div_unguarded tk
                  "max with a non-positive floor does not bound the divisor away from zero"
        end
        else if standalone_operand (i + 1) then flag_ident d
@@ -189,7 +195,7 @@ let scan ~magic_exempt toks =
            let wrapped = is_unit_ctor p1 || (p1 = "(" && is_unit_ctor p2) in
            let named_binding = p1 = "=" && is_ident p2 in
            if not (wrapped || named_binding) then
-             add "magic-unit" tk
+             add magic_unit tk
                (Printf.sprintf
                   "unit-carrying literal %s should pass through an Eutil.Units constructor or be \
                    bound to a named constant"
@@ -211,7 +217,7 @@ let scan ~magic_exempt toks =
         incr j
       done;
       if !has_to_float && not !has_annot then
-        add "unit-relabel" tk
+        add unit_relabel tk
           "to_float stripped a dimension that this constructor silently re-assigns; annotate the \
            intermediate (e.g. (x : Eutil.Units.watts Eutil.Units.q)) or keep the quantity typed"
     end
@@ -220,8 +226,5 @@ let scan ~magic_exempt toks =
 
 (* ------------------------------- drivers ------------------------------- *)
 
-let analyze_string ~file source =
-  S.findings_of_scan ~file (scan ~magic_exempt:(Filename.basename file = "units.ml")) source
-
-let analyze_paths paths =
-  List.concat_map (fun path -> analyze_string ~file:path (S.read_file path)) (S.source_files paths)
+let analyze ~file lexed =
+  S.findings_of_scan ~file (scan ~magic_exempt:(Filename.basename file = "units.ml")) lexed

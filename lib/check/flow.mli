@@ -1,8 +1,8 @@
 (** Intraprocedural numeric-safety dataflow analysis.
 
-    Reuses the {!Srclint} lexer (comment/string blanking, pragma harvest,
-    tokenizer) to build per-function token streams — a function is a
-    toplevel [let]/[and] at column 1 — and runs a single forward pass with
+    Reads the tokens of each file's one {!Srclint.clean} lexing as
+    per-function streams — a function is a toplevel [let]/[and] at
+    column 1 — and runs a single forward pass with
     a two-point lattice per identifier, {b Top} (may be zero) and
     {b NonZero}. Facts are established by comparisons against numeric
     literals, bindings to nonzero constants, and [max <positive>] floors;
@@ -27,13 +27,9 @@
     Suppression uses the {!Srclint} pragma syntax:
     [(* lint: allow div-unguarded ... *)]. *)
 
-val rules : (string * string) list
-(** [(id, description)] for every analysis rule. *)
+val rules : Finding.rule list
+(** The four flow rules, all errors. *)
 
-val analyze_string : file:string -> string -> Finding.t list
-(** Analyzes source text; [file] is used for locations and for the
+val analyze : file:string -> Srclint.lexed -> Finding.t list
+(** Analyzes one lexed file; [file] is used for locations and for the
     [magic-unit] exemption of [units.ml]. *)
-
-val analyze_paths : string list -> Finding.t list
-(** Analyzes every [.ml]/[.mli] under the given files/directories,
-    with {!Srclint.source_files} traversal rules. *)

@@ -90,7 +90,7 @@ let file_discipline (files : Callgraph.file list) =
         Array.exists
           (fun { S.t; _ } ->
             List.exists (fun p -> String.starts_with ~prefix:p t) discipline_prefixes)
-          f.Callgraph.f_toks
+          f.Callgraph.f_lex.S.toks
       in
       Hashtbl.replace tbl f.Callgraph.f_path disciplined)
     files;
@@ -102,7 +102,7 @@ let mutable_fields (files : Callgraph.file list) =
   let tbl = Hashtbl.create 32 in
   List.iter
     (fun (f : Callgraph.file) ->
-      let toks = f.Callgraph.f_toks in
+      let toks = f.Callgraph.f_lex.S.toks in
       Array.iteri
         (fun i { S.t; _ } ->
           if t = "mutable" && i + 1 < Array.length toks then begin

@@ -1,50 +1,33 @@
-let rules =
-  [
-    ( "poly-compare",
-      "bare polymorphic compare/Stdlib.compare; unsafe on float-carrying tuples or records" );
-    ("obj-magic", "Obj.magic defeats the type system");
-    ("hashtbl-find", "bare Hashtbl.find raises an anonymous Not_found");
-    ("catchall-try", "try ... with _ -> swallows every exception");
-    ("list-nth", "List.nth is O(n) per access; quadratic inside loops");
-  ]
+let poly_compare =
+  Finding.rule "poly-compare"
+    "bare polymorphic compare/Stdlib.compare; unsafe on float-carrying tuples or records"
+
+let obj_magic = Finding.rule "obj-magic" "Obj.magic defeats the type system"
+let hashtbl_find = Finding.rule "hashtbl-find" "bare Hashtbl.find raises an anonymous Not_found"
+let catchall_try = Finding.rule "catchall-try" "try ... with _ -> swallows every exception"
+let list_nth = Finding.rule "list-nth" "List.nth is O(n) per access; quadratic inside loops"
+let rules = [ poly_compare; obj_magic; hashtbl_find; catchall_try; list_nth ]
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: blank out comments, strings, and char literals (preserving
-   newlines and byte offsets) and harvest suppression pragmas.        *)
+   newlines and byte offsets) and record every comment.               *)
 (* ------------------------------------------------------------------ *)
 
 let is_lower_char c = c >= 'a' && c <= 'z'
-let is_rule_char c = is_lower_char c || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
-(* A pragma comment reads "lint: allow <rule> <rule> ...". *)
-let parse_pragma text =
-  let words =
-    String.map (fun c -> if c = '\n' || c = '\t' || c = ',' then ' ' else c) text
-    |> String.split_on_char ' '
-    |> List.filter (fun w -> w <> "")
-  in
-  let rec scan = function
-    | "lint:" :: "allow" :: rest ->
-        let rec take acc = function
-          | w :: r when w <> "" && String.for_all is_rule_char w -> take (w :: acc) r
-          | _ -> List.rev acc
-        in
-        take [] rest
-    | _ :: rest -> scan rest
-    | [] -> []
-  in
-  scan words
+type comment = {
+  c_line : int;
+  c_end : int;
+  c_text : string;
+  c_doc : bool;
+  c_own_line : bool;
+  c_closed : bool;
+}
 
-type cleaned = { text : string; pragmas : (int, string list) Hashtbl.t }
-
-let clean source =
+let erase source =
   let n = String.length source in
   let out = Bytes.of_string source in
-  let pragmas = Hashtbl.create 8 in
-  let add_pragma l rs =
-    if rs <> [] then
-      Hashtbl.replace pragmas l (rs @ Option.value (Hashtbl.find_opt pragmas l) ~default:[])
-  in
+  let comments = ref [] in
   let line = ref 1 in
   let line_has_code = ref false in
   let i = ref 0 in
@@ -85,7 +68,9 @@ let clean source =
     let c = source.[!i] in
     if c = '(' && !i + 1 < n && source.[!i + 1] = '*' then begin
       let start_line = !line in
-      let standalone = not !line_has_code in
+      let own_line = not !line_has_code in
+      (* Exactly "(**": "(***" opens a plain comment. *)
+      let doc = !i + 2 < n && source.[!i + 2] = '*' && not (!i + 3 < n && source.[!i + 3] = '*') in
       Buffer.clear buf;
       blank_step ();
       blank_step ();
@@ -114,12 +99,16 @@ let clean source =
           blank_step ()
         end
       done;
-      let end_line = !line in
-      let rs = parse_pragma (Buffer.contents buf) in
-      for l = start_line to end_line do
-        add_pragma l rs
-      done;
-      if standalone then add_pragma (end_line + 1) rs
+      comments :=
+        {
+          c_line = start_line;
+          c_end = !line;
+          c_text = Buffer.contents buf;
+          c_doc = doc;
+          c_own_line = own_line;
+          c_closed = !depth = 0;
+        }
+        :: !comments
     end
     else if c = '"' then begin
       line_has_code := true;
@@ -184,7 +173,7 @@ let clean source =
       step ()
     end
   done;
-  { text = Bytes.to_string out; pragmas }
+  (Bytes.to_string out, List.rev !comments)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: tokenize the cleaned text.                                 *)
@@ -327,11 +316,17 @@ let tokenize text =
   done;
   Array.of_list (List.rev !toks)
 
+type lexed = { toks : tok array; comments : comment list }
+
+let clean source =
+  let text, comments = erase source in
+  { toks = tokenize text; comments }
+
 (* ------------------------------------------------------------------ *)
 (* Pass 3: the rule engine.                                           *)
 (* ------------------------------------------------------------------ *)
 
-type raw = { rule : string; rline : int; rcol : int; msg : string }
+type raw = { rule : Finding.rule; rline : int; rcol : int; msg : string }
 
 (* Keywords after which a bare [compare] token is a definition or a label,
    not a use of the polymorphic primitive. *)
@@ -350,18 +345,18 @@ let scan_tokens toks =
     (fun idx tk ->
       match tk.t with
       | "Obj.magic" ->
-          add "obj-magic" tk.tline tk.tcol "Obj.magic defeats the type system; restructure instead"
+          add obj_magic tk.tline tk.tcol "Obj.magic defeats the type system; restructure instead"
       | "List.nth" ->
-          add "list-nth" tk.tline tk.tcol
+          add list_nth tk.tline tk.tcol
             "List.nth is O(n) per access; use an array, pattern matching, or explicit recursion"
       | "Hashtbl.find" ->
-          add "hashtbl-find" tk.tline tk.tcol
+          add hashtbl_find tk.tline tk.tcol
             "bare Hashtbl.find raises an anonymous Not_found; use find_opt or raise a descriptive \
              error naming the missing key"
       | "compare" | "Stdlib.compare" ->
           let prev = if idx > 0 then toks.(idx - 1).t else "" in
           if not (Hashtbl.mem compare_definers prev) then
-            add "poly-compare" tk.tline tk.tcol
+            add poly_compare tk.tline tk.tcol
               "polymorphic compare mis-orders NaN and is megamorphic; use an explicit comparator \
                (Float.compare, Int.compare, a tuple comparator, ...)"
       | "{" -> incr brace
@@ -382,7 +377,7 @@ let scan_tokens toks =
                   && toks.(!j).t = "_"
                   && (toks.(!j + 1).t = "->" || toks.(!j + 1).t = "when")
                 then
-                  add "catchall-try" toks.(!j).tline toks.(!j).tcol
+                  add catchall_try toks.(!j).tline toks.(!j).tcol
                     "catch-all exception handler swallows every failure (including Out_of_memory \
                      and Assert_failure); match the specific exceptions instead"
               end
@@ -391,45 +386,53 @@ let scan_tokens toks =
     toks;
   List.rev !out
 
-let suppressed cleaned ~rule ~line =
-  let allowed = Option.value (Hashtbl.find_opt cleaned.pragmas line) ~default:[] in
-  List.mem rule allowed || List.mem "all" allowed
+let is_rule_char c = is_lower_char c || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
-let findings_of_scan ~file scan source =
-  let cleaned = clean source in
-  List.filter_map
-    (fun r ->
-      if suppressed cleaned ~rule:r.rule ~line:r.rline then None
-      else
-        Some
-          (Finding.v ~rule:r.rule ~where:(Printf.sprintf "%s:%d:%d" file r.rline r.rcol) r.msg))
-    (scan (tokenize cleaned.text))
+(* A pragma comment reads "lint: allow <rule> <rule> ...". *)
+let parse_pragma text =
+  let words =
+    String.map (fun c -> if c = '\n' || c = '\t' || c = ',' then ' ' else c) text
+    |> String.split_on_char ' '
+    |> List.filter (fun w -> w <> "")
+  in
+  let rec scan = function
+    | "lint:" :: "allow" :: rest ->
+        let rec take acc = function
+          | w :: r when w <> "" && String.for_all is_rule_char w -> take (w :: acc) r
+          | _ -> List.rev acc
+        in
+        take [] rest
+    | _ :: rest -> scan rest
+    | [] -> []
+  in
+  scan words
 
-let lint_string ~file source = findings_of_scan ~file scan_tokens source
+(* A pragma comment covers every line it spans; one on its own line also
+   covers the next. *)
+let allows r (c, rs) =
+  let last = if c.c_own_line then c.c_end + 1 else c.c_end in
+  c.c_line <= r.rline && r.rline <= last && (List.mem r.rule.Finding.id rs || List.mem "all" rs)
+
+let findings_of_scan ~file scan lexed =
+  match scan lexed.toks with
+  | [] -> []
+  | raws ->
+      let pragmas =
+        List.filter_map
+          (fun c -> match parse_pragma c.c_text with [] -> None | rs -> Some (c, rs))
+          lexed.comments
+      in
+      List.filter_map
+        (fun r ->
+          if List.exists (allows r) pragmas then None
+          else
+            Some (Finding.emit r.rule ~where:(Printf.sprintf "%s:%d:%d" file r.rline r.rcol) r.msg))
+        raws
+
+let lint ~file lexed = findings_of_scan ~file scan_tokens lexed
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let is_source path =
-  Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-
-let hidden base = String.length base > 0 && (base.[0] = '.' || base.[0] = '_')
-
-let rec collect acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry -> if hidden entry then acc else collect acc (Filename.concat path entry))
-      acc
-      (let entries = Sys.readdir path in
-       Array.sort String.compare entries;
-       entries)
-  else if is_source path then path :: acc
-  else acc
-
-let source_files paths = List.fold_left collect [] paths |> List.rev
-
-let lint_paths paths =
-  List.concat_map (fun path -> lint_string ~file:path (read_file path)) (source_files paths)

@@ -18,38 +18,50 @@
     rules (or [all]) on every line the comment spans; when the comment is the
     first thing on its line it also covers the following line. *)
 
-val rules : (string * string) list
-(** [(id, description)] for every lint rule, for [--help]-style listings. *)
+val rules : Finding.rule list
+(** The five lint rules, all errors, for [--list-rules]. *)
 
 (** {1 Lexer}
 
-    The two front-end passes are exposed so that other token-stream analyses
-    ({!Flow}) share one OCaml lexer instead of re-implementing comment,
-    string, and literal handling. *)
+    Every pass reads a file through one {!clean}: {!Callgraph.build} lexes
+    each file once, and the lint, flow and doc passes, the call graph and
+    its [@raise] attachment all work from that one copy. *)
 
-type cleaned = { text : string; pragmas : (int, string list) Hashtbl.t }
-(** Source with comments/strings/char literals blanked to spaces (newlines
-    and byte offsets preserved) plus the harvested suppression pragmas,
-    keyed by line number. *)
-
-val clean : string -> cleaned
+type comment = {
+  c_line : int;  (** line of the opening delimiter *)
+  c_end : int;  (** line of the closing delimiter, or the last line when unclosed *)
+  c_text : string;  (** the text between the delimiters, nested comments included *)
+  c_doc : bool;  (** a doc comment: two stars open it, not one or three *)
+  c_own_line : bool;  (** no code precedes it on its first line *)
+  c_closed : bool;  (** false when the input ends inside it *)
+}
 
 type tok = { t : string; tline : int; tcol : int }
-(** One token of cleaned source: an identifier (dotted paths joined, e.g.
+(** One token of the code: an identifier (dotted paths joined, e.g.
     ["Hashtbl.find"]), a number literal with its spelling preserved (e.g.
     ["2.5e9"]), a two-character operator (["/."], ["<>"], ...), or a single
-    punctuation character. *)
+    punctuation character. Positions are 1-based line/column. *)
 
-val tokenize : string -> tok array
-(** Tokenizes cleaned text; positions are 1-based line/column. *)
+type lexed = {
+  toks : tok array;
+  comments : comment list;  (** in source order *)
+}
 
-type raw = { rule : string; rline : int; rcol : int; msg : string }
+val clean : string -> lexed
+(** The one OCaml lexer: blanks comments, string, quoted-string and char
+    literals (so no rule sees code inside them), records each comment
+    once, and tokenizes the rest. *)
+
+type raw = { rule : Finding.rule; rline : int; rcol : int; msg : string }
 (** One rule hit of a token scan, before suppression. *)
 
-val findings_of_scan : file:string -> (tok array -> raw list) -> string -> Finding.t list
-(** Cleans and tokenizes source text, runs [scan] over the tokens, drops
-    the hits a [(* lint: allow <rule> ... *)] pragma (or [allow all])
-    suppresses, and locates the rest at ["file:line:col"]. *)
+val findings_of_scan : file:string -> (tok array -> raw list) -> lexed -> Finding.t list
+(** Runs [scan] over the tokens, drops the hits a
+    [(* lint: allow <rule> ... *)] (or [allow all]) comment suppresses, and
+    locates the rest at ["file:line:col"]. *)
+
+val lint : file:string -> lexed -> Finding.t list
+(** The lint pass over one lexed file; [file] is used only for locations. *)
 
 val is_number : string -> bool
 (** Whether a token is a number literal (starts with a digit). *)
@@ -71,15 +83,3 @@ val last_component : string -> string
 (** The text after the last ['.'], or the whole string. *)
 
 val read_file : string -> string
-
-val source_files : string list -> string list
-(** Every [.ml]/[.mli] under the given files/directories (recursively),
-    skipping entries whose basename starts with ['.'] or ['_']. *)
-
-val lint_string : file:string -> string -> Finding.t list
-(** Lints source text; [file] is used only for locations. *)
-
-val lint_paths : string list -> Finding.t list
-(** Lints every [.ml]/[.mli] under the given files/directories
-    (recursively), skipping entries whose basename starts with ['.'] or
-    ['_'] (e.g. [_build]). Findings are ordered by file, then line. *)

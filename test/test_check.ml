@@ -10,8 +10,9 @@ module Graph = Topo.Graph
 module Path = Topo.Path
 
 let rule_ids fs = List.sort_uniq String.compare (List.map (fun f -> f.F.rule) fs)
+let rule_ids_of rules = List.map (fun (r : F.rule) -> r.F.id) rules
 
-let lint src = Lint.lint_string ~file:"fixture.ml" src
+let lint src = Lint.lint ~file:"fixture.ml" (Lint.clean src)
 
 let fires rule src =
   Alcotest.(check bool) (rule ^ " fires") true (F.has_rule rule (lint src))
@@ -69,7 +70,7 @@ let test_locations_and_severity () =
   | _ -> Alcotest.fail "expected exactly one finding"
 
 let test_rules_catalogue () =
-  let ids = List.map fst Lint.rules in
+  let ids = rule_ids_of Lint.rules in
   Alcotest.(check int) "five lint rules" 5 (List.length ids);
   List.iter
     (fun id -> Alcotest.(check bool) (id ^ " listed") true (List.mem id ids))
@@ -124,7 +125,7 @@ let test_lexer_attributes () =
 
 (* ------------------------------- Flow -------------------------------- *)
 
-let analyze ?(file = "fixture.ml") src = Check.Flow.analyze_string ~file src
+let analyze ?(file = "fixture.ml") src = Check.Flow.analyze ~file (Lint.clean src)
 
 let flow_fires rule src =
   Alcotest.(check bool) (rule ^ " fires") true (F.has_rule rule (analyze src))
@@ -182,7 +183,7 @@ let test_flow_unit_relabel () =
 let test_flow_pragmas_and_catalogue () =
   flow_clean "pragma same line" "let f a b = a /. b (* lint: allow div-unguarded *)\n";
   flow_clean "pragma preceding" "(* lint: allow nan-compare *)\nlet bad x = x <> x\n";
-  let ids = List.map fst Check.Flow.rules in
+  let ids = rule_ids_of Check.Flow.rules in
   Alcotest.(check int) "four analysis rules" 4 (List.length ids);
   List.iter
     (fun id -> Alcotest.(check bool) (id ^ " listed") true (List.mem id ids))
@@ -517,21 +518,26 @@ let test_effect_nondet_export_rule () =
     (F.has_rule "nondet-export" (Eff.analyze good))
 
 let test_effect_undocumented_raise_rule () =
+  (* [todo] mentions @raise only in a plain comment, which documents
+     nothing: only doc comments count. *)
   let g =
     Cg.build_sources
       [
         src ~lib:"alib" "alib/r.ml"
-          "let boom () = failwith \"no\"\n\nlet quiet () = failwith \"no\"\n";
+          "let boom () = failwith \"no\"\n\nlet quiet () = failwith \"no\"\n\n\
+           let todo () = failwith \"no\"\n";
         src ~lib:"alib" "alib/r.mli"
           "val boom : unit -> unit\n(** Always fails.\n    @raise Failure always. *)\n\n\
-           val quiet : unit -> unit\n(** Undocumented. *)\n";
+           val quiet : unit -> unit\n(** Undocumented. *)\n\n\
+           val todo : unit -> unit\n(** Always fails. *)\n(* TODO: document the @raise *)\n";
       ]
   in
   let hits =
     List.filter (fun f -> f.F.rule = "undocumented-raise") (Eff.analyze g)
     |> List.map (fun f -> f.F.where)
   in
-  Alcotest.(check (list string)) "only the undocumented val" [ "alib/r.mli:5" ] hits
+  Alcotest.(check (list string))
+    "only the undocumented vals" [ "alib/r.mli:5"; "alib/r.mli:8" ] hits
 
 (* Monotonicity of the shared solver: adding one edge to a random graph
    never shrinks any summary, on Effect's union lattice and on Cost's
@@ -856,8 +862,6 @@ let test_share_manifest_parse () =
     (rejects "{\"parallel\": {\"chaos\": \"Harness.run_trial\"}}");
   Alcotest.(check bool) "unterminated string" true (rejects "{\"parallel\": {\"chaos")
 
-let rule_ids_of rules = List.map (fun (r : F.rule) -> r.F.id) rules
-
 let test_share_rules_catalogue () =
   let ids = rule_ids_of Sh.rules in
   Alcotest.(check (list string))
@@ -1034,7 +1038,7 @@ let test_cost_rules_catalogue () =
 
 (* ----------------------- Check.Doc (odoc stand-in) -------------------- *)
 
-let doc_findings text = Check.Doc.check_string ~file:"fix.mli" text
+let doc_findings text = Check.Doc.check ~file:"fix.mli" (Lint.clean text)
 
 let test_doc_clean () =
   let text =
@@ -1064,6 +1068,13 @@ let test_doc_unknown_tag () =
       Alcotest.(check string) "rule" "doc-unknown-tag" f.F.rule;
       Alcotest.(check bool) "names the tag" true (contains_sub f.F.message "@raises")
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
+  (* A quoted string holding a comment opener is code: the doc comment
+     after it is still checked. *)
+  (match doc_findings "let s = {|(*|}\n(** Text.\n    @raises Invalid_argument typo. *)\n" with
+  | [ f ] ->
+      Alcotest.(check string) "rule after a quoted string" "doc-unknown-tag" f.F.rule;
+      Alcotest.(check string) "line of the tag" "fix.mli:3" f.F.where
+  | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
   (* A mid-line @ (operator prose, e-mail, code span) is never a tag. *)
   Alcotest.(check int) "mid-line @ ignored" 0
     (List.length (doc_findings "(** Concatenation is [xs @ ys]; mail root@example. *)\n"))
@@ -1085,7 +1096,7 @@ let test_doc_plain_comments_exempt () =
 let test_doc_rules_catalogue () =
   Alcotest.(check (list string)) "rule ids"
     [ "raise-malformed"; "doc-unknown-tag"; "doc-unterminated" ]
-    (List.map fst Check.Doc.rules)
+    (rule_ids_of Check.Doc.rules)
 
 (* ------------------------------- lock -------------------------------- *)
 
