@@ -19,6 +19,16 @@
       Section 4.5);
     - power integration from the element activity states.
 
+    Rates are kept in a per-run ledger rather than rebuilt: each table
+    pair caches its placements, wake requests and achieved rate, and a
+    state change marks only the pairs it can affect (a split or fallback
+    change marks the probed pair, a failure or sleep/wake on a link the
+    pairs whose installed paths cross it, a demand change every pair). A
+    rate computation re-decides the marked pairs and every pair on the
+    dynamic-fallback branch, then re-folds all cached placements in the
+    order a from-scratch rebuild would sum them, so every rate is
+    bit-identical to one (DESIGN.md §3, item 4).
+
     Packet-level artefacts (queueing jitter, loss bursts) are out of scope;
     the quantities the paper reports — rates over time, activation delays,
     power — are flow-level. *)
@@ -87,4 +97,7 @@ val run :
   result
 (** Runs the scenario. Links start active if any pair's initial split uses
     them (default: the always-on footprint) and asleep otherwise; demand is
-    zero until the first [Set_demand]. *)
+    zero until the first [Set_demand].
+    @raise Invalid_argument if [initial_splits] names a pair twice, names a
+    pair the tables do not hold, or gives a split whose length differs
+    from the pair's path count. *)

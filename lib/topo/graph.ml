@@ -46,13 +46,11 @@ let in_arcs g n = g.in_adj.(n)
 let degree g n = Array.length g.out_adj.(n)
 let link_endpoints g l = g.links.(l)
 
+(* [Builder.build] lays link l out as arcs 2l and 2l + 1. *)
 let arcs_of_link g l =
-  let i, j = g.links.(l) in
-  match Hashtbl.find_opt g.by_ends (i, j) with
-  | Some a -> (a, g.arcs.(a).rev)
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Graph.arcs_of_link: link %d (%s-%s) has no arc" l g.names.(i) g.names.(j))
+  if l < 0 || l >= Array.length g.links then
+    invalid_arg (Printf.sprintf "Graph.arcs_of_link: link %d out of range" l);
+  (2 * l, (2 * l) + 1)
 
 let link_capacity g l =
   let a, _ = arcs_of_link g l in

@@ -59,7 +59,9 @@ val link_endpoints : t -> int -> int * int
 (** Endpoints of an undirected link, in arc order. *)
 
 val arcs_of_link : t -> int -> int * int
-(** The two opposite arcs of a link.
+(** The two opposite arcs of a link: link [l] is always laid out as arc
+    [2l], from the first to the second of its {!link_endpoints}, and arc
+    [2l + 1] back, so this is [(2 * l, 2 * l + 1)].
     @raise Invalid_argument on an out-of-range link id. *)
 
 val link_capacity : t -> int -> float

@@ -340,6 +340,239 @@ let prop_sim_invariants =
              && sm.Sim.rate_total <= sm.Sim.demand_total +. 1.0)
            r.Sim.samples)
 
+(* Malformed [initial_splits] raise: a pair named twice (links would wake
+   for one of its splits while TE keeps the other), a pair the tables do not
+   hold, and a split of the wrong length. *)
+let run_with_splits initial_splits () =
+  let ex, tables = Fixtures.fig3_tables () in
+  ignore
+    (Sim.run ~config:fig7_config ~initial_splits ~tables ~power:(power_of ex) ~events:[]
+       ~duration:0.1 ())
+
+let first_pair () =
+  let _, tables = Fixtures.fig3_tables () in
+  match Response.Tables.pairs tables with
+  | od :: _ -> od
+  | [] -> Alcotest.fail "the figure 3 tables hold no pair"
+
+let test_initial_splits_repeated_pair () =
+  let od = first_pair () in
+  Alcotest.check_raises "repeated pair"
+    (Invalid_argument "Sim.run: repeated pair in initial_splits")
+    (run_with_splits [ (od, [| 1.0; 0.0 |]); (od, [| 0.0; 1.0 |]) ])
+
+let test_initial_splits_unknown_pair () =
+  let o, _ = first_pair () in
+  Alcotest.check_raises "unknown pair" (Invalid_argument "Te.force_split: unknown pair")
+    (run_with_splits [ ((o, o), [| 1.0 |]) ])
+
+let test_initial_splits_wrong_arity () =
+  Alcotest.check_raises "wrong arity" (Invalid_argument "Te.force_split: wrong arity")
+    (run_with_splits [ (first_pair (), [| 1.0; 0.0; 0.0 |]) ])
+
+(* Oracle: the rate ledger re-decides only dirty pairs, yet every run must
+   equal the frozen rebuild-everything simulator bit for bit. Scenarios mix
+   GÉANT and fat-tree tables, link, node and SRLG faults, a flap, a surge,
+   random TE settings and random initial splits held until [te_start]. *)
+
+type setup = { tables : Response.Tables.t; power : Power.Model.t; base : Traffic.Matrix.t }
+
+let geant_setup =
+  lazy
+    (let g = Topo.Geant.make () in
+     let power = Power.Model.cisco12000 g in
+     let pairs = Traffic.Gravity.random_node_pairs g ~seed:7 ~fraction:0.7 in
+     {
+       tables = Response.Framework.precompute g power ~pairs;
+       power;
+       base = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 5.0) ();
+     })
+
+let fattree_setup =
+  lazy
+    (let g = (Topo.Fattree.make 4).Topo.Fattree.graph in
+     let power = Power.Model.commodity_dc g in
+     let pairs = Traffic.Gravity.random_node_pairs g ~seed:7 ~fraction:0.7 in
+     {
+       tables = Response.Framework.precompute g power ~pairs;
+       power;
+       base = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 2.0) ();
+     })
+
+let scenario seed =
+  let rng = Eutil.Prng.create seed in
+  let coin () = Eutil.Prng.int rng 2 = 0 in
+  let range = Eutil.Prng.range rng in
+  let { tables; power; base } = Lazy.force (if coin () then geant_setup else fattree_setup) in
+  let g = Response.Tables.graph tables in
+  let duration = range 0.5 2.0 in
+  let process lo hi = Some { Fault.Scenario.mtbf = range lo hi; mttr = range 0.05 0.8 } in
+  let srlgs =
+    if coin () then Fault.Scenario.random_srlgs g rng ~groups:(1 + Eutil.Prng.int rng 2) ~size:2
+    else []
+  in
+  let spec =
+    {
+      Fault.Scenario.seed;
+      duration;
+      warmup = range 0.0 (duration /. 4.0);
+      link_faults = (if coin () then process 0.3 4.0 else None);
+      node_faults = (if coin () then process 0.5 6.0 else None);
+      srlgs;
+      srlg_faults = (if srlgs = [] then None else process 0.5 4.0);
+      flapping =
+        (if coin () then
+           Some
+             {
+               Fault.Scenario.flap_link = None;
+               flap_period = range 0.1 0.6;
+               flap_cycles = 1 + Eutil.Prng.int rng 4;
+               flap_start = range 0.0 (duration /. 2.0);
+             }
+         else None);
+      surges =
+        (if coin () then
+           [
+             {
+               Fault.Scenario.surge_at = range 0.0 duration;
+               surge_factor = range 1.2 3.0;
+               surge_duration = range 0.1 0.8;
+             };
+           ]
+         else []);
+    }
+  in
+  let te_start = if coin () then range 0.05 0.5 else 0.0 in
+  let config =
+    {
+      Sim.te =
+        {
+          Response.Te.default_config with
+          Response.Te.probe_period = Eutil.Units.seconds (range 0.03 0.15);
+          panic_retries = Eutil.Prng.int rng 3;
+          panic_backoff = Eutil.Units.seconds (range 0.02 0.2);
+        };
+      wake_time = range 0.005 0.3;
+      failure_detection = range 0.01 0.3;
+      idle_timeout = range 0.1 1.0;
+      sample_interval = (if coin () then 0.05 else 0.1);
+      te_start;
+      transition_energy = range 0.0 5.0;
+    }
+  in
+  (* Random splits over a random half of the pairs, zeros (and all-zero
+     splits) included. *)
+  let initial_splits =
+    if te_start = 0.0 then []
+    else
+      List.filter_map
+        (fun (o, d) ->
+          match Response.Tables.find tables o d with
+          | Some e when coin () ->
+              let n = Array.length (Response.Tables.paths e) in
+              Some ((o, d), Array.init n (fun _ -> if coin () then 0.0 else range 0.0 1.0))
+          | _ -> None)
+        (Response.Tables.pairs tables)
+  in
+  let events = Fault.Scenario.events spec g ~base in
+  (config, initial_splits, tables, power, events, duration)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The first field where two results differ, if any. *)
+let result_mismatch (a : Sim.result) (b : Sim.result) =
+  let floats name x y =
+    if same_float x y then None else Some (Printf.sprintf "%s: %h vs %h" name x y)
+  in
+  let ints name x y = if x = y then None else Some (Printf.sprintf "%s: %d vs %d" name x y) in
+  let pair_rates (x : Sim.sample) (y : Sim.sample) =
+    List.length x.Sim.pair_rates = List.length y.Sim.pair_rates
+    && List.for_all2
+         (fun ((o, d), r) ((o', d'), r') -> o = o' && d = d' && same_float r r')
+         x.Sim.pair_rates y.Sim.pair_rates
+  in
+  let sample i (x : Sim.sample) (y : Sim.sample) =
+    let at name = Printf.sprintf "sample %d %s" i name in
+    List.find_map Fun.id
+      [
+        floats (at "time") x.Sim.time y.Sim.time;
+        floats (at "power_watts") x.Sim.power_watts y.Sim.power_watts;
+        floats (at "power_percent") x.Sim.power_percent y.Sim.power_percent;
+        floats (at "demand_total") x.Sim.demand_total y.Sim.demand_total;
+        floats (at "rate_total") x.Sim.rate_total y.Sim.rate_total;
+        (if pair_rates x y then None else Some (at "pair_rates"));
+        (if
+           Array.length x.Sim.link_rates = Array.length y.Sim.link_rates
+           && Array.for_all2 same_float x.Sim.link_rates y.Sim.link_rates
+         then None
+         else Some (at "link_rates"));
+        ints (at "links_active") x.Sim.links_active y.Sim.links_active;
+      ]
+  in
+  let samples =
+    if Array.length a.Sim.samples <> Array.length b.Sim.samples then Some "sample count"
+    else
+      let rec first i =
+        if i >= Array.length a.Sim.samples then None
+        else
+          match sample i a.Sim.samples.(i) b.Sim.samples.(i) with
+          | Some m -> Some m
+          | None -> first (i + 1)
+      in
+      first 0
+  in
+  List.find_map Fun.id
+    [
+      samples;
+      ints "wake_count" a.Sim.wake_count b.Sim.wake_count;
+      ints "sleep_count" a.Sim.sleep_count b.Sim.sleep_count;
+      ints "rejected_wake_count" a.Sim.rejected_wake_count b.Sim.rejected_wake_count;
+      ints "fallback_count" a.Sim.fallback_count b.Sim.fallback_count;
+      floats "energy_joules" a.Sim.energy_joules b.Sim.energy_joules;
+      floats "mean_power_percent" a.Sim.mean_power_percent b.Sim.mean_power_percent;
+      floats "delivered_fraction" a.Sim.delivered_fraction b.Sim.delivered_fraction;
+      floats "offered_bits" a.Sim.offered_bits b.Sim.offered_bits;
+      floats "delivered_bits" a.Sim.delivered_bits b.Sim.delivered_bits;
+      floats "lost_bits" a.Sim.lost_bits b.Sim.lost_bits;
+    ]
+
+let prop_ledger_matches_reference =
+  QCheck.Test.make ~name:"ledger equals full-rebuild reference" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let config, initial_splits, tables, power, events, duration = scenario seed in
+      let ledger = Sim.run ~config ~initial_splits ~tables ~power ~events ~duration () in
+      let reference =
+        Sim_reference.run ~config ~initial_splits ~tables ~power ~events ~duration ()
+      in
+      match result_mismatch ledger reference with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "seed %d: %s" seed m)
+
+(* The ledger's counters: with Obs on, every pass is counted, and a GÉANT
+   fault scenario re-decides far fewer pairs than a full rebuild (all of
+   them on every pass) would. *)
+let test_obs_rate_ledger_counters () =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
+      let passes0 = read "netsim_rate_passes_total" in
+      let redecided0 = read "netsim_rate_pairs_redecided_total" in
+      let { tables; power; base } = Lazy.force geant_setup in
+      let spec = { Fault.Scenario.default with Fault.Scenario.seed = 1; duration = 1.0 } in
+      let events = Fault.Scenario.events spec (Response.Tables.graph tables) ~base in
+      ignore (Sim.run ~tables ~power ~events ~duration:1.0 ());
+      let passes = read "netsim_rate_passes_total" -. passes0 in
+      let redecided = read "netsim_rate_pairs_redecided_total" -. redecided0 in
+      let pairs = float_of_int (List.length (Response.Tables.pairs tables)) in
+      Alcotest.(check bool) (Printf.sprintf "%.0f passes" passes) true (passes > 0.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f pairs re-decided, under %.0f" redecided (passes *. pairs))
+        true
+        (redecided > 0.0 && redecided < 0.5 *. passes *. pairs))
+
 let () =
   Alcotest.run "netsim"
     [
@@ -357,6 +590,12 @@ let () =
           Alcotest.test_case "repair beats detection" `Quick test_repair_beats_detection;
           Alcotest.test_case "rejected wake feeds back" `Quick test_rejected_wake_feeds_back;
         ] );
+      ( "splits",
+        [
+          Alcotest.test_case "repeated pair" `Quick test_initial_splits_repeated_pair;
+          Alcotest.test_case "unknown pair" `Quick test_initial_splits_unknown_pair;
+          Alcotest.test_case "wrong arity" `Quick test_initial_splits_wrong_arity;
+        ] );
       ( "dynamics",
         [
           Alcotest.test_case "demand wakes paths" `Quick test_demand_wakes_sleeping_paths;
@@ -364,5 +603,7 @@ let () =
           Alcotest.test_case "fat-tree sine" `Slow test_fattree_sine_power_tracks_demand;
           Alcotest.test_case "obs transition counters" `Quick test_obs_transition_counters;
           QCheck_alcotest.to_alcotest prop_sim_invariants;
+          Alcotest.test_case "obs rate-ledger counters" `Quick test_obs_rate_ledger_counters;
+          QCheck_alcotest.to_alcotest prop_ledger_matches_reference;
         ] );
     ]

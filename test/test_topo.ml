@@ -197,6 +197,40 @@ let test_example_fig3 () =
   Alcotest.(check int) "without B" 9 (G.node_count ex'.Topo.Example.graph);
   Alcotest.(check bool) "connected" true (connected ex'.Topo.Example.graph)
 
+(* Every generator lays link l out as arcs 2l and 2l + 1, so the arithmetic
+   of [arcs_of_link] agrees with the endpoint lookup on every link. *)
+let test_arcs_of_link_layout () =
+  let graphs =
+    [
+      ("triangle", Topo.Example.triangle ());
+      ("square", Topo.Example.square_with_diagonal ());
+      ("line", Topo.Example.line 5);
+      ("figure 3", (Topo.Example.make ()).Topo.Example.graph);
+      ("geant", Topo.Geant.make ());
+      ("abovenet", Topo.Rocketfuel.make Topo.Rocketfuel.abovenet);
+      ("genuity", Topo.Rocketfuel.make Topo.Rocketfuel.genuity);
+      ("pop-access", Topo.Pop_access.make ());
+      ("fat-tree k=4", (Topo.Fattree.make 4).Topo.Fattree.graph);
+      ("fat-tree k=8", (Topo.Fattree.make 8).Topo.Fattree.graph);
+      ("butterfly k=4", (Topo.Butterfly.make 4).Topo.Butterfly.graph);
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      G.iter_links g ~f:(fun l ->
+          let i, j = G.link_endpoints g l in
+          let fwd, bwd = G.arcs_of_link g l in
+          let check what =
+            Alcotest.(check (option int)) (Printf.sprintf "%s link %d %s" name l what)
+          in
+          check "forward" (G.find_arc g i j) (Some fwd);
+          check "backward" (G.find_arc g j i) (Some bwd));
+      Alcotest.check_raises (name ^ " out of range")
+        (Invalid_argument
+           (Printf.sprintf "Graph.arcs_of_link: link %d out of range" (G.link_count g)))
+        (fun () -> ignore (G.arcs_of_link g (G.link_count g))))
+    graphs
+
 (* Property: random graphs produced by the builder keep the arc/link
    invariants. *)
 let prop_builder_invariants =
@@ -251,5 +285,6 @@ let () =
           Alcotest.test_case "rocketfuel" `Quick test_rocketfuel;
           Alcotest.test_case "pop-access" `Quick test_pop_access;
           Alcotest.test_case "figure 3 example" `Quick test_example_fig3;
+          Alcotest.test_case "arcs of link layout" `Quick test_arcs_of_link_layout;
         ] );
     ]
