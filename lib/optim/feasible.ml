@@ -5,6 +5,15 @@ type t = {
   residual_a : float array;
   load_a : float array;
   placed : (int * int, Topo.Path.t * float) Hashtbl.t;
+  (* Undo log of the open trial. Entry [i < log_len] holds the residual and
+     load arc [log_arc.(i)] had before a write; [log_pairs] holds each
+     touched pair's previous binding, newest first. *)
+  mutable in_trial : bool;
+  mutable log_arc : int array;
+  mutable log_residual : float array;
+  mutable log_load : float array;
+  mutable log_len : int;
+  mutable log_pairs : ((int * int) * (Topo.Path.t * float) option) list;
 }
 
 let create ?(margin = 1.0) ?state g =
@@ -14,17 +23,26 @@ let create ?(margin = 1.0) ?state g =
   let residual_a =
     Array.init n_arcs (fun a -> margin *. (Topo.Graph.arc g a).Topo.Graph.capacity)
   in
-  { g; margin_v = margin; st; residual_a; load_a = Array.make n_arcs 0.0; placed = Hashtbl.create 64 }
+  {
+    g;
+    margin_v = margin;
+    st;
+    residual_a;
+    load_a = Array.make n_arcs 0.0;
+    placed = Hashtbl.create 64;
+    in_trial = false;
+    log_arc = [||];
+    log_residual = [||];
+    log_load = [||];
+    log_len = 0;
+    log_pairs = [];
+  }
 
 let graph t = t.g
 let state t = t.st
 let margin t = t.margin_v
 let residual t a = t.residual_a.(a)
 let load t a = t.load_a.(a)
-
-let link_load t l =
-  let a1, a2 = Topo.Graph.arcs_of_link t.g l in
-  max t.load_a.(a1) t.load_a.(a2)
 
 let utilization t a = t.load_a.(a) /. (Topo.Graph.arc t.g a).Topo.Graph.capacity
 
@@ -34,21 +52,44 @@ let max_utilization t =
   !m
 
 let congestion_weight t arc =
-  arc.Topo.Graph.latency *. (1.0 +. (3.0 *. utilization t arc.Topo.Graph.id))
+  arc.Topo.Graph.latency
+  *. (1.0 +. (3.0 *. (t.load_a.(arc.Topo.Graph.id) /. arc.Topo.Graph.capacity)))
+
+(* Records arc [a]'s residual and load before a write, when a trial is open. *)
+let log_arc t a =
+  if t.in_trial then begin
+    let i = t.log_len in
+    if i = Array.length t.log_arc then begin
+      let more = max 64 i in
+      t.log_arc <- Array.append t.log_arc (Array.make more 0);
+      t.log_residual <- Array.append t.log_residual (Array.make more 0.0);
+      t.log_load <- Array.append t.log_load (Array.make more 0.0)
+    end;
+    t.log_arc.(i) <- a;
+    t.log_residual.(i) <- t.residual_a.(a);
+    t.log_load.(i) <- t.load_a.(a);
+    t.log_len <- i + 1
+  end
+
+let log_pair t key =
+  if t.in_trial then t.log_pairs <- (key, Hashtbl.find_opt t.placed key) :: t.log_pairs
 
 let commit t p demand =
   Array.iter
     (fun a ->
+      log_arc t a;
       t.residual_a.(a) <- t.residual_a.(a) -. demand;
       t.load_a.(a) <- t.load_a.(a) +. demand)
     p.Topo.Path.arcs;
-  Hashtbl.replace t.placed (p.Topo.Path.src, p.Topo.Path.dst) (p, demand)
+  let key = (p.Topo.Path.src, p.Topo.Path.dst) in
+  log_pair t key;
+  Hashtbl.replace t.placed key (p, demand)
 
 let place t o d demand =
   if Hashtbl.mem t.placed (o, d) then invalid_arg "Feasible.place: already placed";
   if demand <= 0.0 then invalid_arg "Feasible.place: demand";
   let active arc =
-    Topo.State.arc_on t.g t.st arc.Topo.Graph.id
+    Topo.State.link_on t.st arc.Topo.Graph.link
     && t.residual_a.(arc.Topo.Graph.id) >= demand -. 1e-9
   in
   match
@@ -77,9 +118,11 @@ let remove t o d =
   | Some (p, demand) ->
       Array.iter
         (fun a ->
+          log_arc t a;
           t.residual_a.(a) <- t.residual_a.(a) +. demand;
           t.load_a.(a) <- t.load_a.(a) -. demand)
         p.Topo.Path.arcs;
+      log_pair t (o, d);
       Hashtbl.remove t.placed (o, d);
       Some (p, demand)
 
@@ -89,29 +132,61 @@ let flows t =
   Hashtbl.fold (fun (o, d) (_, v) acc -> (o, d, v) :: acc) t.placed []
   |> List.sort (Eutil.Order.triple Int.compare Int.compare Float.compare)
 
+let crossing t links =
+  let mask = Array.make (Topo.Graph.arc_count t.g) false in
+  List.iter
+    (fun l ->
+      let a1, a2 = Topo.Graph.arcs_of_link t.g l in
+      mask.(a1) <- true;
+      mask.(a2) <- true)
+    links;
+  let hits =
+    Hashtbl.fold
+      (fun (o, d) (p, v) acc ->
+        if Array.exists (fun a -> mask.(a)) p.Topo.Path.arcs then (o, d, v) :: acc else acc)
+      t.placed []
+  in
+  List.sort
+    (fun (o1, d1, v1) (o2, d2, v2) ->
+      let c = Float.compare v2 v1 in
+      if c <> 0 then c
+      else
+        let c = Int.compare o1 o2 in
+        if c <> 0 then c else Int.compare d1 d2)
+    hits
+
 let route_matrix t tm =
   List.for_all
     (fun (o, d, demand) -> place t o d demand <> None)
     (Traffic.Matrix.flows_desc tm)
 
-type snapshot = {
-  s_residual : float array;
-  s_load : float array;
-  s_placed : (int * int, Topo.Path.t * float) Hashtbl.t;
-}
+(* Replays the log newest first, so every arc gets back the exact floats it
+   had when the trial opened. *)
+let close_trial t ~rollback =
+  if rollback then begin
+    for i = t.log_len - 1 downto 0 do
+      let a = t.log_arc.(i) in
+      t.residual_a.(a) <- t.log_residual.(i);
+      t.load_a.(a) <- t.log_load.(i)
+    done;
+    List.iter
+      (fun (key, prev) ->
+        match prev with
+        | Some binding -> Hashtbl.replace t.placed key binding
+        | None -> Hashtbl.remove t.placed key)
+      t.log_pairs
+  end;
+  t.in_trial <- false;
+  t.log_len <- 0;
+  t.log_pairs <- []
 
-let snapshot t =
-  {
-    s_residual = Array.copy t.residual_a;
-    s_load = Array.copy t.load_a;
-    s_placed = Hashtbl.copy t.placed;
-  }
-
-let restore t s =
-  Array.blit s.s_residual 0 t.residual_a 0 (Array.length t.residual_a);
-  Array.blit s.s_load 0 t.load_a 0 (Array.length t.load_a);
-  Hashtbl.reset t.placed;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.s_placed [] in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace t.placed k v)
-    (List.sort (Eutil.Order.by fst Eutil.Order.int_pair) entries)
+let trial t body =
+  if t.in_trial then invalid_arg "Feasible.trial: nested trial";
+  t.in_trial <- true;
+  match body () with
+  | ok ->
+      close_trial t ~rollback:(not ok);
+      ok
+  | exception e ->
+      close_trial t ~rollback:true;
+      raise e

@@ -29,9 +29,6 @@ val residual : t -> int -> float
 val load : t -> int -> float
 (** Committed load on an arc. *)
 
-val link_load : t -> int -> float
-(** Committed load on an undirected link (max of the two directions). *)
-
 val utilization : t -> int -> float
 (** Arc load divided by arc capacity. *)
 
@@ -61,13 +58,25 @@ val path_of : t -> int -> int -> Topo.Path.t option
 val flows : t -> (int * int * float) list
 (** Committed flows (pair and volume), in placement-independent order. *)
 
+val crossing : t -> int list -> (int * int * float) list
+(** [crossing t links] is every committed flow whose path traverses one of
+    [links], in reroute order: volume descending, then origin, then
+    destination. One pass over the placed paths.
+    @raise Invalid_argument on an out-of-range link id. *)
+
 val route_matrix : t -> Traffic.Matrix.t -> bool
 (** Places every positive demand of the matrix (largest first). Returns false
     and leaves the placement in a partially-filled state if some flow cannot
-    be placed — callers doing trial moves should use {!snapshot}/{!restore}
-    or rebuild. *)
+    be placed — callers trying a change they may back out should run it
+    inside {!trial}, or rebuild. *)
 
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
+val trial : t -> (unit -> bool) -> bool
+(** [trial t body] runs [body], whose {!place}, {!place_on} and {!remove}
+    calls are logged: each touched arc's residual and load before the write,
+    and each touched pair's previous binding. If [body] returns [true] the
+    log is dropped and its changes stay. If it returns [false] or raises,
+    the log is replayed newest first, which puts back the exact floats and
+    bindings [t] had when the trial opened (re-adding a demand would not be
+    bit-identical), and the result or the exception is passed on. The
+    activity state is not logged.
+    @raise Invalid_argument if a trial is already open on [t]. *)

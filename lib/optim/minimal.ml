@@ -38,12 +38,7 @@ let ksp_reroute table f o d demand =
             | _ -> Some (cost p, p))
           None usable
       in
-      Option.map
-        (fun (_, p) ->
-          let ok = Feasible.place_on f p demand in
-          assert ok;
-          p)
-        best
+      Option.bind best (fun (_, p) -> if Feasible.place_on f p demand then Some p else None)
 
 (* Candidate moves: a move is a set of links switched off together. *)
 type move = { links : int list; gain : float }
@@ -100,32 +95,47 @@ let result_of g power f =
     power_percent = Power.Model.percent_of_full power g st;
   }
 
-let try_move g f reroute move =
+(* Greedy work, tallied per [power_down] and flushed once behind
+   [Obs.Control.enabled]. *)
+let m_moves =
+  Obs.Metric.Family.counter ~help:"Greedy moves tried by power_down, by outcome"
+    ~label_names:[ "outcome" ] "optim_greedy_moves_total"
+
+let m_moves_skipped = Obs.Metric.Family.labels m_moves [ "skipped" ]
+let m_moves_rejected = Obs.Metric.Family.labels m_moves [ "rejected" ]
+let m_moves_accepted = Obs.Metric.Family.labels m_moves [ "accepted" ]
+
+let m_displaced =
+  Obs.Metric.Counter.create ~help:"Flows removed by the greedy's tried moves"
+    "optim_greedy_displaced_flows_total"
+
+type tally = {
+  mutable skipped : int;
+  mutable rejected : int;
+  mutable accepted : int;
+  mutable displaced : int;
+}
+
+(* Switches the move's links off if every flow crossing them can be
+   rerouted on what remains; otherwise leaves [f] exactly as it was. *)
+let try_move g f reroute tally move =
   let st = Feasible.state f in
   let relevant = List.filter (fun l -> Topo.State.link_on st l) move.links in
-  if relevant = [] then false
+  if relevant = [] then tally.skipped <- tally.skipped + 1
   else begin
-    let affected =
-      List.filter
-        (fun (o, d, _) ->
-          match Feasible.path_of f o d with
-          | Some p -> List.exists (fun l -> Topo.Path.uses_link g p l) relevant
-          | None -> false)
-        (Feasible.flows f)
-      |> List.sort
-           (Eutil.Order.by
-              (fun (o, d, v) -> (v, o, d))
-              (Eutil.Order.triple (Eutil.Order.desc Float.compare) Int.compare Int.compare))
-    in
-    let snap = Feasible.snapshot f in
-    List.iter (fun (o, d, _) -> ignore (Feasible.remove f o d)) affected;
+    let affected = Feasible.crossing f relevant in
+    tally.displaced <- tally.displaced + List.length affected;
     List.iter (fun l -> Topo.State.set_link g st l false) relevant;
-    let ok = List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected in
-    if not ok then begin
+    let ok =
+      Feasible.trial f (fun () ->
+          List.iter (fun (o, d, _) -> ignore (Feasible.remove f o d)) affected;
+          List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected)
+    in
+    if ok then tally.accepted <- tally.accepted + 1
+    else begin
       List.iter (fun l -> Topo.State.set_link g st l true) relevant;
-      Feasible.restore f snap
-    end;
-    ok
+      tally.rejected <- tally.rejected + 1
+    end
   end
 
 let power_down ?margin ?(pinned = fun _ -> false) ?(reroute = dijkstra_reroute) g power
@@ -135,10 +145,16 @@ let power_down ?margin ?(pinned = fun _ -> false) ?(reroute = dijkstra_reroute) 
   if not (Feasible.route_matrix f tm) then None
   else begin
     let moves = router_moves g power tm @ link_moves g power in
+    let tally = { skipped = 0; rejected = 0; accepted = 0; displaced = 0 } in
     List.iter
-      (fun move ->
-        if not (List.exists pinned move.links) then ignore (try_move g f reroute move))
+      (fun move -> if not (List.exists pinned move.links) then try_move g f reroute tally move)
       moves;
+    if Obs.Control.enabled () then begin
+      Obs.Metric.Counter.add_int m_moves_skipped tally.skipped;
+      Obs.Metric.Counter.add_int m_moves_rejected tally.rejected;
+      Obs.Metric.Counter.add_int m_moves_accepted tally.accepted;
+      Obs.Metric.Counter.add_int m_displaced tally.displaced
+    end;
     Some (result_of g power f)
   end
 

@@ -17,72 +17,102 @@ let m_heap_pops =
   Obs.Metric.Counter.create ~help:"Heap pops across all Dijkstra runs"
     "routing_heap_pops_total"
 
-let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
-  let n = Topo.Graph.node_count g in
-  let dist = Array.make n infinity in
-  let prev_arc = Array.make n (-1) in
-  let done_ = Array.make n false in
-  let heap : int Eutil.Heap.t = Eutil.Heap.create () in
+(* Dijkstra from [src] into [dist]/[prev_arc]/[done_], which must hold
+   [infinity]/-1/[false] for every node, with [heap] empty. The search stops
+   when [stop] is popped (-1 never is). A settled node is never re-parented,
+   so a zero-weight arc back into the tree cannot close a cycle in
+   [prev_arc]. Ties keep the smaller arc id. *)
+let search g ~weight ~active ~dist ~prev_arc ~done_ ~heap ~src ~stop =
   let pushes = ref 1 and pops = ref 0 in
   dist.(src) <- 0.0;
   Eutil.Heap.push heap 0.0 src;
-  let rec loop () =
+  let running = ref true in
+  while !running do
     match Eutil.Heap.pop heap with
-    | None -> ()
+    | None -> running := false
     | Some (d, u) ->
         incr pops;
-        if not done_.(u) then begin
+        if u = stop then running := false
+        else if not done_.(u) then begin
           done_.(u) <- true;
           let out = Topo.Graph.out_arcs g u in
-          Array.iter
-            (fun aid ->
-              let arc = Topo.Graph.arc g aid in
-              if active arc then begin
-                let w = weight arc in
-                if w < infinity && w >= 0.0 then begin
-                  let nd = d +. w in
-                  let v = arc.Topo.Graph.dst in
-                  (* Deterministic tie-break: keep the smaller arc id. *)
-                  if
-                    nd < dist.(v)
-                    || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
-                  then begin
-                    dist.(v) <- nd;
-                    prev_arc.(v) <- aid;
-                    if not done_.(v) then begin
-                      incr pushes;
-                      Eutil.Heap.push heap nd v
-                    end
-                  end
+          for i = 0 to Array.length out - 1 do
+            let aid = out.(i) in
+            let arc = Topo.Graph.arc g aid in
+            let v = arc.Topo.Graph.dst in
+            if (not done_.(v)) && active arc then begin
+              let w = weight arc in
+              if w < infinity && w >= 0.0 then begin
+                let nd = d +. w in
+                if nd < dist.(v) || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
+                then begin
+                  dist.(v) <- nd;
+                  prev_arc.(v) <- aid;
+                  incr pushes;
+                  Eutil.Heap.push heap nd v
                 end
-              end)
-            out;
-          loop ()
+              end
+            end
+          done
         end
-        else loop ()
-  in
-  loop ();
+  done;
   if Obs.Control.enabled () then begin
     Obs.Metric.Counter.incr m_runs;
     Obs.Metric.Counter.add_int m_heap_pushes !pushes;
     Obs.Metric.Counter.add_int m_heap_pops !pops
-  end;
-  { dist; prev_arc }
-
-let path_to g res dst =
-  if res.dist.(dst) = infinity then None
-  else begin
-    let rec collect acc node =
-      let a = res.prev_arc.(node) in
-      if a < 0 then acc else collect (a :: acc) (Topo.Graph.arc g a).Topo.Graph.src
-    in
-    match collect [] dst with [] -> None | arcs -> Some (Topo.Path.of_arcs g arcs)
   end
 
-let shortest_path g ?weight ?active ~src ~dst () =
-  let res = run g ?weight ?active ~src () in
-  path_to g res dst
-
-let distance_matrix g ?weight ?active () =
+let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
   let n = Topo.Graph.node_count g in
-  Array.init n (fun src -> (run g ?weight ?active ~src ()).dist)
+  let dist = Array.make n infinity in
+  let prev_arc = Array.make n (-1) in
+  search g ~weight ~active ~dist ~prev_arc ~done_:(Array.make n false)
+    ~heap:(Eutil.Heap.create ()) ~src ~stop:(-1);
+  { dist; prev_arc }
+
+let collect_path g prev_arc dst =
+  let rec collect acc node =
+    let a = prev_arc.(node) in
+    if a < 0 then acc else collect (a :: acc) (Topo.Graph.arc g a).Topo.Graph.src
+  in
+  match collect [] dst with [] -> None | arcs -> Some (Topo.Path.of_arcs g arcs)
+
+let path_to g res dst = if res.dist.(dst) = infinity then None else collect_path g res.prev_arc dst
+
+(* One workspace per domain for [shortest_path]: the three per-node arrays
+   grow to the largest graph seen and are refilled per call, and the heap is
+   emptied with [Heap.clear]. Domain-local, so parallel callers never share
+   one. *)
+type workspace = {
+  mutable ws_dist : float array;
+  mutable ws_prev : int array;
+  mutable ws_done : bool array;
+  ws_heap : int Eutil.Heap.t;
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      { ws_dist = [||]; ws_prev = [||]; ws_done = [||]; ws_heap = Eutil.Heap.create () })
+
+let workspace n =
+  let ws = Domain.DLS.get workspace_key in
+  if Array.length ws.ws_dist < n then begin
+    ws.ws_dist <- Array.make n infinity;
+    ws.ws_prev <- Array.make n (-1);
+    ws.ws_done <- Array.make n false
+  end
+  else begin
+    Array.fill ws.ws_dist 0 n infinity;
+    Array.fill ws.ws_prev 0 n (-1);
+    Array.fill ws.ws_done 0 n false
+  end;
+  Eutil.Heap.clear ws.ws_heap;
+  ws
+
+(* Stopping at [dst] is exact: [dst] and every node on its path are settled
+   by then, and nothing popped later changes a settled node. *)
+let shortest_path g ?(weight = default_weight) ?(active = fun _ -> true) ~src ~dst () =
+  let ws = workspace (Topo.Graph.node_count g) in
+  search g ~weight ~active ~dist:ws.ws_dist ~prev_arc:ws.ws_prev ~done_:ws.ws_done
+    ~heap:ws.ws_heap ~src ~stop:dst;
+  if ws.ws_dist.(dst) = infinity then None else collect_path g ws.ws_prev dst

@@ -13,10 +13,12 @@ val run :
   src:int ->
   unit ->
   result
-(** Dijkstra from [src]. [weight] defaults to arc latency and must be
-    non-negative (an [infinity] weight excludes the arc); [active] defaults to
-    everything. Ties are broken deterministically by arc identifier, so equal
-    inputs always give equal trees. *)
+(** Dijkstra from [src], building the full shortest-path tree. [weight]
+    defaults to arc latency and must be non-negative (an [infinity] weight
+    excludes the arc); [active] defaults to everything. Ties are broken
+    deterministically by arc identifier, so equal inputs always give equal
+    trees. A settled node is never re-parented, so zero-weight arcs cannot
+    close a cycle in [prev_arc]. *)
 
 val path_to : Topo.Graph.t -> result -> int -> Topo.Path.t option
 (** Extracts the path to a destination from a {!run} result. [None] when
@@ -30,12 +32,14 @@ val shortest_path :
   dst:int ->
   unit ->
   Topo.Path.t option
-(** One-shot convenience wrapper. *)
+(** The path {!path_to} reads from [run ~src] for [dst], computed without
+    the full tree: the search stops as soon as [dst] is popped. That is
+    exact for every non-negative weight, because [dst] and every node on its
+    path are settled by then and a settled node is never re-parented. [None]
+    when [dst] is unreachable or equal to [src].
 
-val distance_matrix :
-  Topo.Graph.t ->
-  ?weight:(Topo.Graph.arc -> float) ->
-  ?active:(Topo.Graph.arc -> bool) ->
-  unit ->
-  float array array
-(** All-pairs distances ([node_count] runs of {!run}). *)
+    The per-node arrays and the heap live in one workspace per domain,
+    reused from call to call, so [weight] and [active] must not call
+    [shortest_path] themselves (they would overwrite the search in
+    progress). Both may be called any number of times per arc and should be
+    pure. *)

@@ -153,8 +153,12 @@ module Builder = struct
       invalid_arg "Builder.add_link: unknown node";
     let key = (min i j, max i j) in
     if Hashtbl.mem b.seen_links key then invalid_arg "Builder.add_link: duplicate link";
-    Hashtbl.add b.seen_links key ();
     let cap_ba = Option.value capacity_back ~default:capacity in
+    let finite_positive x = Float.is_finite x && x > 0.0 in
+    if not (finite_positive latency) then invalid_arg "Builder.add_link: latency";
+    if not (finite_positive capacity && finite_positive cap_ba) then
+      invalid_arg "Builder.add_link: capacity";
+    Hashtbl.add b.seen_links key ();
     let id = b.nlinks in
     b.links_rev <- { a = i; b = j; cap_ab = capacity; cap_ba; lat = latency } :: b.links_rev;
     b.nlinks <- b.nlinks + 1;

@@ -108,7 +108,10 @@ module Builder : sig
   (** [add_link b ~capacity ~latency i j] adds link i-j (two arcs) and returns
       the link identifier. [capacity_back] overrides the j->i direction for
       asymmetric links; it defaults to [capacity]. Self-loops and duplicate
-      links are rejected. *)
+      links are rejected.
+      @raise Invalid_argument on a self-loop, an unknown node, a duplicate
+      link, or a latency or capacity (either direction) that is not finite
+      and positive. *)
 
   val build : t -> graph
 end

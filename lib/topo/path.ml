@@ -32,8 +32,6 @@ let links g p = Array.map (fun a -> (Graph.arc g a).Graph.link) p.arcs
 
 let uses_link g p l = Array.exists (fun a -> (Graph.arc g a).Graph.link = l) p.arcs
 
-let uses_arc p a = Array.exists (fun x -> x = a) p.arcs
-
 let active g st p = Array.for_all (fun a -> State.arc_on g st a) p.arcs
 
 let equal a b = a.src = b.src && a.dst = b.dst && a.arcs = b.arcs

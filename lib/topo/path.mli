@@ -23,8 +23,6 @@ val links : Graph.t -> t -> int array
 
 val uses_link : Graph.t -> t -> int -> bool
 
-val uses_arc : t -> int -> bool
-
 val active : Graph.t -> State.t -> t -> bool
 (** True iff every link of the path is active. *)
 

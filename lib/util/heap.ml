@@ -10,8 +10,6 @@ let create () = { data = [||]; len = 0; next_seq = 0 }
 
 let is_empty h = h.len = 0
 
-let size h = h.len
-
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
 
 let grow h e =
@@ -73,8 +71,6 @@ let pop h =
     end;
     Some (top.prio, top.value)
   end
-
-let peek h = if h.len = 0 then None else Some (h.data.(0).prio, h.data.(0).value)
 
 let clear h =
   h.len <- 0;

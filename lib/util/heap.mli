@@ -9,8 +9,6 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val size : 'a t -> int
-
 val push : 'a t -> float -> 'a -> unit
 (** [push h prio x] inserts [x] with priority [prio]. *)
 
@@ -18,6 +16,5 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element. Ties are broken by
     insertion order (FIFO), which keeps the event simulator deterministic. *)
 
-val peek : 'a t -> (float * 'a) option
-
 val clear : 'a t -> unit
+(** Empties the heap, keeping its storage for reuse. *)

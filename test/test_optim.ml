@@ -49,16 +49,34 @@ let test_remove_restores () =
   Alcotest.(check (float 1e-6)) "restored" 0.0 (Optim.Feasible.load f a01);
   Alcotest.(check bool) "refit" true (Optim.Feasible.place f 0 1 0.9e9 <> None)
 
-let test_snapshot_restore () =
+let test_trial_rollback () =
   let g = Topo.Example.square_with_diagonal () in
   let f = Optim.Feasible.create g in
   ignore (Optim.Feasible.place f 0 2 0.5e9);
-  let snap = Optim.Feasible.snapshot f in
-  ignore (Optim.Feasible.place f 1 3 0.5e9);
-  ignore (Optim.Feasible.remove f 0 2);
-  Optim.Feasible.restore f snap;
+  let kept =
+    Optim.Feasible.trial f (fun () ->
+        ignore (Optim.Feasible.place f 1 3 0.5e9);
+        ignore (Optim.Feasible.remove f 0 2);
+        false)
+  in
+  Alcotest.(check bool) "trial rejected" false kept;
   Alcotest.(check bool) "0->2 back" true (Optim.Feasible.path_of f 0 2 <> None);
-  Alcotest.(check bool) "1->3 gone" true (Optim.Feasible.path_of f 1 3 = None)
+  Alcotest.(check bool) "1->3 gone" true (Optim.Feasible.path_of f 1 3 = None);
+  (* Arc 1->2 carries both flows and is nearly full, so re-adding the
+     removed 0->2 demand would round to a different residual:
+     ((c - a) - b + a) - a <> (c - a) - b for these values. *)
+  let g = Topo.Example.line 3 in
+  let f = Optim.Feasible.create g in
+  ignore (Optim.Feasible.place f 0 2 (6e8 +. 0.3));
+  ignore (Optim.Feasible.place f 1 2 (4e8 -. 0.7));
+  let a12 = arc_between g 1 2 in
+  let before = Optim.Feasible.residual f a12 in
+  ignore (Optim.Feasible.trial f (fun () -> Optim.Feasible.remove f 0 2 = None));
+  Alcotest.(check int64) "residual bit-identical" (Int64.bits_of_float before)
+    (Int64.bits_of_float (Optim.Feasible.residual f a12));
+  Alcotest.check_raises "nested trial" (Invalid_argument "Feasible.trial: nested trial") (fun () ->
+      ignore (Optim.Feasible.trial f (fun () -> Optim.Feasible.trial f (fun () -> true))));
+  Alcotest.(check bool) "usable after the raise" true (Optim.Feasible.trial f (fun () -> true))
 
 let test_route_matrix () =
   let g = Topo.Geant.make () in
@@ -388,6 +406,146 @@ let prop_greedy_consistent =
           in
           ok_paths && ok_caps)
 
+(* -------------------- Oracle: the frozen greedy -------------------- *)
+
+(* A random connected instance of at most 10 nodes: random capacities (some
+   asymmetric), latencies and float demands between a random subset of
+   nodes, so router moves exist too. *)
+let small_instance rng =
+  let n = 3 + Eutil.Prng.int rng 8 in
+  let b = G.Builder.create () in
+  let nodes = Array.init n (fun i -> G.Builder.add_node b (Printf.sprintf "v%d" i)) in
+  let link i j =
+    let capacity = (0.4 +. Eutil.Prng.float rng) *. 1e9 in
+    let capacity_back =
+      if Eutil.Prng.float rng < 0.3 then (0.4 +. Eutil.Prng.float rng) *. 1e9 else capacity
+    in
+    let latency = 1e-4 +. (5e-3 *. Eutil.Prng.float rng) in
+    if i <> j then
+      try ignore (G.Builder.add_link b ~capacity ~capacity_back ~latency nodes.(i) nodes.(j))
+      with Invalid_argument _ -> ()
+  in
+  for i = 1 to n - 1 do
+    link i (Eutil.Prng.int rng i)
+  done;
+  for _ = 1 to n + Eutil.Prng.int rng n do
+    link (Eutil.Prng.int rng n) (Eutil.Prng.int rng n)
+  done;
+  let g = G.Builder.build b in
+  let ends = List.filter (fun _ -> Eutil.Prng.float rng < 0.6) (List.init n Fun.id) in
+  let flows =
+    List.concat_map
+      (fun o ->
+        List.filter_map
+          (fun d ->
+            if o <> d && Eutil.Prng.float rng < 0.5 then
+              Some (o, d, (0.02 +. (0.3 *. Eutil.Prng.float rng)) *. 1e9)
+            else None)
+          ends)
+      ends
+  in
+  (g, Power.Model.cisco12000 g, Matrix.of_flows n flows)
+
+let bits x = Int64.bits_of_float x
+
+(* Equal to the bit: active set, every pair's path, per-arc load and both
+   power figures. *)
+let same_result (a : Optim.Minimal.result option) (b : Optim.Minimal.result option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      String.equal (State.key a.state) (State.key b.state)
+      && Hashtbl.length a.routing = Hashtbl.length b.routing
+      && Hashtbl.fold
+           (fun od p ok ->
+             ok
+             && match Hashtbl.find_opt b.routing od with Some q -> Path.equal p q | None -> false)
+           a.routing true
+      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a.arc_load b.arc_load
+      && Int64.equal (bits a.power_watts) (bits b.power_watts)
+      && Int64.equal (bits a.power_percent) (bits b.power_percent)
+  | _ -> false
+
+(* The undo-log greedy with its crossing scan and target-stopped Dijkstra
+   makes exactly the frozen greedy's decisions, under unrestricted and
+   k-shortest rerouting, random margins and random pinned links. *)
+let prop_power_down_vs_reference =
+  QCheck.Test.make ~name:"power_down equals frozen reference" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let g, power, tm = small_instance rng in
+      let margin = Eutil.Units.ratio (0.6 +. (0.4 *. Eutil.Prng.float rng)) in
+      let pinned_links = Array.init (G.link_count g) (fun _ -> Eutil.Prng.float rng < 0.15) in
+      let pinned l = pinned_links.(l) in
+      let got, want =
+        if Eutil.Prng.float rng < 0.5 then
+          ( Optim.Minimal.power_down ~margin ~pinned g power tm,
+            Greedy_reference.Minimal.power_down ~margin ~pinned g power tm )
+        else begin
+          let table = Optim.Greente.candidate_table g ~k:3 ~pairs:(Matrix.pairs tm) () in
+          ( Optim.Minimal.power_down ~margin ~pinned ~reroute:(Optim.Minimal.ksp_reroute table) g
+              power tm,
+            Greedy_reference.Minimal.(
+              power_down ~margin ~pinned ~reroute:(ksp_reroute table) g power tm) )
+        end
+      in
+      same_result want got)
+
+(* [evaluate] on a random activity state routes like the frozen copy. *)
+let prop_evaluate_vs_reference =
+  QCheck.Test.make ~name:"evaluate equals frozen reference" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let g, power, tm = small_instance rng in
+      let st = State.all_on g in
+      G.iter_links g ~f:(fun l -> if Eutil.Prng.float rng < 0.3 then State.set_link g st l false);
+      same_result
+        (Greedy_reference.Minimal.evaluate g power tm st)
+        (Optim.Minimal.evaluate g power tm st))
+
+(* The greedy's work counters: every unpinned move is skipped, rejected or
+   accepted exactly once, and nothing is counted with Obs off. *)
+let test_greedy_counters () =
+  let g = Topo.Geant.make () in
+  let power = Power.Model.cisco12000 g in
+  let pairs = Traffic.Gravity.random_pairs g ~seed:7 ~fraction:0.2 in
+  let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.bps 20e9) () in
+  let pinned l = l mod 5 = 0 in
+  let has_demand = Array.make (G.node_count g) false in
+  Matrix.iter_flows tm ~f:(fun o d _ ->
+      has_demand.(o) <- true;
+      has_demand.(d) <- true);
+  let router_moves =
+    G.fold_nodes g ~init:0 ~f:(fun acc n ->
+        let free = Array.for_all (fun a -> not (pinned (G.arc g a).G.link)) (G.out_arcs g n) in
+        if has_demand.(n) || G.role g n = G.Host || not free then acc else acc + 1)
+  in
+  let link_moves = G.fold_links g ~init:0 ~f:(fun acc l -> if pinned l then acc else acc + 1) in
+  let read ?labels name =
+    Option.value (Obs.Registry.value Obs.Registry.default ?labels name) ~default:0.0
+  in
+  let outcomes () =
+    List.fold_left
+      (fun acc o -> acc +. read ~labels:[ ("outcome", o) ] "optim_greedy_moves_total")
+      0.0 [ "skipped"; "rejected"; "accepted" ]
+  in
+  let displaced () = read "optim_greedy_displaced_flows_total" in
+  let moves0 = outcomes () and displaced0 = displaced () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () -> ignore (Optim.Minimal.power_down ~pinned g power tm));
+  Alcotest.(check (float 0.0)) "one outcome per unpinned move"
+    (float_of_int (router_moves + link_moves))
+    (outcomes () -. moves0);
+  Alcotest.(check bool) "displaced flows counted" true (displaced () > displaced0);
+  let moves1 = outcomes () and displaced1 = displaced () in
+  ignore (Optim.Minimal.power_down ~pinned g power tm);
+  Alcotest.(check (float 0.0)) "no moves counted with Obs off" moves1 (outcomes ());
+  Alcotest.(check (float 0.0)) "no flows counted with Obs off" displaced1 (displaced ())
+
 let () =
   Alcotest.run "optim"
     [
@@ -397,7 +555,7 @@ let () =
           Alcotest.test_case "congestion avoidance" `Quick test_place_prefers_uncongested;
           Alcotest.test_case "margin" `Quick test_margin;
           Alcotest.test_case "remove restores" `Quick test_remove_restores;
-          Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+          Alcotest.test_case "trial rollback" `Quick test_trial_rollback;
           Alcotest.test_case "route matrix" `Quick test_route_matrix;
           Alcotest.test_case "route matrix infeasible" `Quick test_route_matrix_infeasible;
         ] );
@@ -411,6 +569,9 @@ let () =
           Alcotest.test_case "pinned links" `Quick test_pinned_links_stay_on;
           Alcotest.test_case "routers off in fat-tree" `Quick test_greedy_powers_off_routers;
           QCheck_alcotest.to_alcotest prop_greedy_consistent;
+          QCheck_alcotest.to_alcotest prop_power_down_vs_reference;
+          QCheck_alcotest.to_alcotest prop_evaluate_vs_reference;
+          Alcotest.test_case "work counters" `Quick test_greedy_counters;
         ] );
       ( "greente",
         [

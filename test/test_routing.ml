@@ -42,6 +42,95 @@ let test_dijkstra_unreachable () =
   let g = G.Builder.build b in
   Alcotest.(check bool) "unreachable" true (Routing.Dijkstra.shortest_path g ~src:x ~dst:z () = None)
 
+let test_dijkstra_zero_weight_no_cycle () =
+  (* Link 0 (c-b) weighs 0 and link 1 (a-b) weighs 1. Once c is settled,
+     its zero-weight arc back to b ties b's distance with a smaller arc id;
+     re-parenting the already settled b there would close a b-c cycle in
+     [prev_arc], and [path_to c] would never return. *)
+  let b = G.Builder.create () in
+  let na = G.Builder.add_node b "a" in
+  let nb = G.Builder.add_node b "b" in
+  let nc = G.Builder.add_node b "c" in
+  ignore (G.Builder.add_link b ~capacity:1.0 ~latency:1.0 nc nb);
+  ignore (G.Builder.add_link b ~capacity:1.0 ~latency:1.0 na nb);
+  let g = G.Builder.build b in
+  let weight arc = if arc.G.link = 0 then 0.0 else 1.0 in
+  let res = Routing.Dijkstra.run g ~weight ~src:na () in
+  Alcotest.(check int) "b keeps its parent" (arc_between g na nb) res.Routing.Dijkstra.prev_arc.(nb);
+  let nodes = Option.map (fun p -> Array.to_list (Path.nodes g p)) in
+  Alcotest.(check (option (list int))) "run" (Some [ na; nb; nc ])
+    (nodes (Routing.Dijkstra.path_to g res nc));
+  Alcotest.(check (option (list int))) "shortest_path" (Some [ na; nb; nc ])
+    (nodes (Routing.Dijkstra.shortest_path g ~weight ~src:na ~dst:nc ()))
+
+(* A random graph on [n] nodes, often disconnected: each node links to an
+   earlier one with probability 0.8, plus up to [n] extra random links. *)
+let random_graph rng n =
+  let b = G.Builder.create () in
+  let nodes = Array.init n (fun i -> G.Builder.add_node b (Printf.sprintf "v%d" i)) in
+  let link i j =
+    if i <> j then
+      try ignore (G.Builder.add_link b ~capacity:1e9 ~latency:1e-3 nodes.(i) nodes.(j))
+      with Invalid_argument _ -> ()
+  in
+  for i = 1 to n - 1 do
+    if Eutil.Prng.float rng < 0.8 then link i (Eutil.Prng.int rng i)
+  done;
+  for _ = 1 to n do
+    link (Eutil.Prng.int rng n) (Eutil.Prng.int rng n)
+  done;
+  G.Builder.build b
+
+(* The target-stopped [shortest_path] returns exactly the path the frozen
+   full-tree Dijkstra reads for [dst]. Weights in 1..3 force equal-weight
+   ties (the smaller-arc-id rule decides them); random activity masks, src
+   = dst and unreachable pairs are all drawn. *)
+let prop_shortest_path_vs_reference =
+  QCheck.Test.make ~name:"shortest_path equals full-tree reference" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let n = 2 + Eutil.Prng.int rng 29 in
+      let g = random_graph rng n in
+      let w = Array.init (G.arc_count g) (fun _ -> float_of_int (1 + Eutil.Prng.int rng 3)) in
+      let on = Array.init (G.arc_count g) (fun _ -> Eutil.Prng.float rng < 0.85) in
+      let weight arc = w.(arc.G.id) and active arc = on.(arc.G.id) in
+      List.for_all
+        (fun k ->
+          let src = Eutil.Prng.int rng n in
+          let dst = if k = 0 then src else Eutil.Prng.int rng n in
+          let want =
+            Greedy_reference.Dijkstra.(path_to g (run g ~weight ~active ~src ()) dst)
+          in
+          Option.equal Path.equal want
+            (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ()))
+        (List.init 6 Fun.id))
+
+(* [run] keeps its full-tree contract: distances (to the bit) and parents
+   equal the frozen reference under positive weights, integer or not. *)
+let prop_run_vs_reference =
+  QCheck.Test.make ~name:"run equals full-tree reference" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let n = 2 + Eutil.Prng.int rng 29 in
+      let g = random_graph rng n in
+      let w =
+        Array.init (G.arc_count g) (fun _ ->
+            if Eutil.Prng.float rng < 0.8 then float_of_int (1 + Eutil.Prng.int rng 3)
+            else 1e-3 +. Eutil.Prng.float rng)
+      in
+      let on = Array.init (G.arc_count g) (fun _ -> Eutil.Prng.float rng < 0.85) in
+      let weight arc = w.(arc.G.id) and active arc = on.(arc.G.id) in
+      let src = Eutil.Prng.int rng n in
+      let want = Greedy_reference.Dijkstra.run g ~weight ~active ~src () in
+      let got = Routing.Dijkstra.run g ~weight ~active ~src () in
+      Array.for_all2
+        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+        want.Greedy_reference.Dijkstra.dist got.Routing.Dijkstra.dist
+      && Array.for_all2 Int.equal want.Greedy_reference.Dijkstra.prev_arc
+           got.Routing.Dijkstra.prev_arc)
+
 (* Dijkstra distances equal Bellman-Ford distances on random graphs. *)
 let prop_dijkstra_vs_bellman_ford =
   QCheck.Test.make ~name:"dijkstra matches bellman-ford" ~count:50
@@ -234,6 +323,9 @@ let () =
           Alcotest.test_case "activity filter" `Quick test_dijkstra_respects_active;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           QCheck_alcotest.to_alcotest prop_dijkstra_vs_bellman_ford;
+          Alcotest.test_case "zero weight keeps the tree" `Quick test_dijkstra_zero_weight_no_cycle;
+          QCheck_alcotest.to_alcotest prop_shortest_path_vs_reference;
+          QCheck_alcotest.to_alcotest prop_run_vs_reference;
         ] );
       ( "spf",
         [

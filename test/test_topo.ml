@@ -47,6 +47,25 @@ let test_builder_rejects_duplicates () =
   Alcotest.check_raises "duplicate name" (Invalid_argument "Builder.add_node: duplicate x")
     (fun () -> ignore (G.Builder.add_node b "x"))
 
+let test_builder_rejects_bad_values () =
+  let b = G.Builder.create () in
+  let x = G.Builder.add_node b "x" in
+  let y = G.Builder.add_node b "y" in
+  let bad = [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ] in
+  List.iter
+    (fun v ->
+      let name = Printf.sprintf "%h" v in
+      Alcotest.check_raises ("latency " ^ name) (Invalid_argument "Builder.add_link: latency")
+        (fun () -> ignore (G.Builder.add_link b ~capacity:1.0 ~latency:v x y));
+      Alcotest.check_raises ("capacity " ^ name) (Invalid_argument "Builder.add_link: capacity")
+        (fun () -> ignore (G.Builder.add_link b ~capacity:v ~latency:1.0 x y));
+      Alcotest.check_raises ("capacity back " ^ name)
+        (Invalid_argument "Builder.add_link: capacity") (fun () ->
+          ignore (G.Builder.add_link b ~capacity:1.0 ~capacity_back:v ~latency:1.0 x y)))
+    bad;
+  (* A rejected link leaves nothing behind: the pair is still free. *)
+  Alcotest.(check int) "link added" 0 (G.Builder.add_link b ~capacity:1.0 ~latency:1.0 x y)
+
 let test_asymmetric_capacity () =
   let b = G.Builder.create () in
   let x = G.Builder.add_node b "x" in
@@ -262,6 +281,7 @@ let () =
           Alcotest.test_case "arc pairing" `Quick test_arc_pairing;
           Alcotest.test_case "find arc" `Quick test_find_arc;
           Alcotest.test_case "builder rejects bad input" `Quick test_builder_rejects_duplicates;
+          Alcotest.test_case "builder rejects bad values" `Quick test_builder_rejects_bad_values;
           Alcotest.test_case "asymmetric capacity" `Quick test_asymmetric_capacity;
           QCheck_alcotest.to_alcotest prop_builder_invariants;
         ] );
