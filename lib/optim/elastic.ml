@@ -42,7 +42,10 @@ let build_state ft ~aggs_per_pod ~cores =
   let link_on i j =
     match G.find_arc g i j with
     | Some a -> Topo.State.set_link g st (G.arc g a).G.link true
-    | None -> assert false
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Elastic.minimal_subset: the fat-tree has no link %s-%s" (G.name g i)
+             (G.name g j))
   in
   (* All host-edge links stay on: edge switches cannot sleep. *)
   Array.iteri
@@ -77,9 +80,11 @@ let minimal_subset ?margin ft power tm =
   let margin = match margin with Some m -> m | None -> U.ratio 1.0 in
   let g = ft.Topo.Fattree.graph in
   let k = ft.Topo.Fattree.k in
+  if k < 2 || k mod 2 <> 0 then
+    invalid_arg (Printf.sprintf "Elastic.minimal_subset: fat-tree k must be even and >= 2, got %d" k);
   let half = k / 2 in
   let cap = U.to_float (U.( *: ) margin (U.bps (G.link_capacity g 0))) in
-  if cap <= 0.0 then
+  if not (cap > 0.0) then
     invalid_arg "Elastic.minimal_subset: fat-tree link capacity (times margin) must be positive";
   let cross_out, cross_in, intra = pod_demands ft tm in
   let needs_agg = Array.exists (fun v -> v > 0.0) intra in
@@ -89,11 +94,7 @@ let minimal_subset ?margin ft power tm =
   let total_cross = Array.fold_left ( +. ) 0.0 cross_out in
   (* Aggregation switches per pod: enough uplink bandwidth for the pod's
      cross traffic ((k/2) core uplinks each). *)
-  let demand_aggs =
-    let per_agg = float_of_int half *. cap in
-    assert (per_agg > 0.0);
-    int_of_float (ceil (max_cross /. per_agg))
-  in
+  let demand_aggs = int_of_float (ceil (max_cross /. (float_of_int half *. cap))) in
   let base_aggs =
     if max_cross > 0.0 || needs_agg then max 1 demand_aggs else 0
   in

@@ -14,5 +14,8 @@ val minimal_subset :
     count from pod-level traffic totals, activates the leftmost such subset,
     and verifies by routing; capacity is escalated until the placement
     succeeds. [None] if even the full fat-tree cannot carry the matrix.
-    @raise Invalid_argument if the fat-tree's link capacity (scaled by
-    [margin]) is not positive. *)
+    @raise Invalid_argument if the fat-tree's [k] is not even and at least
+    2, if its link capacity (scaled by [margin]) is not positive, or if a
+    host-edge, edge-aggregation or aggregation-core link that its [k] and
+    node arrays imply is missing from its graph (the message names both
+    ends). *)

@@ -21,40 +21,61 @@ let m_heap_pops =
    [infinity]/-1/[false] for every node, with [heap] empty. The search stops
    when [stop] is popped (-1 never is). A settled node is never re-parented,
    so a zero-weight arc back into the tree cannot close a cycle in
-   [prev_arc]. Ties keep the smaller arc id. *)
+   [prev_arc]. Ties keep the smaller arc id.
+
+   A leaf (a degree-1 node) other than [stop] is never pushed. Its one
+   in-arc is relaxed once, when its neighbour settles, so that relaxation
+   is final: without a [stop] the leaf takes its [dist] and [prev_arc] there
+   and is marked settled. With one, no path to [stop] can pass through the
+   leaf, so it is skipped before [active] and [weight] are called. The
+   other pushes keep their relative order, so ties pop as before.
+
+   A popped [u] that is not yet settled has [dist.(u)] as its priority:
+   each push of [u] sets [dist.(u)] to a value no greater than before, so
+   the first of its entries to pop carries the current one. The graph's
+   arrays are read once here because every library is compiled [-opaque]:
+   a [Topo.Graph] accessor per arc would be a call per arc. *)
 let search g ~weight ~active ~dist ~prev_arc ~done_ ~heap ~src ~stop =
+  let adj = Topo.Graph.adjacency g and arcs = Topo.Graph.arcs g in
+  let prune = stop >= 0 in
   let pushes = ref 1 and pops = ref 0 in
   dist.(src) <- 0.0;
   Eutil.Heap.push heap 0.0 src;
   let running = ref true in
-  while !running do
-    match Eutil.Heap.pop heap with
-    | None -> running := false
-    | Some (d, u) ->
-        incr pops;
-        if u = stop then running := false
-        else if not done_.(u) then begin
-          done_.(u) <- true;
-          let out = Topo.Graph.out_arcs g u in
-          for i = 0 to Array.length out - 1 do
-            let aid = out.(i) in
-            let arc = Topo.Graph.arc g aid in
-            let v = arc.Topo.Graph.dst in
-            if (not done_.(v)) && active arc then begin
-              let w = weight arc in
-              if w < infinity && w >= 0.0 then begin
-                let nd = d +. w in
-                if nd < dist.(v) || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
-                then begin
-                  dist.(v) <- nd;
-                  prev_arc.(v) <- aid;
+  (* [heap] starts empty, so it holds [!pushes - !pops] entries. *)
+  while !running && !pops < !pushes do
+    let u = Eutil.Heap.take heap in
+    incr pops;
+    if u = stop then running := false
+    else if not done_.(u) then begin
+      done_.(u) <- true;
+      let d = dist.(u) in
+      let out = adj.(u) in
+      for i = 0 to Array.length out - 1 do
+        let aid = out.(i) in
+        let arc = arcs.(aid) in
+        let v = arc.Topo.Graph.dst in
+        if not done_.(v) then begin
+          let leaf = Array.length adj.(v) = 1 && v <> stop in
+          if not (leaf && prune) && active arc then begin
+            let w = weight arc in
+            if w < infinity && w >= 0.0 then begin
+              let nd = d +. w in
+              if nd < dist.(v) || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
+              then begin
+                dist.(v) <- nd;
+                prev_arc.(v) <- aid;
+                if leaf then done_.(v) <- true
+                else begin
                   incr pushes;
                   Eutil.Heap.push heap nd v
                 end
               end
             end
-          done
+          end
         end
+      done
+    end
   done;
   if Obs.Control.enabled () then begin
     Obs.Metric.Counter.incr m_runs;

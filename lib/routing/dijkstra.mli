@@ -1,5 +1,14 @@
 (** Single-source shortest paths with pluggable arc weights and an activity
-    filter, the workhorse under every routing variant in the repository. *)
+    filter, the workhorse under every routing variant in the repository.
+
+    Leaves (degree-1 nodes) never go through the heap, except for the
+    [dst] of {!shortest_path}: a leaf's one in-arc is relaxed once, when its
+    neighbour settles, and no path passes through a leaf without ending
+    there. {!run} gives each leaf its final distance and parent arc at that
+    relaxation; {!shortest_path} skips the arc into a leaf before calling
+    [active] or [weight] on it. The Obs counters [routing_heap_pushes_total]
+    and [routing_heap_pops_total] therefore count the source, the nodes of
+    degree 2 or more, and a leaf [dst]; never another leaf. *)
 
 type result = {
   dist : float array;  (** distance per node; [infinity] if unreachable *)

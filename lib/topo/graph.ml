@@ -43,6 +43,8 @@ let node_of_name g s =
 let arc g a = g.arcs.(a)
 let out_arcs g n = g.out_adj.(n)
 let in_arcs g n = g.in_adj.(n)
+let adjacency g = g.out_adj
+let arcs g = g.arcs
 let degree g n = Array.length g.out_adj.(n)
 let link_endpoints g l = g.links.(l)
 

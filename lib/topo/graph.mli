@@ -52,6 +52,15 @@ val out_arcs : t -> int -> int array
 val in_arcs : t -> int -> int array
 (** Identifiers of arcs entering the node. Do not mutate. *)
 
+val adjacency : t -> int array array
+(** Every node's {!out_arcs}, indexed by node: [(adjacency g).(n)] is
+    [out_arcs g n]. For loops that would otherwise call {!out_arcs} and
+    {!degree} per arc. Do not mutate. *)
+
+val arcs : t -> arc array
+(** Every arc, indexed by identifier: [(arcs g).(a)] is [arc g a]. Do not
+    mutate. *)
+
 val degree : t -> int -> int
 (** Number of links incident to the node. *)
 

@@ -1,75 +1,116 @@
-type 'a entry = { prio : float; seq : int; value : 'a }
-
+(* Structure of arrays: slot i holds priority [prio.(i)], insertion number
+   [seq.(i)] and value [vals.(i)]. Priorities sit in a [Float.Array], so
+   neither [push] nor [take] boxes anything once the arrays have grown. The
+   sifts move a hole instead of swapping, but make the comparisons the
+   swapping version made, so the layout (and with it the pop order) is the
+   same. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable prio : Float.Array.t;
+  mutable seq : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; len = 0; next_seq = 0 }
+let create () = { prio = Float.Array.create 0; seq = [||]; vals = [||]; len = 0; next_seq = 0 }
 
 let is_empty h = h.len = 0
 
-let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+(* (priority, insertion seq) order: FIFO among equal priorities. *)
+let[@inline] less (p1 : float) (s1 : int) (p2 : float) (s2 : int) =
+  p1 < p2 || (p1 = p2 && s1 < s2)
 
-let grow h e =
-  let cap = Array.length h.data in
+(* [value] only seeds the new value array. *)
+let grow h value =
+  let cap = Array.length h.seq in
   if h.len = cap then begin
     let ncap = max 16 (2 * cap) in
-    let nd = Array.make ncap e in
-    Array.blit h.data 0 nd 0 h.len;
-    h.data <- nd
+    let prio = Float.Array.create ncap in
+    Float.Array.blit h.prio 0 prio 0 h.len;
+    let seq = Array.make ncap 0 in
+    Array.blit h.seq 0 seq 0 h.len;
+    let vals = Array.make ncap value in
+    Array.blit h.vals 0 vals 0 h.len;
+    h.prio <- prio;
+    h.seq <- seq;
+    h.vals <- vals
   end
 
-let push h prio value =
-  let e = { prio; seq = h.next_seq; value } in
-  h.next_seq <- h.next_seq + 1;
-  grow h e;
-  h.data.(h.len) <- e;
+let push h p value =
+  grow h value;
+  let s = h.next_seq in
+  h.next_seq <- s + 1;
+  let prio = h.prio and seq = h.seq and vals = h.vals in
+  (* sift up: move parents down into the hole until [p] fits *)
+  let i = ref h.len in
   h.len <- h.len + 1;
-  (* sift up *)
-  let i = ref (h.len - 1) in
   while
     !i > 0
     &&
-    let p = (!i - 1) / 2 in
-    if less h.data.(!i) h.data.(p) then begin
-      let tmp = h.data.(p) in
-      h.data.(p) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := p;
+    let parent = (!i - 1) / 2 in
+    if less p s (Float.Array.get prio parent) seq.(parent) then begin
+      Float.Array.set prio !i (Float.Array.get prio parent);
+      seq.(!i) <- seq.(parent);
+      vals.(!i) <- vals.(parent);
+      i := parent;
       true
     end
     else false
   do
     ()
-  done
+  done;
+  Float.Array.set prio !i p;
+  seq.(!i) <- s;
+  vals.(!i) <- value
+
+(* Removes slot 0: the last slot fills the hole and sifts down. *)
+let remove_min h =
+  let n = h.len - 1 in
+  h.len <- n;
+  if n > 0 then begin
+    let prio = h.prio and seq = h.seq and vals = h.vals in
+    let p = Float.Array.get prio n and s = seq.(n) and value = vals.(n) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      (* [m] is the smallest of the hole's entry and its children; -1 is the
+         entry itself *)
+      let m = ref (-1) in
+      if l < n && less (Float.Array.get prio l) seq.(l) p s then m := l;
+      if r < n then begin
+        let beats =
+          if !m < 0 then less (Float.Array.get prio r) seq.(r) p s
+          else less (Float.Array.get prio r) seq.(r) (Float.Array.get prio l) seq.(l)
+        in
+        if beats then m := r
+      end;
+      if !m < 0 then continue := false
+      else begin
+        let c = !m in
+        Float.Array.set prio !i (Float.Array.get prio c);
+        seq.(!i) <- seq.(c);
+        vals.(!i) <- vals.(c);
+        i := c
+      end
+    done;
+    Float.Array.set prio !i p;
+    seq.(!i) <- s;
+    vals.(!i) <- value
+  end
+
+let take h =
+  if h.len = 0 then invalid_arg "Heap.take: empty heap";
+  let top = h.vals.(0) in
+  remove_min h;
+  top
 
 let pop h =
   if h.len = 0 then None
   else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.len && less h.data.(l) h.data.(!m) then m := l;
-        if r < h.len && less h.data.(r) h.data.(!m) then m := r;
-        if !m = !i then continue := false
-        else begin
-          let tmp = h.data.(!m) in
-          h.data.(!m) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !m
-        end
-      done
-    end;
-    Some (top.prio, top.value)
+    let p = Float.Array.get h.prio 0 and top = h.vals.(0) in
+    remove_min h;
+    Some (p, top)
   end
 
 let clear h =

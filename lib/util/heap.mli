@@ -1,6 +1,9 @@
 (** Binary min-heap keyed by float priorities.
 
-    Used by Dijkstra and by the discrete-event simulator's scheduler. *)
+    Used by Dijkstra and by the discrete-event simulators' schedulers. The
+    heap keeps priorities, insertion numbers and values in parallel arrays
+    (priorities unboxed), so {!push} and {!take} allocate nothing once the
+    arrays have grown to the largest size seen. *)
 
 type 'a t
 
@@ -15,6 +18,12 @@ val push : 'a t -> float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element. Ties are broken by
     insertion order (FIFO), which keeps the event simulator deterministic. *)
+
+val take : 'a t -> 'a
+(** Removes the element {!pop} would return and returns its value only,
+    without the option and the tuple [pop] allocates. Same order: priority,
+    then FIFO among equal priorities.
+    @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
 (** Empties the heap, keeping its storage for reuse. *)

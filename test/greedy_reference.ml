@@ -6,8 +6,9 @@
    shortest-path tree to read one path. The Obs instruments are removed (a
    second registration of the [routing_*] metric names would fail at
    start-up) and [Minimal.result] is the library's own type, so the two
-   greedies return comparable values. Do not optimise it: its only job is
-   to be obviously the old behaviour. *)
+   greedies return comparable values. Its Dijkstra runs on the frozen
+   [Heap_reference], not on [Eutil.Heap]. Do not optimise it: its only job
+   is to be obviously the old behaviour. *)
 
 module Dijkstra = struct
   type result = { dist : float array; prev_arc : int array }
@@ -19,11 +20,11 @@ module Dijkstra = struct
     let dist = Array.make n infinity in
     let prev_arc = Array.make n (-1) in
     let done_ = Array.make n false in
-    let heap : int Eutil.Heap.t = Eutil.Heap.create () in
+    let heap : int Heap_reference.t = Heap_reference.create () in
     dist.(src) <- 0.0;
-    Eutil.Heap.push heap 0.0 src;
+    Heap_reference.push heap 0.0 src;
     let rec loop () =
-      match Eutil.Heap.pop heap with
+      match Heap_reference.pop heap with
       | None -> ()
       | Some (d, u) ->
           if not done_.(u) then begin
@@ -44,7 +45,7 @@ module Dijkstra = struct
                     then begin
                       dist.(v) <- nd;
                       prev_arc.(v) <- aid;
-                      if not done_.(v) then Eutil.Heap.push heap nd v
+                      if not done_.(v) then Heap_reference.push heap nd v
                     end
                   end
                 end)

@@ -3,8 +3,9 @@
    from scratch. It is the pre-ledger [lib/netsim/sim.ml] with its Obs
    instruments removed (a second registration of the [netsim_*] metric
    names would fail at start-up) and with the public types taken from
-   [Netsim.Sim], so the two [run]s return comparable results. Do not
-   optimise it: its only job is to be obviously the old behaviour. *)
+   [Netsim.Sim], so the two [run]s return comparable results. Its event
+   queue is the frozen [Heap_reference], not [Eutil.Heap]. Do not optimise
+   it: its only job is to be obviously the old behaviour. *)
 
 open Netsim.Sim
 
@@ -30,7 +31,7 @@ type sim = {
   last_loaded : float array;  (* per link: last time it carried traffic *)
   mutable demand : Traffic.Matrix.t;
   mutable now : float;
-  queue : ev Eutil.Heap.t;
+  queue : ev Heap_reference.t;
   (* Rate cache, invalidated on any state change. *)
   mutable cache_valid : bool;
   mutable arc_offered : float array;
@@ -174,7 +175,7 @@ let wake_link s l =
   if (not s.failed.(l)) && s.status.(l) = Sleeping then begin
     s.status.(l) <- Waking (s.now +. s.cfg.wake_time);
     s.wake_count <- s.wake_count + 1;
-    Eutil.Heap.push s.queue (s.now +. s.cfg.wake_time) (Wake_done l);
+    Heap_reference.push s.queue (s.now +. s.cfg.wake_time) (Wake_done l);
     invalidate s
   end
 
@@ -203,7 +204,7 @@ let request_wake s l =
     if not s.known_failed.(l) then begin
       s.known_failed.(l) <- true;
       List.iter
-        (fun (o, d) -> Eutil.Heap.push s.queue s.now (Probe (o, d)))
+        (fun (o, d) -> Heap_reference.push s.queue s.now (Probe (o, d)))
         (pairs_using_link s l);
       invalidate s
     end
@@ -296,7 +297,7 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
       last_loaded = Array.make (Topo.Graph.link_count g) 0.0;
       demand = Traffic.Matrix.create (Topo.Graph.node_count g);
       now = 0.0;
-      queue = Eutil.Heap.create ();
+      queue = Heap_reference.create ();
       cache_valid = false;
       arc_offered = [||];
       pair_rates = [];
@@ -344,25 +345,25 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
   List.iter
     (fun ev ->
       match ev with
-      | Set_demand (t, tm) -> Eutil.Heap.push s.queue t (Demand_change tm)
-      | Fail_link (t, l) -> Eutil.Heap.push s.queue t (Fail l)
-      | Repair_link (t, l) -> Eutil.Heap.push s.queue t (Repair l))
+      | Set_demand (t, tm) -> Heap_reference.push s.queue t (Demand_change tm)
+      | Fail_link (t, l) -> Heap_reference.push s.queue t (Fail l)
+      | Repair_link (t, l) -> Heap_reference.push s.queue t (Repair l))
     events;
   (* Probes: per pair, staggered within the first period. *)
   let t_probe = Eutil.Units.to_float config.te.Response.Te.probe_period in
   List.iteri
     (fun i (o, d) ->
       let offset = t_probe *. float_of_int i /. float_of_int (max 1 (List.length pairs)) in
-      Eutil.Heap.push s.queue (config.te_start +. offset) (Probe (o, d)))
+      Heap_reference.push s.queue (config.te_start +. offset) (Probe (o, d)))
     pairs;
   (* Samples. *)
   let n_samples = int_of_float (duration /. config.sample_interval) + 1 in
   for i = 0 to n_samples - 1 do
-    Eutil.Heap.push s.queue (float_of_int i *. config.sample_interval) Take_sample
+    Heap_reference.push s.queue (float_of_int i *. config.sample_interval) Take_sample
   done;
   let samples = ref [] in
   let rec loop () =
-    match Eutil.Heap.pop s.queue with
+    match Heap_reference.pop s.queue with
     | None -> ()
     | Some (t, _) when t > duration +. 1e-9 -> ()
     | Some (t, ev) ->
@@ -370,13 +371,13 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
         (match ev with
         | Probe (o, d) ->
             handle_probe s o d;
-            Eutil.Heap.push s.queue (s.now +. t_probe) (Probe (o, d))
+            Heap_reference.push s.queue (s.now +. t_probe) (Probe (o, d))
         | Demand_change tm ->
             s.demand <- tm;
             invalidate s
         | Fail l ->
             s.failed.(l) <- true;
-            Eutil.Heap.push s.queue (s.now +. config.failure_detection) (Detect l);
+            Heap_reference.push s.queue (s.now +. config.failure_detection) (Detect l);
             invalidate s
         | Detect l ->
             (* Guard against the stale-detection race: a Detect scheduled by
@@ -387,7 +388,7 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
               (* Affected agents react promptly: immediate probe for pairs
                  whose current split crosses the failed link. *)
               List.iter
-                (fun (o, d) -> Eutil.Heap.push s.queue s.now (Probe (o, d)))
+                (fun (o, d) -> Heap_reference.push s.queue s.now (Probe (o, d)))
                 (pairs_using_link s l)
             end
         | Repair l ->

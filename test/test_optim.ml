@@ -505,6 +505,66 @@ let prop_evaluate_vs_reference =
         (Greedy_reference.Minimal.evaluate g power tm st)
         (Optim.Minimal.evaluate g power tm st))
 
+(* A hand-built [Fattree.t] whose arrays or [k] disagree with its graph
+   gets a typed error naming the missing link or the bad [k]. Each case
+   breaks one field of a k = 4 fat-tree under far (cross-pod) traffic, so
+   every kind of link is needed. *)
+let elastic_raises msg broken =
+  let ft = Topo.Fattree.make 4 in
+  let power = Power.Model.commodity_dc ft.Topo.Fattree.graph in
+  let tm =
+    Traffic.Sine.fattree ft Traffic.Sine.Far ~peak:(Eutil.Units.bps 5e8)
+      ~period:(Eutil.Units.seconds 100.0) 50.0
+  in
+  Alcotest.check_raises "typed error" (Invalid_argument ("Elastic.minimal_subset: " ^ msg))
+    (fun () -> ignore (Optim.Elastic.minimal_subset (broken ft) power tm))
+
+let rotate a by = Array.init (Array.length a) (fun i -> a.((i + by) mod Array.length a))
+
+let test_elastic_missing_host_edge () =
+  elastic_raises "the fat-tree has no link h3_1_1-e0_0" (fun ft ->
+      { ft with Topo.Fattree.hosts = rotate ft.Topo.Fattree.hosts 15 })
+
+let test_elastic_missing_edge_agg () =
+  elastic_raises "the fat-tree has no link e0_0-a1_0" (fun ft ->
+      { ft with Topo.Fattree.aggs = rotate ft.Topo.Fattree.aggs 2 })
+
+let test_elastic_missing_agg_core () =
+  elastic_raises "the fat-tree has no link a0_0-c2" (fun ft ->
+      { ft with Topo.Fattree.cores = rotate ft.Topo.Fattree.cores 2 })
+
+let test_elastic_bad_k () =
+  elastic_raises "fat-tree k must be even and >= 2, got 0" (fun ft ->
+      { ft with Topo.Fattree.k = 0 })
+
+(* ElasticTree on random host-pair matrices over k = 4 and k = 6
+   fat-trees: the subset it picks routes, to the bit, as the frozen
+   greedy's [evaluate] routes that subset. When it finds none, the frozen
+   [evaluate] cannot carry the matrix on the whole fat-tree either. *)
+let prop_elastic_vs_reference =
+  let fattrees = [| Topo.Fattree.make 4; Topo.Fattree.make 6 |] in
+  QCheck.Test.make ~name:"elastic equals frozen reference" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let ft = fattrees.(Eutil.Prng.int rng 2) in
+      let g = ft.Topo.Fattree.graph and hosts = ft.Topo.Fattree.hosts in
+      let power = Power.Model.commodity_dc g in
+      let nh = Array.length hosts in
+      let flows =
+        List.init
+          (1 + Eutil.Prng.int rng 16)
+          (fun _ ->
+            let o = Eutil.Prng.int rng nh in
+            let d = (o + 1 + Eutil.Prng.int rng (nh - 1)) mod nh in
+            (hosts.(o), hosts.(d), (0.05 +. (0.6 *. Eutil.Prng.float rng)) *. 1e9))
+      in
+      let tm = Matrix.of_flows (G.node_count g) flows in
+      match Optim.Elastic.minimal_subset ft power tm with
+      | Some r ->
+          same_result (Greedy_reference.Minimal.evaluate g power tm r.Optim.Minimal.state) (Some r)
+      | None -> Greedy_reference.Minimal.evaluate g power tm (State.all_on g) = None)
+
 (* The greedy's work counters: every unpinned move is skipped, rejected or
    accepted exactly once, and nothing is counted with Obs off. *)
 let test_greedy_counters () =
@@ -583,6 +643,11 @@ let () =
           Alcotest.test_case "near traffic" `Quick test_elastic_near_traffic;
           Alcotest.test_case "far traffic uses core" `Quick test_elastic_far_traffic_uses_core;
           Alcotest.test_case "tracks load" `Quick test_elastic_tracks_load;
+          Alcotest.test_case "missing host-edge link" `Quick test_elastic_missing_host_edge;
+          Alcotest.test_case "missing edge-agg link" `Quick test_elastic_missing_edge_agg;
+          Alcotest.test_case "missing agg-core link" `Quick test_elastic_missing_agg_core;
+          Alcotest.test_case "bad k" `Quick test_elastic_bad_k;
+          QCheck_alcotest.to_alcotest prop_elastic_vs_reference;
         ] );
       ( "exact",
         [

@@ -81,6 +81,22 @@ let random_graph rng n =
   done;
   G.Builder.build b
 
+(* [shortest_path] gives the path the frozen full-tree Dijkstra reads for
+   [dst]. *)
+let same_path g ~weight ~active ~src ~dst =
+  let want = Greedy_reference.Dijkstra.(path_to g (run g ~weight ~active ~src ()) dst) in
+  Option.equal Path.equal want (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ())
+
+(* [run] gives the frozen Dijkstra's tree: distances to the bit, and
+   parents. *)
+let same_tree g ~weight ~active ~src =
+  let want = Greedy_reference.Dijkstra.run g ~weight ~active ~src () in
+  let got = Routing.Dijkstra.run g ~weight ~active ~src () in
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    want.Greedy_reference.Dijkstra.dist got.Routing.Dijkstra.dist
+  && Array.for_all2 Int.equal want.Greedy_reference.Dijkstra.prev_arc got.Routing.Dijkstra.prev_arc
+
 (* The target-stopped [shortest_path] returns exactly the path the frozen
    full-tree Dijkstra reads for [dst]. Weights in 1..3 force equal-weight
    ties (the smaller-arc-id rule decides them); random activity masks, src
@@ -99,11 +115,7 @@ let prop_shortest_path_vs_reference =
         (fun k ->
           let src = Eutil.Prng.int rng n in
           let dst = if k = 0 then src else Eutil.Prng.int rng n in
-          let want =
-            Greedy_reference.Dijkstra.(path_to g (run g ~weight ~active ~src ()) dst)
-          in
-          Option.equal Path.equal want
-            (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ()))
+          same_path g ~weight ~active ~src ~dst)
         (List.init 6 Fun.id))
 
 (* [run] keeps its full-tree contract: distances (to the bit) and parents
@@ -122,14 +134,87 @@ let prop_run_vs_reference =
       in
       let on = Array.init (G.arc_count g) (fun _ -> Eutil.Prng.float rng < 0.85) in
       let weight arc = w.(arc.G.id) and active arc = on.(arc.G.id) in
-      let src = Eutil.Prng.int rng n in
-      let want = Greedy_reference.Dijkstra.run g ~weight ~active ~src () in
-      let got = Routing.Dijkstra.run g ~weight ~active ~src () in
-      Array.for_all2
-        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-        want.Greedy_reference.Dijkstra.dist got.Routing.Dijkstra.dist
-      && Array.for_all2 Int.equal want.Greedy_reference.Dijkstra.prev_arc
-           got.Routing.Dijkstra.prev_arc)
+      same_tree g ~weight ~active ~src:(Eutil.Prng.int rng n))
+
+(* A k = 4 or k = 6 fat-tree, whose hosts are the degree-1 leaves the
+   search never pushes (the random graphs above have few). Links are on
+   with probability 0.9; weights are drawn from 1..3 (ties everywhere) or
+   are congestion-like floats, latency times 1 + 3u. *)
+let fattrees = [| Topo.Fattree.make 4; Topo.Fattree.make 6 |]
+
+let random_fattree rng =
+  let ft = fattrees.(Eutil.Prng.int rng 2) in
+  let g = ft.Topo.Fattree.graph in
+  let ties = Eutil.Prng.float rng < 0.5 in
+  let w =
+    Array.init (G.arc_count g) (fun a ->
+        if ties then float_of_int (1 + Eutil.Prng.int rng 3)
+        else (G.arc g a).G.latency *. (1.0 +. (3.0 *. Eutil.Prng.float rng)))
+  in
+  let on = Array.init (G.link_count g) (fun _ -> Eutil.Prng.float rng < 0.9) in
+  let switches = Array.concat Topo.Fattree.[ ft.edges; ft.aggs; ft.cores ] in
+  (ft, switches, (fun arc -> w.(arc.G.id)), fun arc -> on.(arc.G.link))
+
+(* On fat-trees, host to host, host to switch and switch to host. *)
+let prop_fattree_shortest_path_vs_reference =
+  QCheck.Test.make ~name:"fat-tree shortest_path equals full-tree reference" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let ft, switches, weight, active = random_fattree rng in
+      let hosts = ft.Topo.Fattree.hosts in
+      let pick a = a.(Eutil.Prng.int rng (Array.length a)) in
+      List.for_all
+        (fun (from, towards) ->
+          let src = pick from in
+          same_path ft.Topo.Fattree.graph ~weight ~active ~src ~dst:(pick towards))
+        [ (hosts, hosts); (hosts, hosts); (hosts, switches); (switches, hosts) ])
+
+(* [run] on fat-trees: every host, never pushed, still gets the reference's
+   distance bits and parent arc. *)
+let prop_fattree_run_vs_reference =
+  QCheck.Test.make ~name:"fat-tree run equals full-tree reference" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let ft, switches, weight, active = random_fattree rng in
+      let from = if Eutil.Prng.float rng < 0.5 then ft.Topo.Fattree.hosts else switches in
+      same_tree ft.Topo.Fattree.graph ~weight ~active
+        ~src:from.(Eutil.Prng.int rng (Array.length from)))
+
+(* The leaf rule's work on the k = 12 fat-tree (432 hosts, 180 switches),
+   all links on, latency weights, read from the Obs counters. A cross-pod
+   host-to-host search pops the source, every switch (each is closer than
+   the destination) and the destination: no other host is ever pushed.
+   [run] from a host pushes the source and the switches only, and still
+   gives every host its distance. *)
+let test_fattree_leaf_work () =
+  let ft = Topo.Fattree.make 12 in
+  let g = ft.Topo.Fattree.graph and hosts = ft.Topo.Fattree.hosts in
+  let switches = G.node_count g - Array.length hosts in
+  let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
+  let counted f =
+    let pops = read "routing_heap_pops_total" and pushes = read "routing_heap_pushes_total" in
+    Obs.set_enabled true;
+    let x = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
+    ( x,
+      int_of_float (read "routing_heap_pops_total" -. pops),
+      int_of_float (read "routing_heap_pushes_total" -. pushes) )
+  in
+  let src = hosts.(0) and dst = hosts.(Array.length hosts - 1) in
+  let p, pops, _ = counted (fun () -> Routing.Dijkstra.shortest_path g ~src ~dst ()) in
+  Alcotest.(check (option int)) "cross-pod path" (Some 6) (Option.map Path.hops p);
+  Alcotest.(check bool)
+    (Printf.sprintf "shortest_path pops %d <= 2 + %d" pops switches)
+    true
+    (pops <= 2 + switches);
+  let res, _, pushes = counted (fun () -> Routing.Dijkstra.run g ~src ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "run pushes %d <= 1 + %d" pushes switches)
+    true
+    (pushes <= 1 + switches);
+  Alcotest.(check bool) "every host reached" true
+    (Array.for_all (fun h -> Float.is_finite res.Routing.Dijkstra.dist.(h)) hosts)
 
 (* Dijkstra distances equal Bellman-Ford distances on random graphs. *)
 let prop_dijkstra_vs_bellman_ford =
@@ -326,6 +411,9 @@ let () =
           Alcotest.test_case "zero weight keeps the tree" `Quick test_dijkstra_zero_weight_no_cycle;
           QCheck_alcotest.to_alcotest prop_shortest_path_vs_reference;
           QCheck_alcotest.to_alcotest prop_run_vs_reference;
+          QCheck_alcotest.to_alcotest prop_fattree_shortest_path_vs_reference;
+          QCheck_alcotest.to_alcotest prop_fattree_run_vs_reference;
+          Alcotest.test_case "fat-tree leaf work" `Quick test_fattree_leaf_work;
         ] );
       ( "spf",
         [

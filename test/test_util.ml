@@ -149,6 +149,58 @@ let prop_heap_sorts =
       in
       drain neg_infinity)
 
+(* [Eutil.Heap] pops exactly what the frozen boxed heap pops: the same
+   priority bits and values, in the same order, through random interleavings
+   of [push], [pop], [take], [clear] and [is_empty]. Priorities come mostly
+   from four values, so most comparisons are ties and FIFO decides them. The
+   values are push numbers, as ints and as floats (a float value array is
+   stored flat, which is a separate code path). *)
+let prop_heap_vs_reference =
+  let same_run (type a) (value : int -> a) (equal : a -> a -> bool) rng =
+    let h = Heap.create () and r = Heap_reference.create () in
+    let ties = [| 0.0; 0.5; 1.0; infinity |] in
+    let ok = ref true and pushed = ref 0 in
+    for _ = 1 to 300 do
+      let op = Eutil.Prng.int rng 100 in
+      if op < 55 then begin
+        let p =
+          if Eutil.Prng.float rng < 0.85 then ties.(Eutil.Prng.int rng 4)
+          else (2.0 *. Eutil.Prng.float rng) -. 0.5
+        in
+        Heap.push h p (value !pushed);
+        Heap_reference.push r p (value !pushed);
+        incr pushed
+      end
+      else if op < 72 then
+        ok :=
+          !ok
+          &&
+          match (Heap.pop h, Heap_reference.pop r) with
+          | None, None -> true
+          | Some (p, x), Some (q, y) ->
+              Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q) && equal x y
+          | _ -> false
+      else if op < 89 then
+        ok :=
+          !ok
+          &&
+          match Heap_reference.pop r with
+          | Some (_, y) -> equal (Heap.take h) y
+          | None -> ( try ignore (Heap.take h); false with Invalid_argument _ -> true)
+      else if op < 97 then ok := !ok && Bool.equal (Heap.is_empty h) (Heap_reference.is_empty r)
+      else begin
+        Heap.clear h;
+        Heap_reference.clear r
+      end
+    done;
+    !ok
+  in
+  QCheck.Test.make ~name:"heap equals frozen reference" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      same_run Fun.id Int.equal (Eutil.Prng.create seed)
+      && same_run float_of_int Float.equal (Eutil.Prng.create seed))
+
 let test_percentile () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "median" 2.5 (Stats.percentile xs 50.0);
@@ -300,6 +352,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_vs_reference;
         ] );
       ( "stats",
         [
