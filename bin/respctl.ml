@@ -864,8 +864,9 @@ let chaos_snapshot_bytes st pairs =
       Buffer.add_string b
         (Serve.Wire.encode_response (Serve.Wire.Path_reply { status; level; nodes })))
     pairs;
-  Buffer.add_string b (string_of_int (Serve.State.levels_activated st));
-  Buffer.add_string b (Int64.to_string (Int64.bits_of_float (Serve.State.power_percent st)));
+  let _version, levels, power_percent = Serve.State.figures st in
+  Buffer.add_string b (string_of_int levels);
+  Buffer.add_string b (Int64.to_string (Int64.bits_of_float power_percent));
   Buffer.contents b
 
 (* Simulated kill -9 + restart: run a journaled state, copy the journal

@@ -26,10 +26,48 @@ let wait_for_stop () =
   loop ();
   0
 
+let smoke_writes = 20
+
+(* The smoke session's write half: [smoke_writes] seeded demand updates,
+   each acknowledged, live (Stats reports a version at least the ack's)
+   within 2 s, and then answered with a usable path for its pair. Returns
+   the problems found. *)
+let run_smoke_writes server pairs =
+  let rng = Eutil.Prng.create 7 in
+  let rec visible cl deadline target =
+    match Serve.Client.call ~timeout_s:2.0 cl Serve.Wire.Stats with
+    | Ok (Serve.Wire.Stats_reply st) when st.Serve.Wire.s_version >= target -> true
+    | Ok (Serve.Wire.Stats_reply _) when Obs.Clock.now_s () < deadline ->
+        Unix.sleepf 1e-3;
+        visible cl deadline target
+    | Ok _ | Error _ -> false
+  in
+  let write cl =
+    let origin, dest = pairs.(Eutil.Prng.int rng (Array.length pairs)) in
+    let bps = Eutil.Units.to_float (Eutil.Units.gbps (Eutil.Prng.range rng 0.01 0.5)) in
+    let what = Printf.sprintf "write %d,%d" origin dest in
+    match Serve.Client.call ~timeout_s:2.0 cl (Serve.Wire.Demand_update { origin; dest; bps }) with
+    | Ok (Serve.Wire.Ack { version }) -> (
+        if not (visible cl (Obs.Clock.now_s () +. 2.0) version) then
+          [ Printf.sprintf "%s (generation %d) not visible within 2 s" what version ]
+        else
+          match Serve.Client.call ~timeout_s:2.0 cl (Serve.Wire.Path_query { origin; dest }) with
+          | Ok (Serve.Wire.Path_reply { status = Serve.Wire.Path_ok; _ }) -> []
+          | Ok _ | Error _ -> [ what ^ ": no usable path after the write" ])
+    | Ok _ | Error _ -> [ what ^ " not acknowledged" ]
+  in
+  match Serve.Client.connect ~timeout_s:2.0 ~port:(Serve.Server.port server) () with
+  | Error e -> [ "writer connect failed: " ^ e ]
+  | Ok cl ->
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close cl)
+        (fun () -> List.concat (List.init smoke_writes (fun _ -> write cl)))
+
 (* Smoke mode (the @serve alias): a fixed-seed end-to-end session against
    our own loopback listeners — closed-loop queries with a mid-run
-   reload, a /metrics + /healthz scrape, and a JSON-export validation —
-   then a graceful shutdown. Exit 0 only if nothing failed or dropped. *)
+   reload, seeded demand writes read back once live, a /metrics +
+   /healthz scrape, and a JSON-export validation — then a graceful
+   shutdown. Exit 0 only if nothing failed or dropped. *)
 let run_smoke server pairs n =
   let cfg =
     {
@@ -48,6 +86,7 @@ let run_smoke server pairs n =
       1
   | Ok r ->
       Format.printf "smoke: %a@." Serve.Load.pp r;
+      let write_problems = run_smoke_writes server pairs in
       let http_port = Serve.Server.http_port server in
       let scrape = Serve.Client.http_get ~port:http_port ~path:"/metrics" () in
       let health = Serve.Client.http_get ~port:http_port ~path:"/healthz" () in
@@ -72,11 +111,13 @@ let run_smoke server pairs n =
             (match health with Ok _ -> [] | Error e -> [ "/healthz failed: " ^ e ]);
             (match json_ok with Ok () -> [] | Error e -> [ "metrics JSON invalid: " ^ e ]);
             (match load_json_ok with Ok () -> [] | Error e -> [ "load JSON invalid: " ^ e ]);
+            write_problems;
           ]
       in
       List.iter (fun p -> Format.eprintf "smoke: %s@." p) problems;
       if problems = [] then begin
-        Format.printf "smoke: ok (%d queries, 1 reload, scrape + JSON export valid)@." n;
+        Format.printf "smoke: ok (%d queries, %d writes, 1 reload, scrape + JSON export valid)@."
+          n smoke_writes;
         0
       end
       else 1
@@ -192,7 +233,12 @@ let load_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Fan each table rebuild out over $(docv) domains.")
+    value
+    & opt int 1
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Fan the boot-time table build out over $(docv) domains (demand writes and link \
+           events only re-evaluate the built tables).")
 
 let journal_arg =
   Arg.(
@@ -247,8 +293,11 @@ let smoke_arg =
     & opt (some int) None
     & info [ "smoke" ] ~docv:"N"
         ~doc:
-          "Self-test mode: run $(docv) loopback queries plus a mid-run reload and a metrics \
-           scrape in-process, then shut down and exit (0 = everything answered).")
+          (Printf.sprintf
+             "Self-test mode: run $(docv) loopback queries plus a mid-run reload, %d seeded \
+              demand writes (each read back once live) and a metrics scrape in-process, then \
+              shut down and exit (0 = everything answered)."
+             smoke_writes))
 
 let topology_arg =
   let doc = "Topology name (geant, abovenet, genuity, pop-access, fattree4, fattree8)." in

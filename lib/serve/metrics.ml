@@ -50,7 +50,7 @@ let recompute_errors =
     "serve_recompute_errors_total"
 
 let recompute_seconds =
-  Histogram.create ~help:"Wall-clock seconds per background table rebuild"
+  Histogram.create ~help:"Wall-clock seconds per background snapshot rebuild"
     "serve_recompute_seconds"
 
 let http_requests =

@@ -29,7 +29,8 @@ val recompute_errors : Obs.Metric.Counter.t
     were dropped (the previous snapshot stays live). *)
 
 val recompute_seconds : Obs.Metric.Histogram.t
-(** [serve_recompute_seconds]: duration of background table rebuilds. *)
+(** [serve_recompute_seconds]: duration of background snapshot rebuilds
+    (one evaluation of the staged matrix each). *)
 
 val http_requests : Obs.Metric.Counter.t
 (** [serve_http_requests_total]: scrape-endpoint requests served. *)

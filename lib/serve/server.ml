@@ -107,14 +107,18 @@ let send st c payload =
 
 (* ---------------------------- dispatching -------------------------- *)
 
+(* The version, levels and power come from one snapshot load: separate
+   reads could straddle a swap and pair one snapshot's version with
+   another's figures. *)
 let stats srv =
+  let version, levels, power_percent = State.figures srv.state in
   {
-    Wire.s_version = State.version srv.state;
+    Wire.s_version = version;
     s_swaps = State.swap_count srv.state;
     s_served = Atomic.get srv.served;
     s_uptime_s = Obs.Clock.now_s () -. srv.start_s;
-    s_levels = State.levels_activated srv.state;
-    s_power_percent = State.power_percent srv.state;
+    s_levels = levels;
+    s_power_percent = power_percent;
   }
 
 let handle_request srv req =

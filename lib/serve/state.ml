@@ -14,9 +14,7 @@ type snapshot = {
 type t = {
   graph : Topo.Graph.t;
   power : Power.Model.t;
-  config : Response.Framework.config;
-  jobs : int;
-  pairs : (int * int) list;
+  tables : Response.Tables.t;  (* built once at [create]; a rebuild only evaluates *)
   snap : snapshot Atomic.t;
   live_down : bool array Atomic.t;  (* copy-on-write; true = link down *)
   lock : Mutex.t;
@@ -44,9 +42,7 @@ let route_of_path g ~level p =
 let routes_of_entry g entry =
   Array.mapi (fun level p -> route_of_path g ~level p) (Response.Tables.paths entry)
 
-let build_snapshot ~config ~jobs g power ~pairs ~version tm =
-  let tables = Response.Framework.precompute_cached ~config ~jobs g power ~pairs in
-  let eval = Response.Framework.evaluate tables power tm in
+let compile_routes tables ~pairs =
   (* The memo may hand back an earlier structurally-identical graph; use
      the one the tables reference so link ids line up by construction. *)
   let tg = Response.Tables.graph tables in
@@ -55,6 +51,10 @@ let build_snapshot ~config ~jobs g power ~pairs ~version tm =
     (fun (e : Response.Tables.entry) ->
       Hashtbl.replace routes (e.origin, e.dest) (routes_of_entry tg e))
     (Response.Tables.entries tables);
+  routes
+
+let build_snapshot tables power ~routes ~version tm =
+  let eval = Response.Framework.evaluate tables power tm in
   {
     version;
     routes;
@@ -153,14 +153,14 @@ let rebuild t ~target tm =
   let outcome =
     match
       Obs.Metric.Histogram.time Metrics.recompute_seconds (fun () ->
-          build_snapshot ~config:t.config ~jobs:t.jobs t.graph t.power ~pairs:t.pairs
-            ~version:target tm)
+          (* Every snapshot shares the route table compiled at [create]. *)
+          build_snapshot t.tables t.power ~routes:(Atomic.get t.snap).routes ~version:target tm)
     with
     | snap -> Some snap
     | exception Invalid_argument _ ->
-        (* Infeasible staged demand or an invariant trip: keep serving
-           the previous snapshot, count the drop, and still advance
-           [applied] so a blocked reload cannot hang. *)
+        (* An evaluation that raised: keep serving the previous
+           snapshot, count the drop, and still advance [applied] so a
+           blocked reload cannot hang. *)
         None
   in
   (match outcome with
@@ -197,16 +197,14 @@ let create ?(config = Response.Framework.default) ?(jobs = 1) ?journal g power ~
   (match journal with
   | Some j -> apply_journal g staged down0 (Journal.entries j)
   | None -> ());
-  let snap0 =
-    build_snapshot ~config ~jobs g power ~pairs ~version:0 (Traffic.Matrix.copy staged)
-  in
+  let tables = Response.Framework.precompute_cached ~config ~jobs g power ~pairs in
+  let routes = compile_routes tables ~pairs in
+  let snap0 = build_snapshot tables power ~routes ~version:0 staged in
   let t =
     {
       graph = g;
       power;
-      config;
-      jobs;
-      pairs;
+      tables;
       snap = Atomic.make snap0;
       live_down = Atomic.make down0;
       lock = Mutex.create ();
@@ -268,8 +266,10 @@ let resolve t ~origin ~dest =
       pick 0
 
 let version t = (Atomic.get t.snap).version
-let levels_activated t = (Atomic.get t.snap).levels
-let power_percent t = (Atomic.get t.snap).power_percent
+
+let figures t =
+  let snap = Atomic.get t.snap in
+  (snap.version, snap.levels, snap.power_percent)
 
 let swap_count t =
   Mutex.lock t.lock;

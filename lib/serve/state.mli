@@ -1,14 +1,18 @@
 (** Serving state: an immutable routing snapshot behind an [Atomic.t],
     plus the background domain that rebuilds it.
 
+    The tables and the per-pair route arrays are built once, at
+    {!create}: they depend only on the topology, the power model, the
+    pairs and the config, none of which changes while a state lives.
     Readers ({!resolve}) never take a lock: they load the current
     snapshot and the current link-status vector with two atomic reads and
-    walk pre-compiled per-pair route arrays. Writers ({!update_demand},
+    walk the pre-compiled route arrays. Writers ({!update_demand},
     {!set_link}, {!reload}) mutate a pending traffic matrix under a
-    mutex, bump a generation counter and signal the recompute domain,
-    which runs {!Response.Framework.precompute_cached} + [evaluate] off
-    the hot path and publishes a fresh snapshot with one [Atomic.set] —
-    the hot swap is invisible to concurrent readers.
+    mutex, bump a generation counter and signal the recompute domain. A
+    rebuild is one {!Response.Framework.evaluate} of a private copy of
+    that matrix over the tables built at {!create}, off the hot path; it
+    publishes a fresh snapshot (sharing the route arrays) with one
+    [Atomic.set] — the hot swap is invisible to concurrent readers.
 
     Link failures take effect immediately (the next {!resolve} skips
     routes crossing a down link — the paper's failover needs no
@@ -26,10 +30,12 @@ val create :
   pairs:(int * int) list ->
   demand:Traffic.Matrix.t ->
   t
-(** Builds the initial snapshot synchronously (so a successfully created
+(** Builds the tables (through {!Response.Framework.precompute_cached})
+    and the initial snapshot synchronously (so a successfully created
     server always has tables) and spawns the recompute domain. The
     matrix is copied; the caller's value is not retained. [jobs]
-    (default 1) fans out the failover stage of each rebuild.
+    (default 1) fans out the failover stage of this boot-time build
+    only; rebuilds never recompute the tables.
 
     With [journal], the journal's replayed records are staged on top of
     [demand] {e before} the initial build — so a restart after [kill -9]
@@ -69,11 +75,12 @@ val reload : t -> int
 val version : t -> int
 (** Generation of the live snapshot. *)
 
-val levels_activated : t -> int
-(** Deepest on-demand level the live snapshot's evaluation activated. *)
-
-val power_percent : t -> float
-(** Power draw of the live snapshot's steady state, percent of full. *)
+val figures : t -> int * int * float
+(** [(version, levels, power_percent)] of the live snapshot: its
+    generation, the deepest on-demand level its evaluation activated, and
+    the power draw of its steady state in percent of full. Read from one
+    load of the snapshot, so all three belong to the same snapshot even
+    while a swap lands; three separate reads could mix two. *)
 
 val swap_count : t -> int
 (** Successful snapshot swaps since {!create} (0 right after). *)

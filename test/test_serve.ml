@@ -686,8 +686,9 @@ let state_bytes st pairs =
       let status, level, nodes = Serve.State.resolve st ~origin ~dest in
       Buffer.add_string b (W.encode_response (W.Path_reply { status; level; nodes })))
     pairs;
-  Buffer.add_string b (string_of_int (Serve.State.levels_activated st));
-  Buffer.add_string b (Int64.to_string (Int64.bits_of_float (Serve.State.power_percent st)));
+  let _version, levels, power_percent = Serve.State.figures st in
+  Buffer.add_string b (string_of_int levels);
+  Buffer.add_string b (Int64.to_string (Int64.bits_of_float power_percent));
   Buffer.contents b
 
 let test_journal_restart_identity () =
@@ -974,6 +975,246 @@ let test_breaker_via_blackhole () =
               | Ok (W.Path_reply _) -> ()
               | Ok _ | Error _ -> Alcotest.fail "proxy path did not recover after the fault"))
 
+(* ------------------------------ rebuilds ----------------------------- *)
+
+let geant_inputs () =
+  let g = Topo.Geant.make () in
+  let power = Power.Model.cisco12000 g in
+  let pairs = Traffic.Gravity.random_node_pairs g ~seed:7 ~fraction:0.5 in
+  let demand = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 5.0) () in
+  (g, power, pairs, demand)
+
+let gbps x = Eutil.Units.to_float (Eutil.Units.gbps x)
+
+let update_ok state (origin, dest, bps) =
+  match Serve.State.update_demand state ~origin ~dest ~bps with
+  | Ok (_ : int) -> ()
+  | Error e -> Alcotest.failf "update %d,%d: %s" origin dest e
+
+(* A Stats reply is built from [State.figures]: one domain writes 200
+   demands, back to back in bursts of ten with a short pause between
+   bursts so that rebuilds land mid-stream, while this one reads the
+   figures until version 200 is live. Each write and its generation bump
+   share one critical section, so snapshot v evaluates exactly the boot
+   matrix plus the first v writes, and every observed triple must match
+   that. *)
+let test_figures_one_snapshot () =
+  let g, power, pairs, demand = geant_inputs () in
+  let tables = Response.Framework.precompute_cached g power ~pairs in
+  let parr = Array.of_list pairs in
+  let rng = Eutil.Prng.create 3 in
+  let writes =
+    List.init 200 (fun _ ->
+        let origin, dest = parr.(Eutil.Prng.int rng (Array.length parr)) in
+        (origin, dest, gbps (Eutil.Prng.range rng 0.0 6.0)))
+  in
+  (* expected.(v) = (levels, power bits) of the boot matrix plus the
+     first v writes. *)
+  let tm = Traffic.Matrix.copy demand in
+  let figures () =
+    let e = Response.Framework.evaluate tables power tm in
+    (e.Response.Framework.levels_activated, Int64.bits_of_float e.Response.Framework.power_percent)
+  in
+  let boot = figures () in
+  let expected =
+    Array.of_list
+      (boot
+      :: List.map
+           (fun (o, d, bps) ->
+             Traffic.Matrix.set tm o d bps;
+             figures ())
+           writes)
+  in
+  let state = Serve.State.create g power ~pairs ~demand in
+  Fun.protect
+    ~finally:(fun () -> Serve.State.stop state)
+    (fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+            List.iteri
+              (fun i w ->
+                update_ok state w;
+                if i mod 10 = 9 then Unix.sleepf 2e-4)
+              writes)
+      in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec watch mixed =
+        let ((v, levels, power_percent) as fig) = Serve.State.figures state in
+        let want_levels, want_power = expected.(v) in
+        let mixed =
+          if levels = want_levels && Int64.equal (Int64.bits_of_float power_percent) want_power
+          then mixed
+          else Some fig
+        in
+        if v >= 200 || Unix.gettimeofday () > deadline then (v, mixed)
+        else begin
+          Domain.cpu_relax ();
+          watch mixed
+        end
+      in
+      let last, mixed = watch None in
+      Domain.join writer;
+      Alcotest.(check int) "version 200 went live" 200 last;
+      match mixed with
+      | None -> ()
+      | Some (v, l, p) ->
+          Alcotest.failf "version %d reported levels %d, power %h: another snapshot's figures" v l
+            p)
+
+(* Every rebuild reuses the tables built at [create]: the precompute
+   memo sees no hit, miss or eviction after it. *)
+let test_rebuild_no_table_work () =
+  let g, power, pairs, demand = geant_inputs () in
+  let state = Serve.State.create g power ~pairs ~demand in
+  Fun.protect
+    ~finally:(fun () -> Serve.State.stop state)
+    (fun () ->
+      let before = Response.Framework.cache_stats () in
+      let parr = Array.of_list pairs in
+      for i = 0 to 49 do
+        let origin, dest = parr.(i mod Array.length parr) in
+        update_ok state (origin, dest, gbps (0.1 *. float_of_int (i + 1)))
+      done;
+      List.iter
+        (fun up ->
+          match Serve.State.set_link state ~link:0 ~up with
+          | Ok (_ : int) -> ()
+          | Error e -> Alcotest.failf "set_link: %s" e)
+        [ false; true ];
+      Alcotest.(check int) "every write rebuilt" 53 (Serve.State.reload state);
+      let after = Response.Framework.cache_stats () in
+      Alcotest.(check int) "no memo hit" before.Eutil.Memo.hits after.Eutil.Memo.hits;
+      Alcotest.(check int) "no memo miss" before.Eutil.Memo.misses after.Eutil.Memo.misses;
+      Alcotest.(check int) "no memo eviction" before.Eutil.Memo.evictions
+        after.Eutil.Memo.evictions)
+
+(* The from-scratch rebuild every snapshot swap used to run, frozen as
+   the oracle: precompute_cached, then evaluate, then route compilation
+   (each pair's paths as (level, links, nodes) in activation order). *)
+let scratch_rebuild g power ~pairs tm =
+  let tables = Response.Framework.precompute_cached g power ~pairs in
+  let eval = Response.Framework.evaluate tables power tm in
+  let tg = Response.Tables.graph tables in
+  let routes = Hashtbl.create (List.length pairs) in
+  List.iter
+    (fun (e : Response.Tables.entry) ->
+      Hashtbl.replace routes (e.origin, e.dest)
+        (Array.mapi
+           (fun level p -> (level, Topo.Path.links tg p, Array.to_list (Topo.Path.nodes tg p)))
+           (Response.Tables.paths e)))
+    (Response.Tables.entries tables);
+  (eval, routes)
+
+(* The oracle's answer: the pair's first route whose links are all up. *)
+let scratch_resolve routes down pair =
+  match Hashtbl.find_opt routes pair with
+  | None -> (W.Unknown_pair, 0, [])
+  | Some rs -> (
+      let up (_, links, _) = not (Array.exists (fun l -> down.(l)) links) in
+      match Array.find_opt up rs with
+      | Some (level, _, nodes) -> (W.Path_ok, level, nodes)
+      | None -> (W.No_usable_path, 0, []))
+
+type op = Demand of int * int * float | Link of int * bool | Reload
+
+let pp_op = function
+  | Demand (o, d, bps) -> Printf.sprintf "demand %d,%d %h" o d bps
+  | Link (l, up) -> Printf.sprintf "link %d %s" l (if up then "up" else "down")
+  | Reload -> "reload"
+
+let rebuild_inputs = lazy (geant_inputs ())
+
+let op_gen =
+  let g, _, pairs, demand = Lazy.force rebuild_inputs in
+  let nodes = Topo.Graph.node_count g and links = Topo.Graph.link_count g in
+  let open QCheck.Gen in
+  let pair = oneofl pairs in
+  let valid =
+    pair >>= fun (o, d) ->
+    oneof
+      [
+        return 0.0;
+        map (fun k -> Traffic.Matrix.get demand o d *. k) (float_range 0.5 2.0);
+        (* Large enough to spill past the always-on paths. *)
+        map gbps (float_range 2.0 20.0);
+      ]
+    >|= fun bps -> Demand (o, d, bps)
+  in
+  let invalid =
+    oneof
+      [
+        map (fun o -> Demand (o, o, gbps 1.0)) (int_bound (nodes - 1));
+        map2 (fun k (_, d) -> Demand (nodes + k, d, gbps 1.0)) (int_bound 3) pair;
+        map2 (fun k (o, _) -> Demand (o, -1 - k, gbps 1.0)) (int_bound 3) pair;
+        map (fun (o, d) -> Demand (o, d, -1.0)) pair;
+        map (fun (o, d) -> Demand (o, d, Float.nan)) pair;
+        map (fun up -> Link (links + 1, up)) bool;
+      ]
+  in
+  frequency
+    [
+      (6, valid);
+      (2, invalid);
+      (2, map2 (fun l up -> Link (l, up)) (int_bound (links - 1)) bool);
+      (1, return Reload);
+    ]
+
+(* Random write sequences on one state, closed by a reload, must leave
+   it where the from-scratch rebuild of the same staged matrix and link
+   vector would: the version counts the accepted operations, and the
+   figures (power as IEEE bits) and every ordered pair's answer agree. *)
+let prop_rebuild_oracle =
+  QCheck.Test.make ~name:"rebuild equals the from-scratch oracle" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_bound 30) op_gen))
+    (fun ops ->
+      let g, power, pairs, demand = Lazy.force rebuild_inputs in
+      let tm = Traffic.Matrix.copy demand in
+      let down = Array.make (Topo.Graph.link_count g) false in
+      let state = Serve.State.create g power ~pairs ~demand in
+      Fun.protect
+        ~finally:(fun () -> Serve.State.stop state)
+        (fun () ->
+          (* Applies [op] to the state and, if it is accepted, to the model. *)
+          let apply op =
+            match op with
+            | Demand (origin, dest, bps) -> (
+                match Serve.State.update_demand state ~origin ~dest ~bps with
+                | Ok (_ : int) ->
+                    Traffic.Matrix.set tm origin dest bps;
+                    true
+                | Error (_ : string) -> false)
+            | Link (link, up) -> (
+                match Serve.State.set_link state ~link ~up with
+                | Ok (_ : int) ->
+                    down.(link) <- not up;
+                    true
+                | Error (_ : string) -> false)
+            | Reload ->
+                ignore (Serve.State.reload state);
+                true
+          in
+          let accepted = List.fold_left (fun n op -> if apply op then n + 1 else n) 0 ops in
+          let version = Serve.State.reload state in
+          let eval, routes = scratch_rebuild g power ~pairs tm in
+          let v, levels, power_percent = Serve.State.figures state in
+          let nodes = List.init (Topo.Graph.node_count g) Fun.id in
+          let answer_agrees origin dest =
+            origin = dest
+            ||
+            let status, level, path = Serve.State.resolve state ~origin ~dest in
+            let status', level', path' = scratch_resolve routes down (origin, dest) in
+            status = status' && level = level' && List.equal Int.equal path path'
+          in
+          version = accepted + 1
+          && v = version
+          && levels = eval.Response.Framework.levels_activated
+          && Int64.equal (Int64.bits_of_float power_percent)
+               (Int64.bits_of_float eval.Response.Framework.power_percent)
+          && List.for_all (fun o -> List.for_all (answer_agrees o) nodes) nodes))
+
 (* ------------------------------- suite ------------------------------- *)
 
 let () =
@@ -1013,6 +1254,12 @@ let () =
         ] );
       ( "export",
         [ Alcotest.test_case "prometheus page identity" `Quick test_prometheus_page_identity ] );
+      ( "rebuild",
+        [
+          Alcotest.test_case "stats figures from one snapshot" `Quick test_figures_one_snapshot;
+          Alcotest.test_case "rebuild does no table work" `Quick test_rebuild_no_table_work;
+          QCheck_alcotest.to_alcotest prop_rebuild_oracle;
+        ] );
       ( "loopback",
         [
           Alcotest.test_case "session" `Quick test_loopback_session;
