@@ -336,61 +336,3 @@ let chaos () =
   kvf "of the lossy cuts, partitioning" "%d of %d" partitioning (List.length lossy);
   note "a partitioning cut cannot be routed around; its loss is booked, not hidden"
 
-(* Self-hosted analyzer wall-clocks ("analyze" section): every pass of
-   `respctl analyze` timed over the repo's own sources as the @analyze
-   alias runs it — the price CI pays on each run, with the walk, lexing
-   and call-graph build (shared by every pass) broken out. Skipped when
-   the sources are not at hand (run from outside the repository root).
-   With --json the per-pass times land in the obs block as
-   bench.analyze.<pass> spans. *)
-
-let analyze () =
-  section "Analyze: self-hosted static-analysis pass wall-clocks";
-  if not (Sys.file_exists "lib" && Sys.file_exists "bin") then
-    kvf "skipped" "%s" "sources not found (run from the repository root)"
-  else begin
-    let dirs = [ "lib"; "bin" ] in
-    let entries = List.filter Sys.file_exists [ "bench"; "test"; "examples" ] in
-    (* A malformed manifest fails the section: timing the passes without
-       their declarations would not measure the shipped configuration. *)
-    let manifest =
-      if not (Sys.file_exists Check.Manifest.path) then Check.Manifest.empty
-      else
-        match Check.Manifest.parse (Check.Srclint.read_file Check.Manifest.path) with
-        | Ok m -> m
-        | Error e ->
-            Printf.eprintf "bench: %s: %s\n" Check.Manifest.path (Check.Manifest.error_to_string e);
-            exit 1
-    in
-    let timed name f = Obs.Span.timed ("bench.analyze." ^ name) f in
-    let graph, d_graph = timed "callgraph" (fun () -> Check.Callgraph.build ~entries dirs) in
-    let per_file ?entry_trees pass = Check.Callgraph.per_file ?entry_trees graph pass in
-    let lint, d_lint = timed "lint" (fun () -> per_file Check.Srclint.lint) in
-    let flow, d_flow = timed "flow" (fun () -> per_file ~entry_trees:false Check.Flow.analyze) in
-    let eff, d_eff = timed "effect" (fun () -> Check.Effect.analyze graph) in
-    let share, d_share =
-      timed "share" (fun () -> Check.Share.analyze ~manifest:manifest.parallel graph)
-    in
-    let cost, d_cost =
-      timed "cost" (fun () -> Check.Cost.analyze ~manifest:manifest.cost graph)
-    in
-    let lock, d_lock =
-      timed "locks" (fun () -> Check.Lock.analyze ~manifest:manifest.locks graph)
-    in
-    let doc, d_doc = timed "doc" (fun () -> per_file Check.Doc.check) in
-    row "  %-12s %-10s %s@." "pass" "seconds" "findings";
-    List.iter
-      (fun (name, d, fs) -> row "  %-12s %-10.4f %d@." name d (List.length fs))
-      [
-        ("lint", d_lint, lint);
-        ("flow", d_flow, flow);
-        ("effect", d_eff, eff);
-        ("share", d_share, share);
-        ("cost", d_cost, cost);
-        ("locks", d_lock, lock);
-        ("doc", d_doc, doc);
-      ];
-    row "  %-12s %-10.4f (walk + lex + graph, shared by every pass)@." "callgraph" d_graph;
-    kvf "errors across all passes" "%d"
-      (List.length (Check.Finding.errors (lint @ flow @ eff @ share @ cost @ lock @ doc)))
-  end

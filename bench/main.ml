@@ -33,7 +33,6 @@ let sections : (string * (unit -> unit)) list =
     ("openflow", Extensions.openflow);
     ("eate", Extensions.eate);
     ("chaos", Extensions.chaos);
-    ("analyze", Extensions.analyze);
     ("micro", Micro.run);
   ]
 

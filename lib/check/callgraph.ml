@@ -85,8 +85,27 @@ let name_index (toks : S.tok array) i =
   in
   skip (i + 1)
 
+(* Operators. The lexer keeps only a few two-character operators whole,
+   so [+:] arrives as [+] then [:]: a run of symbol tokens on one line at
+   consecutive columns spells one operator. *)
+let is_symbol t = t <> "" && String.contains "!$%&*+-./:<=>?@^|~#" t.[0]
+
+let continues_run (toks : S.tok array) j =
+  j > 0
+  &&
+  let p = toks.(j - 1) and c = toks.(j) in
+  is_symbol c.S.t && is_symbol p.S.t && c.S.tline = p.S.tline
+  && c.S.tcol = p.S.tcol + String.length p.S.t
+
+(* The operator spelled by the symbol run that starts at token [i]. *)
+let symbol_run (toks : S.tok array) i =
+  let rec go j acc =
+    if j < Array.length toks && continues_run toks j then go (j + 1) (acc ^ toks.(j).S.t) else acc
+  in
+  go (i + 1) toks.(i).S.t
+
 (* Name of the definition whose [let]/[and] keyword is at token [i]:
-   ["()"] for unit bindings, the operator symbol for [let ( + ) ...],
+   ["()"] for unit bindings, the full operator symbol for [let ( +: ) ...],
    ["_"] for wildcard or destructuring patterns. *)
 let def_name (toks : S.tok array) i =
   let n = Array.length toks in
@@ -95,9 +114,10 @@ let def_name (toks : S.tok array) i =
   else
     let tj = toks.(j).S.t in
     if tj = "(" then
-      if j + 1 < n && toks.(j + 1).S.t = ")" then "()"
-      else if j + 1 < n then toks.(j + 1).S.t
-      else "_"
+      if j + 1 >= n then "_"
+      else if toks.(j + 1).S.t = ")" then "()"
+      else if is_symbol toks.(j + 1).S.t then symbol_run toks (j + 1)
+      else toks.(j + 1).S.t
     else if S.is_lower tj then tj
     else "_"
 
@@ -413,10 +433,12 @@ let build_sources ?(entries = []) sources =
   (* Resolution indices. *)
   let by_modkey = Hashtbl.create 256 in
   let by_file = Hashtbl.create 256 in
+  let by_op = Hashtbl.create 16 in
   Array.iter
     (fun d ->
       S.multi_add by_modkey (modkey d ^ "." ^ d.d_name) d.d_id;
-      S.multi_add by_file (d.d_file ^ ":" ^ d.d_name) d.d_id)
+      S.multi_add by_file (d.d_file ^ ":" ^ d.d_name) d.d_id;
+      if is_symbol d.d_name then S.multi_add by_op d.d_name d.d_id)
     defs;
   (* One flat alias table, pre-split: "file:name" -> reversed components of
      the alias target, so the splice below is a rev_append not an append. *)
@@ -445,7 +467,16 @@ let build_sources ?(entries = []) sources =
       Array.iteri
         (fun tok_idx { S.t; _ } ->
           site := tok_idx;
-          if String.contains t '.' then begin
+          if is_symbol t then begin
+            (* An operator use, [U.( +: ) a b] or [U.(a +: b)]: the run
+               links to every definition it spells, narrowed by library. *)
+            if not (continues_run d.d_body tok_idx) then
+              match Hashtbl.find_opt by_op (symbol_run d.d_body tok_idx) with
+              | Some cands ->
+                  List.iter add (narrow ~library:d.d_library ~hint:"" (fun i -> defs.(i)) cands)
+              | None -> ()
+          end
+          else if String.contains t '.' then begin
             match split_dots t with
             | first :: rest when S.is_upper first ->
                 let comps =

@@ -10,8 +10,16 @@
     [let]/[and] definition carrying its body tokens; edges link a
     definition to every definition it may call, resolved from dotted
     [Module.ident] references (with per-file [module A = B] aliases
-    expanded and a library hint taken from the path's leading components)
-    and from undotted identifiers matched against same-file definitions.
+    expanded and a library hint taken from the path's leading components),
+    from undotted identifiers matched against same-file definitions, and
+    from operator uses.
+
+    Operators: the lexer splits [+:] into [+] and [:], so an operator
+    definition is named by its full symbol ([let ( +: ) a b] defines
+    ["+:"]), and a run of symbol tokens on one line at consecutive
+    columns links to every operator definition that run spells, narrowed
+    to the caller's library when it defines one. [U.( +: ) a b] and
+    [U.(a +: b)] both reach [Units.+:].
 
     Known false negatives, by design: calls through functors, first-class
     modules, higher-order escapes ([List.map f] records an edge to [f]'s
@@ -36,7 +44,9 @@ type def = {
   d_module : string;
       (** dotted module path within the library, e.g. ["Graph"] or
           ["Graph.Builder"] for a definition inside a submodule *)
-  d_name : string;  (** ["()"] for [let () = ...] initializer blocks *)
+  d_name : string;
+      (** ["()"] for [let () = ...] initializer blocks, the full symbol
+          (["+:"]) for an operator *)
   d_file : string;
   d_line : int;
   d_entry : bool;  (** defined in an executable/test/bench/example *)

@@ -51,6 +51,3 @@ let coverage_curve t ~max =
 
 let distinct_paths t =
   Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.by_pair 0
-
-let max_paths_per_pair t =
-  Hashtbl.fold (fun _ l acc -> Stdlib.max acc (List.length !l)) t.by_pair 0

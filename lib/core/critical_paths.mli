@@ -26,5 +26,3 @@ val paths_of : t -> int -> int -> (Topo.Path.t * float) list
 
 val distinct_paths : t -> int
 (** Total number of distinct (pair, path) combinations observed. *)
-
-val max_paths_per_pair : t -> int

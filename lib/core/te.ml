@@ -100,8 +100,6 @@ let create tables cfg =
     (Tables.entries tables);
   { cfg; g; pairs }
 
-let config t = t.cfg
-
 let split t o d =
   match Hashtbl.find_opt t.pairs (o, d) with
   | Some ps -> Array.copy ps.split

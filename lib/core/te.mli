@@ -49,8 +49,6 @@ type t
 val create : Tables.t -> config -> t
 (** Fresh controller state: every pair fully on its always-on path. *)
 
-val config : t -> config
-
 val split : t -> int -> int -> float array
 (** Current traffic split of a pair over its paths (activation order).
     @raise Invalid_argument on an unknown pair. *)

@@ -22,16 +22,6 @@ let var t ?(integer = false) ?ub name =
 
 let binary t name = var t ~integer:true ~ub:1.0 name
 
-let var_name t v =
-  if v < 0 || v >= t.n then invalid_arg (Printf.sprintf "Model.var_name: unknown variable %d" v);
-  (* [names] is reversed, so walk to the mirrored position directly instead
-     of materialising List.rev per call. *)
-  let rec go i = function
-    | [] -> assert false
-    | x :: rest -> if i = 0 then x else go (i - 1) rest
-  in
-  go (t.n - 1 - v) t.names
-
 let constr t terms rel rhs = t.rows <- (terms, rel, rhs) :: t.rows
 
 let minimize t terms =
@@ -52,9 +42,6 @@ let to_simplex t =
   let objective = dense t.n (Option.value t.obj ~default:[]) in
   let rows = List.rev_map (fun (terms, rel, rhs) -> (dense t.n terms, rel, rhs)) t.rows in
   { Simplex.n_vars = t.n; objective; rows }
-
-let n_vars t = t.n
-let n_constraints t = List.length t.rows
 
 (* Inspection hooks for the static-analysis layer (Check.Invariant). *)
 let var_names t = Array.of_list (List.rev t.names)

@@ -16,10 +16,6 @@ val var : t -> ?integer:bool -> ?ub:float -> string -> var
 val binary : t -> string -> var
 (** Integer variable in [0, 1] — the X_i and Y_{i->j} of the paper's model. *)
 
-val var_name : t -> var -> string
-(** The name a variable was declared with.
-    @raise Invalid_argument on a variable of another model. *)
-
 val constr : t -> term list -> Simplex.relation -> float -> unit
 (** Adds a constraint; terms on the same variable are summed. *)
 
@@ -35,9 +31,6 @@ val objective : solution -> float
 val solve : ?max_nodes:int -> t -> [ `Optimal of solution | `Infeasible | `Unbounded | `Node_limit ]
 (** Solves with {!Simplex} when no integer variable exists, {!Milp}
     otherwise. *)
-
-val n_vars : t -> int
-val n_constraints : t -> int
 
 (** {2 Inspection}
 

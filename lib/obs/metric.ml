@@ -279,9 +279,6 @@ module Family = struct
   let counter ?(registry = Registry.default) ~help ~label_names name =
     make label_names (fun labels -> Counter.create ~registry ~labels ~help name)
 
-  let gauge ?(registry = Registry.default) ~help ~label_names name =
-    make label_names (fun labels -> Gauge.create ~registry ~labels ~help name)
-
   let histogram ?(registry = Registry.default) ~help ~label_names name =
     make label_names (fun labels -> Histogram.create ~registry ~labels ~help name)
 

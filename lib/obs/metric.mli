@@ -84,9 +84,6 @@ module Family : sig
   val counter :
     ?registry:Registry.t -> help:string -> label_names:string list -> string -> Counter.t t
 
-  val gauge :
-    ?registry:Registry.t -> help:string -> label_names:string list -> string -> Gauge.t t
-
   val histogram :
     ?registry:Registry.t -> help:string -> label_names:string list -> string -> Histogram.t t
 

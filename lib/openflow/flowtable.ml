@@ -33,7 +33,6 @@ let account e ~bytes =
   e.packets <- e.packets + 1;
   e.bytes <- e.bytes +. bytes
 
-let entries t = t.table
 let size t = List.length t.table
 
 let select e ~key =

@@ -36,9 +36,6 @@ val lookup : t -> src:int -> dst:int -> entry option
 
 val account : entry -> bytes:float -> unit
 
-val entries : t -> entry list
-(** All entries, highest priority first. *)
-
 val size : t -> int
 
 val select : entry -> key:int -> int option

@@ -1,6 +1,5 @@
 type t = {
   g : Topo.Graph.t;
-  margin_v : float;
   st : Topo.State.t;
   residual_a : float array;
   load_a : float array;
@@ -25,7 +24,6 @@ let create ?(margin = 1.0) ?state g =
   in
   {
     g;
-    margin_v = margin;
     st;
     residual_a;
     load_a = Array.make n_arcs 0.0;
@@ -40,7 +38,6 @@ let create ?(margin = 1.0) ?state g =
 
 let graph t = t.g
 let state t = t.st
-let margin t = t.margin_v
 let residual t a = t.residual_a.(a)
 let load t a = t.load_a.(a)
 

@@ -21,8 +21,6 @@ val create : ?margin:float -> ?state:Topo.State.t -> Topo.Graph.t -> t
 val graph : t -> Topo.Graph.t
 val state : t -> Topo.State.t
 
-val margin : t -> float
-
 val residual : t -> int -> float
 (** Remaining usable capacity of an arc. *)
 

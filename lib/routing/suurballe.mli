@@ -5,9 +5,10 @@
     path; Suurballe instead optimises the pair jointly, which can protect
     pairs the greedy combination cannot (the classic trap: the shortest
     primary path uses the only cut link, making any disjoint failover
-    impossible even though a disjoint pair exists). Used by the failover
-    ablation and available as an alternative table-construction strategy,
-    in the spirit of [Kwong et al., CoNEXT 2008] cited by the paper. *)
+    impossible even though a disjoint pair exists). An alternative
+    failover-table strategy in the spirit of [Kwong et al., CoNEXT 2008]
+    cited by the paper: neither the tables nor the bench (its failover
+    ablation included) call it; only the extension tests do. *)
 
 val disjoint_pair :
   Topo.Graph.t ->

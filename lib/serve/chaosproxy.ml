@@ -190,7 +190,6 @@ let start ?(seed = 7) ~upstream_port () =
 
 let port t = t.lport
 let set_fault t f = Atomic.set t.fault f
-let fault t = Atomic.get t.fault
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin

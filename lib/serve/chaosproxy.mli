@@ -37,8 +37,6 @@ val set_fault : t -> fault -> unit
 (** Applies to traffic pumped from now on; in-flight bytes are not
     recalled. *)
 
-val fault : t -> fault
-
 val stop : t -> unit
 (** Joins the pump domain and closes the listener and every link.
     Idempotent. *)

@@ -36,6 +36,13 @@ type retry = {
 val default_retry : retry
 (** 3 attempts, 50 ms base, 1 s cap, seed 7. *)
 
+val backoff_s : retry -> Eutil.Prng.t -> try_:int -> float
+(** [backoff_s r prng ~try_] is the full-jitter exponential backoff, in
+    seconds, before retry [try_]: a uniform draw from [prng] below
+    [min max_backoff_s (base_backoff_s * 2^try_)] (the exponent stops
+    growing at 16). [r.seed] is not read: the caller owns the stream, as
+    {!request} and {!Load} each seed their own. *)
+
 val request :
   ?host:string ->
   ?connect_timeout_s:float ->

@@ -137,8 +137,6 @@ let torn t =
   Mutex.unlock t.lock;
   b
 
-let path t = t.jpath
-
 let close t =
   Mutex.lock t.lock;
   (match t.fd with

@@ -46,7 +46,5 @@ val compact : t -> Wire.request list -> (unit, string) result
     after the checkpoint.
     @raise Invalid_argument if any record is not journalable. *)
 
-val path : t -> string
-
 val close : t -> unit
 (** Idempotent; subsequent {!append}/{!compact} return [Error _]. *)

@@ -9,7 +9,6 @@ type config = {
   reload_at : float option;
   timeout_s : float;
   retries : int;
-  backoff_s : float;
   seed : int;
   breaker_failures : int;
   breaker_cooldown_s : float;
@@ -27,7 +26,6 @@ let default =
     reload_at = None;
     timeout_s = 5.0;
     retries = 2;
-    backoff_s = 0.05;
     seed = 11;
     breaker_failures = 16;
     breaker_cooldown_s = 0.5;
@@ -227,14 +225,6 @@ let breaker_allows rs t =
 
 (* ------------------------------ retries ---------------------------- *)
 
-(* Exponential backoff with full jitter, seeded: equal seeds give equal
-   retry schedules, which is what keeps the chaos golden stable. *)
-let backoff rs ~tries =
-  let cap =
-    Float.min 1.0 (Float.max 0.0 rs.cfg.backoff_s *. float_of_int (1 lsl Int.min tries 10))
-  in
-  Eutil.Prng.range rs.prng 0.0 cap
-
 (* One attempt of the pending request failed. Path queries are
    idempotent, so while the retry budget lasts the request stays pending
    and is re-sent after backoff; past the budget it counts as failed. *)
@@ -246,7 +236,10 @@ let attempt_failed rs c ~t ~kill_conn =
   | Some _ ->
       if c.tries < Int.max 0 rs.cfg.retries then begin
         c.tries <- c.tries + 1;
-        c.retry_at <- t +. backoff rs ~tries:c.tries
+        (* The client's backoff schedule (50 ms base, 1 s cap) drawn from
+           this run's seeded stream: equal seeds give equal retry
+           schedules, which is what keeps the chaos golden stable. *)
+        c.retry_at <- t +. Client.backoff_s Client.default_retry rs.prng ~try_:c.tries
       end
       else begin
         c.pending <- None;

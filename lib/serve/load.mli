@@ -8,8 +8,9 @@
 
     The generator degrades instead of hanging: a reply that misses
     [timeout_s] replaces its socket and retries; overload/deadline
-    rejections retry with seeded exponential backoff and full jitter (up
-    to [retries] per request — path queries are idempotent); and
+    rejections retry with seeded exponential backoff and full jitter
+    ({!Client.backoff_s} on {!Client.default_retry}'s 50 ms base and 1 s
+    cap, up to [retries] per request — path queries are idempotent); and
     [breaker_failures] consecutive failures open a circuit breaker that
     pauses sends for [breaker_cooldown_s], then probes with a single
     request (half-open) before resuming. A retry budget exhausted counts
@@ -32,7 +33,6 @@ type config = {
   reload_at : float option;  (** seconds into the run *)
   timeout_s : float;  (** per-attempt reply deadline; 0 disables *)
   retries : int;  (** retry budget per request (timeouts/sheds) *)
-  backoff_s : float;  (** base backoff; exponential with full jitter *)
   seed : int;  (** jitter PRNG seed — equal seeds, equal schedules *)
   breaker_failures : int;  (** consecutive failures to open; 0 disables *)
   breaker_cooldown_s : float;  (** open time before the half-open probe *)
@@ -40,7 +40,7 @@ type config = {
 
 val default : config
 (** Loopback port 4710, 4 connections, open throttle, 3 s, no reload;
-    5 s timeout, 2 retries at 50 ms base backoff (seed 11), breaker at
+    5 s timeout, 2 retries (jitter seed 11), breaker at
     16 consecutive failures with a 0.5 s cooldown. [pairs] is empty and
     must be provided. *)
 

@@ -231,8 +231,6 @@ let create ?(config = Response.Framework.default) ?(jobs = 1) ?journal g power ~
   t.worker <- Some (Domain.spawn (fun () -> recompute_loop t));
   t
 
-let graph t = t.graph
-
 let stop t =
   Mutex.lock t.lock;
   if not t.stopped then begin

@@ -47,8 +47,6 @@ val create :
     @raise Invalid_argument as {!Response.Framework.precompute} — e.g.
     infeasible always-on demands for the initial matrix. *)
 
-val graph : t -> Topo.Graph.t
-
 val resolve : t -> origin:int -> dest:int -> Wire.path_status * int * int list
 (** First installed path of the pair, in activation order, whose links
     are all up: [(Path_ok, level, nodes)] — or [Unknown_pair] /

@@ -49,6 +49,3 @@ let make ?(concentration = 2) ?(capacity = 1e9) ?(latency = 50e-6) k =
     done
   done;
   { k; concentration; graph = Graph.Builder.build b; routers; hosts }
-
-let n_hosts t = Array.length t.hosts
-let host t i = t.hosts.(i)

@@ -65,11 +65,6 @@ let make ?(capacity = 1e9) ?(latency = 50e-6) k =
   done;
   { k; graph = Graph.Builder.build b; hosts; edges; aggs; cores }
 
-let pod_of_host t h =
-  let half = t.k / 2 in
-  let rec find i = if t.hosts.(i) = h then i else find (i + 1) in
-  find 0 / (half * half)
-
 (* Host index (position in [hosts]) helpers used by traffic generators. *)
 let host t i = t.hosts.(i)
 let n_hosts t = Array.length t.hosts

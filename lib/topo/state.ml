@@ -53,10 +53,6 @@ let key t =
   done;
   Bytes.to_string bytes
 
-let restrict_weight g t weight arc =
-  ignore g;
-  if t.link_on.(arc.Graph.link) then weight arc else infinity
-
 let pp g ppf t =
   Format.fprintf ppf "state(%d/%d links on, %d/%d nodes on)" t.n_links_on (Graph.link_count g)
     (active_nodes t) (Graph.node_count g)

@@ -33,8 +33,4 @@ val equal : t -> t -> bool
 val key : t -> string
 (** Canonical hashable digest of the active-link set. *)
 
-val restrict_weight : Graph.t -> t -> (Graph.arc -> float) -> Graph.arc -> float
-(** Lifts an arc-weight function to the active subgraph: inactive arcs get
-    [infinity]. *)
-
 val pp : Graph.t -> Format.formatter -> t -> unit

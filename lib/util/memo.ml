@@ -102,13 +102,9 @@ let find_or_add t k ~compute =
       locked t (fun () -> insert t k v);
       v
 
-let wrap t f k = find_or_add t k ~compute:f
-
 let mem t k = locked t (fun () -> Hashtbl.mem t.tbl k)
 
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
-
-let capacity t = t.cap
 
 let clear t =
   locked t (fun () ->

@@ -31,16 +31,11 @@ val find_or_add : ('k, 'v) t -> 'k -> compute:('k -> 'v) -> 'v
     compute and the later insert wins (the results are equal for a
     certified-pure [compute]). *)
 
-val wrap : ('k, 'v) t -> ('k -> 'v) -> 'k -> 'v
-(** [wrap t f] is [fun k -> find_or_add t k ~compute:f]. *)
-
 val mem : ('k, 'v) t -> 'k -> bool
 (** Whether a key is currently cached (does not touch LRU order). *)
 
 val length : ('k, 'v) t -> int
 (** Number of live entries, always [<= capacity]. *)
-
-val capacity : ('k, 'v) t -> int
 
 val clear : ('k, 'v) t -> unit
 (** Drops every entry; the hit/miss/eviction counters keep counting. *)

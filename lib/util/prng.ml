@@ -11,8 +11,6 @@ let next_raw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_raw
-
 let split t =
   let s = next_raw t in
   { state = s }

@@ -13,9 +13,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform float in [0, 1). *)
 

@@ -50,13 +50,5 @@ let ccdf xs points =
       (thr, if n = 0.0 then 0.0 else 100.0 *. float_of_int c /. n))
     points
 
-let cdf_at xs v =
-  let n = float_of_int (Array.length xs) in
-  if n = 0.0 then 0.0
-  else begin
-    let c = Array.fold_left (fun acc x -> if x <= v then acc + 1 else acc) 0 xs in
-    100.0 *. float_of_int c /. n
-  end
-
 let pp_boxplot ppf b =
   Format.fprintf ppf "min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f" b.min b.q1 b.median b.q3 b.max

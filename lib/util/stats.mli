@@ -26,7 +26,4 @@ val ccdf : float array -> float list -> (float * float) list
 (** [ccdf xs points] returns, for each threshold in [points], the fraction of
     samples that are [>=] the threshold (in percent, 0..100). *)
 
-val cdf_at : float array -> float -> float
-(** Fraction of samples [<=] the given value, in percent. *)
-
 val pp_boxplot : Format.formatter -> boxplot -> unit

@@ -1129,6 +1129,28 @@ let test_cg_closure_args () =
   Alcotest.(check bool) "wrapper gains the closure callee" true
     (List.mem (id "task") g.Cg.callees.(id "run"))
 
+(* Operators: the lexer splits [+:] into [+] and [:], so the graph names an
+   operator definition by its full symbol and links each run of adjacent
+   symbol tokens to the operator it spells. The two unused operators stay
+   dead under their real names. *)
+let test_cg_operators () =
+  let g =
+    Cg.build_sources
+      [
+        src ~lib:"olib" "olib/ops.ml"
+          "let ( +: ) a b = a +. b\n\nlet ( -: ) a b = a -. b\n\nlet ( *: ) r x = r *. x\n\n\
+           let ( *@ ) w s = w *. s\n\nlet unused x = x\n";
+        src ~entry:true ~lib:"main" "bin/main.ml" "let () = ignore Ops.(1.0 +: 2.0 *@ 3.0)\n";
+      ]
+  in
+  let dead =
+    List.filter (fun f -> f.F.rule = "dead-function") (Eff.analyze g)
+    |> List.map (fun f -> String.sub f.F.message 0 (String.index f.F.message ' '))
+    |> List.sort String.compare
+  in
+  Alcotest.(check (list string)) "unused operators, by full symbol"
+    [ "Ops.*:"; "Ops.-:"; "Ops.unused" ] dead
+
 let test_cg_arg_span () =
   let g =
     Cg.build_sources
@@ -1432,6 +1454,7 @@ let () =
           Alcotest.test_case "@raise doc harvest" `Quick test_cg_raise_doc;
           Alcotest.test_case "attributed defs" `Quick test_cg_attributed_defs;
           Alcotest.test_case "closure arguments" `Quick test_cg_closure_args;
+          Alcotest.test_case "dead-function sees operators" `Quick test_cg_operators;
           Alcotest.test_case "argument spans" `Quick test_cg_arg_span;
         ] );
       ( "effect",

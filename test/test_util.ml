@@ -322,7 +322,7 @@ let prop_memo_bounded_and_transparent =
     QCheck.(pair (int_range 1 8) (small_list small_int))
     (fun (cap, keys) ->
       let t = Memo.create ~capacity:cap () in
-      let g = Memo.wrap t (fun k -> (2 * k) + 1) in
+      let g k = Memo.find_or_add t k ~compute:(fun k -> (2 * k) + 1) in
       List.for_all (fun k -> g k = (2 * k) + 1 && g k = (2 * k) + 1) keys
       && Memo.length t <= cap)
 
