@@ -78,14 +78,28 @@ type degraded = {
 
 type mode = Normal | Degraded of degraded
 
+(* [split] is replaced, never written, once it is published: {!shares}
+   hands it out without a copy. *)
 type pair_state = {
-  paths : Topo.Path.t array;
+  links : int array array;  (* per installed path, activation order *)
   mutable split : float array;
   mutable below_since : float option;  (* start of the current low-load streak *)
   mutable mode : mode;
 }
 
-type t = { cfg : config; g : Topo.Graph.t; pairs : (int * int, pair_state) Hashtbl.t }
+type pair = pair_state
+
+(* Probe comparisons happen against raw utilisation and timestamp floats;
+   the typed thresholds are unwrapped once, here. *)
+type t = {
+  cfg : config;
+  pairs : (int * int, pair_state) Hashtbl.t;
+  util_threshold : float;
+  low_threshold : float;
+  hysteresis : float;
+  shift_fraction : float;
+  panic_backoff : float;
+}
 
 let create tables cfg =
   let g = Tables.graph tables in
@@ -96,9 +110,24 @@ let create tables cfg =
       let split = Array.init (Array.length paths) (fun i -> if i = 0 then 1.0 else 0.0) in
       Hashtbl.replace pairs
         (e.Tables.origin, e.Tables.dest)
-        { paths; split; below_since = None; mode = Normal })
+        { links = Array.map (Topo.Path.links g) paths; split; below_since = None; mode = Normal })
     (Tables.entries tables);
-  { cfg; g; pairs }
+  {
+    cfg;
+    pairs;
+    util_threshold = U.to_float cfg.util_threshold;
+    low_threshold = U.to_float cfg.low_threshold;
+    hysteresis = U.to_float cfg.hysteresis;
+    shift_fraction = U.to_float cfg.shift_fraction;
+    panic_backoff = U.to_float cfg.panic_backoff;
+  }
+
+let pair t o d =
+  match Hashtbl.find_opt t.pairs (o, d) with
+  | Some ps -> ps
+  | None -> invalid_arg "Te.pair: unknown pair"
+
+let shares ps = ps.split
 
 let split t o d =
   match Hashtbl.find_opt t.pairs (o, d) with
@@ -113,214 +142,239 @@ let force_split t o d split =
   match Hashtbl.find_opt t.pairs (o, d) with
   | None -> invalid_arg "Te.force_split: unknown pair"
   | Some ps ->
-      if Array.length split <> Array.length ps.paths then
+      if Array.length split <> Array.length ps.links then
         invalid_arg "Te.force_split: wrong arity";
       ps.split <- normalise_copy split;
       ps.below_since <- None;
       ps.mode <- Normal
 
-let path_usable g usable p = Array.for_all (fun l -> usable l) (Topo.Path.links g p)
+let path_usable ps usable i = Array.for_all usable ps.links.(i)
 
-let path_util g util p =
-  Array.fold_left (fun acc l -> max acc (util l)) 0.0 (Topo.Path.links g p)
+(* The path's worst link; [max]'s comparison, so ties and NaNs resolve as a
+   polymorphic [max] fold would. *)
+let path_util ps util i =
+  let links = ps.links.(i) in
+  let worst = ref 0.0 in
+  for x = 0 to Array.length links - 1 do
+    let u = util links.(x) in
+    if not (!worst >= u) then worst := u
+  done;
+  !worst
+
+(* The lowest usable path at or above [i]; -1 if there is none. *)
+let rec first_usable ps usable i =
+  if i >= Array.length ps.links then -1
+  else if path_usable ps usable i then i
+  else first_usable ps usable (i + 1)
+
+(* Is a share on an unusable path at or above [i]? *)
+let rec failed_share_from ps split usable i =
+  i < Array.length split
+  && ((split.(i) > 0.0 && not (path_usable ps usable i))
+     || failed_share_from ps split usable (i + 1))
+
+(* [split] itself if it is already the probe's private copy, else a copy
+   of the published split to write into. *)
+let writable ps split = if split == ps.split then Array.copy split else split
 
 let normalise split =
   let total = Array.fold_left ( +. ) 0.0 split in
   if total > 0.0 then Array.map (fun s -> s /. total) split else split
 
-let sleeping_links g usable split paths =
+let sleeping_links ps usable split =
   (* Links the new split needs that the probe saw carrying nothing: ask the
      network to wake them. The caller knows which are actually asleep; waking
      an active link is a no-op. *)
   let links = ref [] in
   Array.iteri
-    (fun i s ->
-      if s > 0.0 then
-        Array.iter
-          (fun l -> if usable l then links := l :: !links)
-          (Topo.Path.links g paths.(i)))
+    (fun i s -> if s > 0.0 then Array.iter (fun l -> if usable l then links := l :: !links) ps.links.(i))
     split;
   List.sort_uniq Int.compare !links
 
-let on_probe t ~origin ~dest ~now ~link_util ~link_usable =
-  Obs.Metric.Counter.incr m_probes;
-  match Hashtbl.find_opt t.pairs (origin, dest) with
-  | None -> []
-  | Some ps ->
-      let g = t.g in
-      let cfg = t.cfg in
-      (* Probe comparisons happen against raw utilisation and timestamp
-         floats; unwrap the typed thresholds once, at the decision boundary. *)
-      let util_threshold = U.to_float cfg.util_threshold in
-      let low_threshold = U.to_float cfg.low_threshold in
-      let hysteresis = U.to_float cfg.hysteresis in
-      let shift_fraction = U.to_float cfg.shift_fraction in
-      let n = Array.length ps.paths in
-      let usable i = path_usable g link_usable ps.paths.(i) in
-      let util i = path_util g link_util ps.paths.(i) in
-      let any_usable =
-        let rec scan i = i < n && (usable i || scan (i + 1)) in
-        scan 0
-      in
-      (* Escalation ladder for a pair with no usable installed path at all:
-         bounded wake retries (the links may merely be believed-failed or
-         asleep), each retry doubling the backoff, then one Use_fallback
-         request asking the caller to route over the shortest usable path
-         outside the installed set. Either way the pair's split is zeroed so
-         the unserved traffic is measured as loss, not silently dropped. *)
-      let panic_step d =
-        if d.d_fallback then []
-        else if now +. 1e-12 < d.d_next_retry then []
-        else if d.d_retries >= cfg.panic_retries then begin
-          d.d_fallback <- true;
-          Obs.Metric.Counter.incr m_fallbacks;
-          [ Use_fallback ]
-        end
-        else begin
-          d.d_retries <- d.d_retries + 1;
-          d.d_next_retry <-
-            now +. (U.to_float cfg.panic_backoff *. float_of_int (1 lsl d.d_retries));
-          Obs.Metric.Counter.incr m_panic_wakes;
-          let all_links =
-            let acc = ref [] in
-            Array.iter
-              (fun p -> Array.iter (fun l -> acc := l :: !acc) (Topo.Path.links g p))
-              ps.paths;
-            List.sort_uniq Int.compare !acc
-          in
-          Obs.Metric.Counter.add_int m_wake_requests (List.length all_links);
-          [ Wake all_links ]
-        end
-      in
-      let enter_panic () =
-        let d = { d_since = now; d_retries = 0; d_next_retry = now; d_fallback = false } in
-        ps.mode <- Degraded d;
-        ps.below_since <- None;
-        Obs.Metric.Counter.incr m_panics;
-        let had_traffic = Array.exists (fun s -> s > 0.0) ps.split in
-        ps.split <- Array.make n 0.0;
-        (if had_traffic then [ Set_split (Array.make n 0.0) ] else []) @ panic_step d
-      in
-      let recover d =
-        Obs.Metric.Histogram.observe m_recovery_seconds (now -. d.d_since);
-        ps.mode <- Normal;
-        ps.below_since <- None;
-        let target = ref 0 in
-        for i = n - 1 downto 0 do
-          if usable i then target := i
-        done;
-        let split = Array.make n 0.0 in
-        split.(!target) <- 1.0;
-        ps.split <- split;
-        let wakes = sleeping_links g link_usable split ps.paths in
-        Obs.Metric.Counter.incr m_shifts;
-        Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
-        (if d.d_fallback then [ Cancel_fallback ] else [])
-        @ [ Wake wakes; Set_split (Array.copy split) ]
-      in
-      match (ps.mode, any_usable) with
-      | Normal, false -> enter_panic ()
-      | Degraded d, false -> panic_step d
-      | Degraded d, true -> recover d
-      | Normal, true ->
-      let split = Array.copy ps.split in
-      let changed = ref false in
-      (* 1. Failures: traffic on an unusable path moves immediately to the
-         first usable path (lowest activation level), in full. *)
-      let failed_share = ref 0.0 in
-      for i = 0 to n - 1 do
-        if split.(i) > 0.0 && not (usable i) then begin
-          failed_share := !failed_share +. split.(i);
-          split.(i) <- 0.0;
-          changed := true
-        end
-      done;
-      if !failed_share > 0.0 then begin
-        Obs.Metric.Counter.incr m_failovers;
-        (* A failover event must not count towards the consolidation
-           hysteresis: the low-load streak restarts. *)
-        ps.below_since <- None;
-        let target = ref None in
-        for i = n - 1 downto 0 do
-          if usable i then target := Some i
-        done;
-        match !target with
-        | Some i -> split.(i) <- split.(i) +. !failed_share
-        | None -> () (* pair disconnected; drop the share *)
-      end;
-      (* 2. Overload: shift a bounded fraction from the most loaded active
-         path to the next usable level. *)
-      let active_max_util = ref 0.0 in
-      let hottest = ref (-1) in
-      for i = 0 to n - 1 do
-        if split.(i) > 0.0 then begin
-          let u = util i in
-          if u > !active_max_util then begin
-            active_max_util := u;
-            hottest := i
-          end
-        end
-      done;
-      if !active_max_util > util_threshold && !hottest >= 0 then begin
-        ps.below_since <- None;
-        (* Move towards the coolest usable alternative, as long as it is
-           meaningfully cooler than the threshold (damping factor 0.85 keeps
-           two hot paths from swapping traffic back and forth). *)
-        let target = ref None in
-        for i = n - 1 downto 0 do
-          if i <> !hottest && usable i then begin
-            let u = util i in
-            if u < util_threshold *. 0.85 then begin
-              match !target with
-              | Some (_, bu) when bu <= u -> ()
-              | _ -> target := Some (i, u)
-            end
-          end
-        done;
-        match !target with
-        | Some (i, _) ->
-            Obs.Metric.Counter.incr m_overload_shifts;
-            let moved = shift_fraction *. split.(!hottest) in
-            split.(!hottest) <- split.(!hottest) -. moved;
-            split.(i) <- split.(i) +. moved;
-            changed := true
-        | None -> ()
+(* Escalation ladder for a pair with no usable installed path at all:
+   bounded wake retries (the links may merely be believed-failed or
+   asleep), each retry doubling the backoff, then one Use_fallback request
+   asking the caller to route over the shortest usable path outside the
+   installed set. Either way the pair's split is zeroed so the unserved
+   traffic is measured as loss, not silently dropped. *)
+let panic_step t ps d now =
+  if d.d_fallback then []
+  else if now +. 1e-12 < d.d_next_retry then []
+  else if d.d_retries >= t.cfg.panic_retries then begin
+    d.d_fallback <- true;
+    Obs.Metric.Counter.incr m_fallbacks;
+    [ Use_fallback ]
+  end
+  else begin
+    d.d_retries <- d.d_retries + 1;
+    d.d_next_retry <- now +. (t.panic_backoff *. float_of_int (1 lsl d.d_retries));
+    Obs.Metric.Counter.incr m_panic_wakes;
+    let all_links =
+      let acc = ref [] in
+      Array.iter (Array.iter (fun l -> acc := l :: !acc)) ps.links;
+      List.sort_uniq Int.compare !acc
+    in
+    Obs.Metric.Counter.add_int m_wake_requests (List.length all_links);
+    [ Wake all_links ]
+  end
+
+let enter_panic t ps now =
+  let n = Array.length ps.links in
+  let d = { d_since = now; d_retries = 0; d_next_retry = now; d_fallback = false } in
+  ps.mode <- Degraded d;
+  ps.below_since <- None;
+  Obs.Metric.Counter.incr m_panics;
+  let had_traffic = Array.exists (fun s -> s > 0.0) ps.split in
+  ps.split <- Array.make n 0.0;
+  let actions = panic_step t ps d now in
+  if had_traffic then Set_split (Array.make n 0.0) :: actions else actions
+
+(* The first probe that sees a usable installed path again puts the whole
+   demand on the lowest one, [first]. *)
+let recover ps d ~now ~link_usable ~first =
+  Obs.Metric.Histogram.observe m_recovery_seconds (now -. d.d_since);
+  ps.mode <- Normal;
+  ps.below_since <- None;
+  let split = Array.make (Array.length ps.links) 0.0 in
+  split.(first) <- 1.0;
+  ps.split <- split;
+  let wakes = sleeping_links ps link_usable split in
+  Obs.Metric.Counter.incr m_shifts;
+  Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
+  let actions = [ Wake wakes; Set_split (Array.copy split) ] in
+  if d.d_fallback then Cancel_fallback :: actions else actions
+
+(* The overload target: the coolest usable path other than [hottest] that
+   is meaningfully cooler than the threshold (damping factor 0.85 keeps two
+   hot paths from swapping traffic back and forth), the highest level on a
+   tie; -1 if there is none. *)
+let overload_target t ps ~link_util ~link_usable hottest =
+  let best = ref (-1) and best_util = ref 0.0 in
+  for i = Array.length ps.links - 1 downto 0 do
+    if i <> hottest && path_usable ps link_usable i then begin
+      let u = path_util ps link_util i in
+      if u < t.util_threshold *. 0.85 && (!best < 0 || not (!best_util <= u)) then begin
+        best := i;
+        best_util := u
       end
-      else if !active_max_util < low_threshold && !failed_share = 0.0 then begin
-        (* 3. Consolidation: after a sustained low-load period, move the
-           highest active level down one step (towards the always-on path),
-           but only if the lower path is usable. *)
-        match ps.below_since with
-        | None -> ps.below_since <- Some now
-        | Some since when now -. since >= hysteresis ->
-            let top = ref (-1) in
-            for i = n - 1 downto 0 do
-              if !top < 0 && split.(i) > 0.0 then top := i
-            done;
-            if !top > 0 then begin
-              let lower = ref (-1) in
-              for i = !top - 1 downto 0 do
-                if !lower < 0 && usable i then lower := i
-              done;
-              if !lower >= 0 then begin
-                let moved = min split.(!top) shift_fraction in
-                split.(!top) <- split.(!top) -. moved;
-                split.(!lower) <- split.(!lower) +. moved;
-                if split.(!top) < 1e-9 then split.(!top) <- 0.0;
-                Obs.Metric.Counter.incr m_consolidations;
-                changed := true;
-                ps.below_since <- Some now
-              end
-            end
-        | Some _ -> ()
-      end
-      else ps.below_since <- None;
-      if not !changed then []
+    end
+  done;
+  !best
+
+(* 3. Consolidation: after a sustained low-load period, move the highest
+   active level down one step (towards the always-on path), but only if
+   the lower path is usable. *)
+let consolidate t ps split ~now ~link_usable =
+  match ps.below_since with
+  | None ->
+      ps.below_since <- Some now;
+      split
+  | Some since when now -. since >= t.hysteresis ->
+      let top = ref (-1) in
+      for i = Array.length split - 1 downto 0 do
+        if !top < 0 && split.(i) > 0.0 then top := i
+      done;
+      let lower = ref (-1) in
+      if !top > 0 then
+        for i = !top - 1 downto 0 do
+          if !lower < 0 && path_usable ps link_usable i then lower := i
+        done;
+      if !lower < 0 then split
       else begin
-        let split = normalise split in
-        ps.split <- split;
-        let wakes = sleeping_links g link_usable split ps.paths in
-        Obs.Metric.Counter.incr m_shifts;
-        Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
-        [ Wake wakes; Set_split (Array.copy split) ]
+        let top = !top and lower = !lower in
+        let split = writable ps split in
+        let moved = if split.(top) <= t.shift_fraction then split.(top) else t.shift_fraction in
+        split.(top) <- split.(top) -. moved;
+        split.(lower) <- split.(lower) +. moved;
+        if split.(top) < 1e-9 then split.(top) <- 0.0;
+        Obs.Metric.Counter.incr m_consolidations;
+        ps.below_since <- Some now;
+        split
       end
+  | Some _ -> split
+
+(* A probe of a pair in normal mode with at least one usable installed
+   path, the lowest being [first]. The published split is read in place and
+   copied only when a step writes to it, so the probe changed the split
+   exactly when the working split is no longer the published one. *)
+let normal_probe t ps ~now ~link_util ~link_usable ~first =
+  let n = Array.length ps.links in
+  let split =
+    if failed_share_from ps ps.split link_usable 0 then Array.copy ps.split else ps.split
+  in
+  (* 1. Failures: traffic on an unusable path moves immediately to the
+     first usable path (lowest activation level), in full. *)
+  let failed_share = ref 0.0 in
+  if split != ps.split then begin
+    for i = 0 to n - 1 do
+      if split.(i) > 0.0 && not (path_usable ps link_usable i) then begin
+        failed_share := !failed_share +. split.(i);
+        split.(i) <- 0.0
+      end
+    done;
+    Obs.Metric.Counter.incr m_failovers;
+    (* A failover event must not count towards the consolidation
+       hysteresis: the low-load streak restarts. *)
+    ps.below_since <- None;
+    split.(first) <- split.(first) +. !failed_share
+  end;
+  (* 2. Overload: shift a bounded fraction from the most loaded active path
+     to the next usable level. *)
+  let active_max_util = ref 0.0 in
+  let hottest = ref (-1) in
+  for i = 0 to n - 1 do
+    if split.(i) > 0.0 then begin
+      let u = path_util ps link_util i in
+      if u > !active_max_util then begin
+        active_max_util := u;
+        hottest := i
+      end
+    end
+  done;
+  let split =
+    if !active_max_util > t.util_threshold && !hottest >= 0 then begin
+      ps.below_since <- None;
+      let hottest = !hottest in
+      let target = overload_target t ps ~link_util ~link_usable hottest in
+      if target < 0 then split
+      else begin
+        Obs.Metric.Counter.incr m_overload_shifts;
+        let split = writable ps split in
+        let moved = t.shift_fraction *. split.(hottest) in
+        split.(hottest) <- split.(hottest) -. moved;
+        split.(target) <- split.(target) +. moved;
+        split
+      end
+    end
+    else if !active_max_util < t.low_threshold && !failed_share = 0.0 then
+      consolidate t ps split ~now ~link_usable
+    else begin
+      ps.below_since <- None;
+      split
+    end
+  in
+  if split == ps.split then []
+  else begin
+    let split = normalise split in
+    ps.split <- split;
+    let wakes = sleeping_links ps link_usable split in
+    Obs.Metric.Counter.incr m_shifts;
+    Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
+    [ Wake wakes; Set_split (Array.copy split) ]
+  end
+
+let probe t ps ~now ~link_util ~link_usable =
+  Obs.Metric.Counter.incr m_probes;
+  let first = first_usable ps link_usable 0 in
+  match ps.mode with
+  | Normal when first < 0 -> enter_panic t ps now
+  | Normal -> normal_probe t ps ~now ~link_util ~link_usable ~first
+  | Degraded d when first < 0 -> panic_step t ps d now
+  | Degraded d -> recover ps d ~now ~link_usable ~first
+
+let on_probe t ~origin ~dest ~now ~link_util ~link_usable =
+  match Hashtbl.find_opt t.pairs (origin, dest) with
+  | Some ps -> probe t ps ~now ~link_util ~link_usable
+  | None ->
+      Obs.Metric.Counter.incr m_probes;
+      []

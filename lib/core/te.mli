@@ -49,8 +49,23 @@ type t
 val create : Tables.t -> config -> t
 (** Fresh controller state: every pair fully on its always-on path. *)
 
+type pair
+(** One pair's controller state. A caller that probes the same pairs over
+    and over resolves each to a handle once with {!pair}; {!probe} and
+    {!shares} then skip the by-name lookup. *)
+
+val pair : t -> int -> int -> pair
+(** [pair t origin dest] is the pair's handle.
+    @raise Invalid_argument on an unknown pair. *)
+
+val shares : pair -> float array
+(** The pair's current split, without a copy. The controller never writes
+    to a split it has handed out: a probe or {!force_split} that changes
+    the split replaces the array. The caller must not write to it either. *)
+
 val split : t -> int -> int -> float array
-(** Current traffic split of a pair over its paths (activation order).
+(** Current traffic split of a pair over its paths (activation order), as
+    a fresh copy.
     @raise Invalid_argument on an unknown pair. *)
 
 val force_split : t -> int -> int -> float array -> unit
@@ -82,3 +97,8 @@ val on_probe :
     again restores traffic onto it, emits {!Cancel_fallback} if one was
     requested, and records the outage duration in the
     [te_recovery_seconds] histogram. *)
+
+val probe :
+  t -> pair -> now:float -> link_util:(int -> float) -> link_usable:(int -> bool) -> action list
+(** {!on_probe} for a resolved pair: the same decision and the same
+    actions. *)

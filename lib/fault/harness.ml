@@ -67,9 +67,9 @@ let pair_availability ~threshold ~interval ~pairs ~timeline (samples : Netsim.Si
     =
   let counted = ref 0 and served = ref 0 in
   let recoveries = ref [] in
-  (* Sample-major walk with per-pair run counters: each sample's pair_rates
-     assoc list is loaded into one reusable table instead of being searched
-     once per pair per sample. *)
+  (* Sample-major walk with per-pair run counters. [pairs] and each
+     sample's [pair_rates] are both in (origin, destination) order, so one
+     merge walk finds every pair's rate; a pair with no rate gets 0. *)
   let pairs_arr = Array.of_list pairs in
   let open_run = Array.make (Array.length pairs_arr) 0 in
   let close_run k =
@@ -78,23 +78,33 @@ let pair_availability ~threshold ~interval ~pairs ~timeline (samples : Netsim.Si
       open_run.(k) <- 0
     end
   in
-  let rate_tbl = Hashtbl.create 64 in
+  let rates = ref [] in
+  (* Drops the rates of the pairs before [od] and returns [od]'s rate. *)
+  let rec rate_of od =
+    match !rates with
+    | (od', r) :: rest ->
+        let c = Eutil.Order.int_pair od' od in
+        if c < 0 then begin
+          rates := rest;
+          rate_of od
+        end
+        else if c = 0 then r
+        else 0.0
+    | [] -> 0.0
+  in
   Array.iter
     (fun sm ->
       if sm.Netsim.Sim.demand_total > 0.0 then begin
         match demand_at timeline sm.Netsim.Sim.time with
         | None -> ()
         | Some m ->
-            Hashtbl.reset rate_tbl;
-            List.iter
-              (fun (od, r) -> if not (Hashtbl.mem rate_tbl od) then Hashtbl.add rate_tbl od r)
-              sm.Netsim.Sim.pair_rates;
+            rates := sm.Netsim.Sim.pair_rates;
             Array.iteri
-              (fun k (o, d) ->
+              (fun k ((o, d) as od) ->
                 let dem = Traffic.Matrix.get m o d in
                 if dem > 0.0 then begin
                   incr counted;
-                  let rate = Option.value (Hashtbl.find_opt rate_tbl (o, d)) ~default:0.0 in
+                  let rate = rate_of od in
                   if rate +. 1e-9 >= threshold *. dem then begin
                     incr served;
                     close_run k

@@ -110,30 +110,49 @@ let m_rate_redecided =
   Obs.Metric.Counter.create ~help:"Pairs whose placement a rate-ledger pass re-decided"
     "netsim_rate_pairs_redecided_total"
 
-(* One share of a pair's demand and the path carrying it; None while the
-   share is unserved. *)
-type placement = { volume : float; target : Topo.Path.t option }
-
 (* The rate ledger. Pair k is the k-th of [Tables.pairs], which is also the
    (origin, destination) order in which [Traffic.Matrix.iter_flows] visits
-   flows. The first six fields are built once per run; the rest cache
-   each pair's last decision, re-made only when the pair is dirty or on
-   the dynamic-fallback branch. *)
+   flows. The fields up to [probes] are built once per run; the rest hold
+   each pair's demand, fallback grant and last decision, re-made only when
+   the pair is dirty or holds a granted fallback.
+
+   A pair's placements are its shares of demand in split order, then any
+   fallback route, each a volume and the path carrying it (None while the
+   share is unserved). They live in preallocated slots, one per installed
+   path and one for the fallback route. A target is one of the [routes]
+   built once per run or the granted fallback route, so an unchanged
+   target is the same value. [moved] is set when a decision writes a slot
+   with other volume bits or another target or changes a pair's slot
+   count, and by a demand change. While it is clear, the per-arc and
+   per-pair sums of the last fold still hold. *)
 type ledger = {
   pairs : (int * int) array;
   index : (int * int, int) Hashtbl.t;  (* inverse of [pairs] *)
-  paths : Topo.Path.t array array;  (* installed paths, activation order *)
+  te_pairs : Response.Te.pair array;  (* the pairs' TE handles *)
+  routes : Topo.Path.t option array array;  (* [Some p] per installed path, activation order *)
   path_links : int array array array;  (* per pair, per path *)
   capacity : float array;  (* per arc *)
+  link_arc1 : int array;  (* per link, the arcs of [Topo.Graph.arcs_of_link] *)
+  link_arc2 : int array;
   by_link : int list array;  (* pairs whose installed paths cross the link, ascending *)
+  probes : ev array;  (* [Probe k], built once per pair *)
   dem : float array;  (* demand of the pairs in [flows] *)
   mutable flows : int array;  (* pairs carrying demand, ascending *)
   dirty : bool array;
-  fallback_branch : bool array;  (* all-zero split: re-decided on every pass *)
-  placed : placement array array;  (* in split order, then any fallback route *)
+  on_fallback : bool array;  (* all-zero split and a granted fallback: re-decided on every pass *)
+  (* TE granted Use_fallback; the route is (re)computed lazily in [decide]
+     and None while the pair is partitioned. *)
+  granted : bool array;
+  fallback : Topo.Path.t option array;
+  fallback_links : int array array;  (* links of the [fallback] route *)
+  first_slot : int array;  (* pair k's slots start at [first_slot.(k)] *)
+  volume : float array;  (* placement slots, all pairs' *)
+  target : Topo.Path.t option array;
+  placed : int array;  (* slots in use, per pair *)
+  mutable moved : bool;
   wakes : int list array;  (* sleeping links the pair's shares ask to wake *)
   sums : float array;  (* achieved rate per pair *)
-  achieved : float array;  (* per-arc scratch of a pass *)
+  achieved : float array;  (* per-arc scratch of a fold *)
   wanted : bool array;  (* per-link scratch of a pass *)
 }
 
@@ -158,13 +177,10 @@ type sim = {
   mutable sleep_count : int;
   mutable rejected_wakes : int;
   mutable fallback_count : int;
-  (* Pairs granted Use_fallback by TE; the path is (re)computed lazily in
-     [decide] and None while the pair is partitioned. *)
-  fallbacks : (int * int, Topo.Path.t option) Hashtbl.t;
   invcap : Topo.Graph.arc -> float;  (* OSPF weight, hoisted once per run *)
 }
 
-let ledger_of tables =
+let ledger_of tables te =
   let g = Response.Tables.graph tables in
   let entries = Array.of_list (Response.Tables.entries tables) in
   let n = Array.length entries in
@@ -180,19 +196,35 @@ let ledger_of tables =
   let pairs = Array.map (fun e -> (e.Response.Tables.origin, e.Response.Tables.dest)) entries in
   let index = Hashtbl.create n in
   Array.iteri (fun k od -> Hashtbl.replace index od k) pairs;
+  let link_arcs = Array.init (Topo.Graph.link_count g) (Topo.Graph.arcs_of_link g) in
+  let first_slot = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    first_slot.(k + 1) <- first_slot.(k) + Array.length paths.(k) + 1
+  done;
   {
     pairs;
     index;
-    paths;
+    te_pairs = Array.map (fun (o, d) -> Response.Te.pair te o d) pairs;
+    routes = Array.map (Array.map Option.some) paths;
     path_links;
     capacity =
       Array.init (Topo.Graph.arc_count g) (fun a -> (Topo.Graph.arc g a).Topo.Graph.capacity);
+    link_arc1 = Array.map fst link_arcs;
+    link_arc2 = Array.map snd link_arcs;
     by_link;
+    probes = Array.init n (fun k -> Probe k);
     dem = Array.make n 0.0;
     flows = [||];
     dirty = Array.make n true;
-    fallback_branch = Array.make n false;
-    placed = Array.make n [||];
+    on_fallback = Array.make n false;
+    granted = Array.make n false;
+    fallback = Array.make n None;
+    fallback_links = Array.make n [||];
+    first_slot;
+    volume = Array.make first_slot.(n) 0.0;
+    target = Array.make first_slot.(n) None;
+    placed = Array.make n 0;
+    moved = true;
     wakes = Array.make n [];
     sums = Array.make n 0.0;
     achieved = Array.make (Topo.Graph.arc_count g) 0.0;
@@ -225,6 +257,7 @@ let set_demand s tm =
   s.demand <- tm;
   lg.flows <- Array.of_list (List.rev !flows);
   Array.fill lg.dirty 0 (Array.length lg.dirty) true;
+  lg.moved <- true;
   invalidate s
 
 let carrying s l =
@@ -235,6 +268,19 @@ let asleep s l =
 
 let link_fully_active s links = Array.for_all (carrying s) links
 
+(* [acc] with the sleeping links among [links] from [x] on pushed in
+   order. *)
+let rec ask_wake s links x acc =
+  if x >= Array.length links then acc
+  else ask_wake s links (x + 1) (if asleep s links.(x) then links.(x) :: acc else acc)
+
+(* The route of pair [k]'s lowest fully-active path at or above [i]. *)
+let rec lowest_active s k i =
+  let lg = s.ledger in
+  if i >= Array.length lg.routes.(k) then None
+  else if link_fully_active s lg.path_links.(k).(i) then lg.routes.(k).(i)
+  else lowest_active s k (i + 1)
+
 (* Shortest path avoiding every link the control plane knows is failed —
    the last rung of the degradation ladder (sleeping links are fine: they
    wake on demand). *)
@@ -243,62 +289,85 @@ let ospf_usable_path s o d =
     ~active:(fun arc -> not s.known_failed.(arc.Topo.Graph.link))
     ~src:o ~dst:d ()
 
+(* Writes placement slot [j] of pair [k], raising [moved] if it changes. *)
+let[@inline] place lg k j volume target =
+  let slot = lg.first_slot.(k) + j in
+  if
+    (not (Int64.equal (Int64.bits_of_float lg.volume.(slot)) (Int64.bits_of_float volume)))
+    || lg.target.(slot) != target
+  then begin
+    lg.volume.(slot) <- volume;
+    lg.target.(slot) <- target;
+    lg.moved <- true
+  end
+
+let rec all_zero split i = i >= Array.length split || (split.(i) <= 0.0 && all_zero split (i + 1))
+
+(* The granted fallback route of pair [k], recomputed when it is unset or
+   crosses a link the control plane knows is failed. *)
+let fallback_route s k =
+  let lg = s.ledger in
+  match lg.fallback.(k) with
+  | Some _ as route when not (Array.exists (fun l -> s.known_failed.(l)) lg.fallback_links.(k)) ->
+      route
+  | Some _ | None ->
+      let o, d = lg.pairs.(k) in
+      let route = ospf_usable_path s o d in
+      (match route with
+      | Some p ->
+          s.fallback_count <- s.fallback_count + 1;
+          Obs.Metric.Counter.incr m_fallback_routes;
+          lg.fallback_links.(k) <- Topo.Path.links s.g p
+      | None -> lg.fallback_links.(k) <- [||]);
+      lg.fallback.(k) <- route;
+      route
+
 (* Re-decides pair [k]'s placements and wake requests from its demand,
    split and link states. A share whose path is not fully active falls
    back to the pair's lowest fully-active path; with no active path at all
    it is unserved and asks for its own path to wake. *)
 let decide s k =
   let lg = s.ledger in
-  let o, d = lg.pairs.(k) in
-  let dem = lg.dem.(k) and paths = lg.paths.(k) and links = lg.path_links.(k) in
-  let split = Response.Te.split s.te o d in
-  let placed = ref [] and wakes = ref [] in
-  let place volume target = placed := { volume; target } :: !placed in
-  let ask_wake links = Array.iter (fun l -> if asleep s l then wakes := l :: !wakes) links in
-  let rec lowest_active i =
-    if i >= Array.length paths then None
-    else if link_fully_active s links.(i) then Some paths.(i)
-    else lowest_active (i + 1)
-  in
-  let fallback = lowest_active 0 in
-  Array.iteri
-    (fun i share ->
-      if share > 0.0 then
-        if link_fully_active s links.(i) then place (dem *. share) (Some paths.(i))
-        else begin
-          ask_wake links.(i);
-          place (dem *. share) fallback
-        end)
-    split;
+  let dem = lg.dem.(k) and links = lg.path_links.(k) and routes = lg.routes.(k) in
+  let split = Response.Te.shares lg.te_pairs.(k) in
+  let fallback = lowest_active s k 0 in
+  let wakes = ref [] and j = ref 0 in
+  for i = 0 to Array.length split - 1 do
+    let share = split.(i) in
+    if share > 0.0 then begin
+      if link_fully_active s links.(i) then place lg k !j (dem *. share) routes.(i)
+      else begin
+        wakes := ask_wake s links.(i) 0 !wakes;
+        place lg k !j (dem *. share) fallback
+      end;
+      incr j
+    end
+  done;
   (* A pair whose split is all-zero has lost every installed path (the TE
      panic ladder zeroed it). If TE escalated to Use_fallback, route over
      the dynamic shortest usable path; either way the demand is recorded so
-     unserved volume shows up as measured loss, never silently vanishing. *)
-  let zero = Array.for_all (fun share -> share <= 0.0) split in
+     unserved volume shows up as measured loss, never silently vanishing.
+     Without a grant the decision reads no link state. *)
+  let zero = all_zero split 0 in
   if zero then begin
-    let stale p = Array.exists (fun l -> s.known_failed.(l)) (Topo.Path.links s.g p) in
-    let fb =
-      match Hashtbl.find_opt s.fallbacks (o, d) with
-      | None -> None (* not granted: panic retries still running *)
-      | Some (Some p) when not (stale p) -> Some p
-      | Some _ ->
-          let p = ospf_usable_path s o d in
-          if p <> None then begin
-            s.fallback_count <- s.fallback_count + 1;
-            Obs.Metric.Counter.incr m_fallback_routes
-          end;
-          Hashtbl.replace s.fallbacks (o, d) p;
-          p
+    let target =
+      if not lg.granted.(k) then None
+      else
+        match fallback_route s k with
+        | Some _ as route when link_fully_active s lg.fallback_links.(k) -> route
+        | Some _ ->
+            wakes := ask_wake s lg.fallback_links.(k) 0 !wakes;
+            None
+        | None -> None
     in
-    match fb with
-    | Some p when link_fully_active s (Topo.Path.links s.g p) -> place dem (Some p)
-    | Some p ->
-        ask_wake (Topo.Path.links s.g p);
-        place dem None
-    | None -> place dem None
+    place lg k !j dem target;
+    incr j
   end;
-  lg.fallback_branch.(k) <- zero;
-  lg.placed.(k) <- Array.of_list (List.rev !placed);
+  lg.on_fallback.(k) <- zero && lg.granted.(k);
+  if lg.placed.(k) <> !j then begin
+    lg.placed.(k) <- !j;
+    lg.moved <- true
+  end;
   lg.wakes.(k) <- !wakes
 
 let fmax (a : float) b = if a >= b then a else b
@@ -310,25 +379,29 @@ let fmax (a : float) b = if a >= b then a else b
    reverse. *)
 let refold s =
   let lg = s.ledger in
-  let offered = s.arc_offered and achieved = lg.achieved in
+  let offered = s.arc_offered and achieved = lg.achieved and flows = lg.flows in
   Array.fill offered 0 (Array.length offered) 0.0;
-  Array.iter
-    (fun k ->
-      Array.iter
-        (fun { volume; target } ->
-          match target with
-          | Some p -> Array.iter (fun a -> offered.(a) <- offered.(a) +. volume) p.Topo.Path.arcs
-          | None -> ())
-        lg.placed.(k))
-    lg.flows;
+  for i = 0 to Array.length flows - 1 do
+    let k = flows.(i) in
+    let first = lg.first_slot.(k) in
+    for slot = first to first + lg.placed.(k) - 1 do
+      match lg.target.(slot) with
+      | Some p ->
+          let arcs = p.Topo.Path.arcs and v = lg.volume.(slot) in
+          for x = 0 to Array.length arcs - 1 do
+            offered.(arcs.(x)) <- offered.(arcs.(x)) +. v
+          done
+      | None -> ()
+    done
+  done;
   (* Achieved rate: demand scaled by the worst oversubscription en route. *)
   Array.fill achieved 0 (Array.length achieved) 0.0;
-  for i = Array.length lg.flows - 1 downto 0 do
-    let k = lg.flows.(i) in
-    let placed = lg.placed.(k) in
+  for i = Array.length flows - 1 downto 0 do
+    let k = flows.(i) in
+    let first = lg.first_slot.(k) in
     let sum = ref 0.0 in
-    for j = Array.length placed - 1 downto 0 do
-      match placed.(j).target with
+    for slot = first + lg.placed.(k) - 1 downto first do
+      match lg.target.(slot) with
       | None -> sum := 0.0 +. !sum (* an unserved share, summed as the rebuild did *)
       | Some p ->
           let arcs = p.Topo.Path.arcs in
@@ -336,7 +409,7 @@ let refold s =
           for x = 0 to Array.length arcs - 1 do
             worst := fmax !worst (offered.(arcs.(x)) /. lg.capacity.(arcs.(x)))
           done;
-          let r = placed.(j).volume /. !worst in
+          let r = lg.volume.(slot) /. !worst in
           for x = 0 to Array.length arcs - 1 do
             achieved.(arcs.(x)) <- achieved.(arcs.(x)) +. r
           done;
@@ -345,41 +418,53 @@ let refold s =
     lg.sums.(k) <- !sum
   done;
   for l = 0 to Array.length s.link_achieved - 1 do
-    let a1, a2 = Topo.Graph.arcs_of_link s.g l in
-    let r = fmax achieved.(a1) achieved.(a2) in
-    s.link_achieved.(l) <- r;
-    if r > 0.0 then s.last_loaded.(l) <- s.now
-  done;
-  Array.iter (fun k -> List.iter (fun l -> lg.wanted.(l) <- true) lg.wakes.(k)) lg.flows;
-  let wanted = ref [] in
-  for l = Array.length lg.wanted - 1 downto 0 do
-    if lg.wanted.(l) then begin
-      lg.wanted.(l) <- false;
-      wanted := l :: !wanted
-    end
-  done;
-  s.wakes_wanted <- !wanted
+    s.link_achieved.(l) <- fmax achieved.(lg.link_arc1.(l)) achieved.(lg.link_arc2.(l))
+  done
+
+let rec mark_wanted wanted = function
+  | [] -> ()
+  | l :: rest ->
+      wanted.(l) <- true;
+      mark_wanted wanted rest
 
 (* Offered loads, achieved rates and data-plane wake requests for the
-   current demand, splits and link states: re-decides the dirty pairs and
-   those on the dynamic-fallback branch, then re-folds the ledger. *)
+   current demand, splits and link states. A pass re-decides the dirty
+   pairs and those holding a granted fallback, and re-folds the ledger
+   only if a placement moved: the fold reads nothing else. *)
 let compute_rates s =
   if not s.cache_valid then begin
-    let lg = s.ledger in
+    let lg = s.ledger and flows = s.ledger.flows in
     let redecided = ref 0 in
-    Array.iter
-      (fun k ->
-        if lg.dirty.(k) || lg.fallback_branch.(k) then begin
-          decide s k;
-          lg.dirty.(k) <- false;
-          incr redecided
-        end)
-      lg.flows;
+    for i = 0 to Array.length flows - 1 do
+      let k = flows.(i) in
+      if lg.dirty.(k) || lg.on_fallback.(k) then begin
+        decide s k;
+        lg.dirty.(k) <- false;
+        incr redecided
+      end
+    done;
     if Obs.enabled () then begin
       Obs.Metric.Counter.incr m_rate_passes;
       Obs.Metric.Counter.add_int m_rate_redecided !redecided
     end;
-    refold s;
+    if lg.moved then begin
+      refold s;
+      lg.moved <- false
+    end;
+    for l = 0 to Array.length s.link_achieved - 1 do
+      if s.link_achieved.(l) > 0.0 then s.last_loaded.(l) <- s.now
+    done;
+    for i = 0 to Array.length flows - 1 do
+      mark_wanted lg.wanted lg.wakes.(flows.(i))
+    done;
+    let wanted = ref [] in
+    for l = Array.length lg.wanted - 1 downto 0 do
+      if lg.wanted.(l) then begin
+        lg.wanted.(l) <- false;
+        wanted := l :: !wanted
+      end
+    done;
+    s.wakes_wanted <- !wanted;
     s.cache_valid <- true
   end
 
@@ -388,8 +473,7 @@ let compute_rates s =
 let pair_rates s =
   let lg = s.ledger in
   Array.fold_right
-    (fun k acc ->
-      if Array.length lg.placed.(k) = 0 then acc else (lg.pairs.(k), lg.sums.(k)) :: acc)
+    (fun k acc -> if lg.placed.(k) = 0 then acc else (lg.pairs.(k), lg.sums.(k)) :: acc)
     lg.flows []
 
 let wake_link s l =
@@ -409,8 +493,7 @@ let pairs_using_link s l =
   let lg = s.ledger in
   List.filter
     (fun k ->
-      let o, d = lg.pairs.(k) in
-      let split = Response.Te.split s.te o d in
+      let split = Response.Te.shares lg.te_pairs.(k) in
       let links = lg.path_links.(k) in
       let rec crosses i =
         i < Array.length links && ((split.(i) > 0.0 && Array.mem l links.(i)) || crosses (i + 1))
@@ -428,7 +511,7 @@ let request_wake s l =
     Obs.Metric.Counter.incr m_rejected_wakes;
     if not s.known_failed.(l) then begin
       s.known_failed.(l) <- true;
-      List.iter (fun k -> Eutil.Heap.push s.queue s.now (Probe k)) (pairs_using_link s l);
+      List.iter (fun k -> Eutil.Heap.push s.queue s.now s.ledger.probes.(k)) (pairs_using_link s l);
       invalidate s
     end
   end
@@ -461,32 +544,44 @@ let housekeeping s =
     s.status
 
 let link_util s l =
-  let a1, a2 = Topo.Graph.arcs_of_link s.g l in
-  let capacity = s.ledger.capacity in
-  fmax (s.arc_offered.(a1) /. capacity.(a1)) (s.arc_offered.(a2) /. capacity.(a2))
+  let lg = s.ledger in
+  let a1 = lg.link_arc1.(l) and a2 = lg.link_arc2.(l) in
+  fmax (s.arc_offered.(a1) /. lg.capacity.(a1)) (s.arc_offered.(a2) /. lg.capacity.(a2))
 
-let handle_probe s k =
+let link_usable s l = not s.known_failed.(l)
+
+let rec wake_links s = function
+  | [] -> ()
+  | l :: rest ->
+      wake_link s l;
+      wake_links s rest
+
+let rec apply_actions s k = function
+  | [] -> ()
+  | action :: rest ->
+      let lg = s.ledger in
+      (match action with
+      | Response.Te.Wake links -> List.iter (fun l -> request_wake s l) links
+      | Response.Te.Set_split _ -> touch_pair s k
+      | Response.Te.Use_fallback ->
+          lg.granted.(k) <- true;
+          lg.fallback.(k) <- None;
+          touch_pair s k
+      | Response.Te.Cancel_fallback ->
+          lg.granted.(k) <- false;
+          lg.fallback.(k) <- None;
+          touch_pair s k);
+      apply_actions s k rest
+
+(* [link_util] and [link_usable] are [link_util s] and [link_usable s],
+   built once per run. *)
+let handle_probe s ~link_util ~link_usable k =
   if s.now >= s.cfg.te_start then begin
     compute_rates s;
     (* Data-plane wake requests piggyback on the probe round. *)
-    List.iter (fun l -> wake_link s l) s.wakes_wanted;
-    let o, d = s.ledger.pairs.(k) in
-    let actions =
-      Response.Te.on_probe s.te ~origin:o ~dest:d ~now:s.now ~link_util:(link_util s)
-        ~link_usable:(fun l -> not s.known_failed.(l))
-    in
-    List.iter
-      (fun action ->
-        match action with
-        | Response.Te.Wake links -> List.iter (fun l -> request_wake s l) links
-        | Response.Te.Set_split _ -> touch_pair s k
-        | Response.Te.Use_fallback ->
-            Hashtbl.replace s.fallbacks (o, d) None;
-            touch_pair s k
-        | Response.Te.Cancel_fallback ->
-            Hashtbl.remove s.fallbacks (o, d);
-            touch_pair s k)
-      actions
+    wake_links s s.wakes_wanted;
+    apply_actions s k
+      (Response.Te.probe s.te s.ledger.te_pairs.(k) ~now:s.now ~link_util ~link_usable)
   end
 
 let take_sample s power =
@@ -525,7 +620,7 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
       demand = Traffic.Matrix.create (Topo.Graph.node_count g);
       now = 0.0;
       queue = Eutil.Heap.create ();
-      ledger = ledger_of tables;
+      ledger = ledger_of tables te;
       cache_valid = false;
       arc_offered = Array.make (Topo.Graph.arc_count g) 0.0;
       link_achieved = Array.make (Topo.Graph.link_count g) 0.0;
@@ -534,7 +629,6 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
       sleep_count = 0;
       rejected_wakes = 0;
       fallback_count = 0;
-      fallbacks = Hashtbl.create 16;
       invcap = Routing.Spf.invcap g;
     }
   in
@@ -552,7 +646,7 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
       let split =
         match Hashtbl.find_opt seeded (o, d) with
         | Some split -> split
-        | None -> Response.Te.split te o d
+        | None -> Response.Te.shares s.ledger.te_pairs.(k)
       in
       Array.iteri
         (fun i share ->
@@ -573,7 +667,7 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
   let n_pairs = Array.length s.ledger.pairs in
   for k = 0 to n_pairs - 1 do
     let offset = t_probe *. float_of_int k /. float_of_int (max 1 n_pairs) in
-    Eutil.Heap.push s.queue (config.te_start +. offset) (Probe k)
+    Eutil.Heap.push s.queue (config.te_start +. offset) s.ledger.probes.(k)
   done;
   (* Samples. *)
   let n_samples = int_of_float (duration /. config.sample_interval) + 1 in
@@ -581,17 +675,20 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
     Eutil.Heap.push s.queue (float_of_int i *. config.sample_interval) Take_sample
   done;
   let samples = ref [] in
+  let link_util = link_util s and link_usable = link_usable s in
+  (* The horizon check peeks at the next priority, so an event costs a
+     [take] and no option or tuple. *)
   let rec loop () =
-    match Eutil.Heap.pop s.queue with
-    | None -> ()
-    | Some (t, _) when t > duration +. 1e-9 -> ()
-    | Some (t, ev) ->
-        s.now <- max s.now t;
+    if not (Eutil.Heap.is_empty s.queue) then begin
+      let t = Eutil.Heap.min_priority s.queue in
+      if not (t > duration +. 1e-9) then begin
+        let ev = Eutil.Heap.take s.queue in
+        s.now <- fmax s.now t;
         (match ev with
         | Probe k ->
             Obs.Metric.Counter.incr ev_probe;
-            handle_probe s k;
-            Eutil.Heap.push s.queue (s.now +. t_probe) (Probe k)
+            handle_probe s ~link_util ~link_usable k;
+            Eutil.Heap.push s.queue (s.now +. t_probe) s.ledger.probes.(k)
         | Demand_change tm ->
             Obs.Metric.Counter.incr ev_demand;
             set_demand s tm
@@ -610,7 +707,9 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
               s.known_failed.(l) <- true;
               (* Affected agents react promptly: immediate probe for pairs
                  whose current split crosses the failed link. *)
-              List.iter (fun k -> Eutil.Heap.push s.queue s.now (Probe k)) (pairs_using_link s l)
+              List.iter
+                (fun k -> Eutil.Heap.push s.queue s.now s.ledger.probes.(k))
+                (pairs_using_link s l)
             end
         | Repair l ->
             Obs.Metric.Counter.incr ev_repair;
@@ -633,6 +732,8 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
             Obs.Metric.Counter.incr ev_sample;
             samples := take_sample s power :: !samples);
         loop ()
+      end
+    end
   in
   loop ();
   let samples = Array.of_list (List.rev !samples) in

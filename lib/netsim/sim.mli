@@ -24,10 +24,11 @@
     state change marks only the pairs it can affect (a split or fallback
     change marks the probed pair, a failure or sleep/wake on a link the
     pairs whose installed paths cross it, a demand change every pair). A
-    rate computation re-decides the marked pairs and every pair on the
-    dynamic-fallback branch, then re-folds all cached placements in the
-    order a from-scratch rebuild would sum them, so every rate is
-    bit-identical to one (DESIGN.md §3, item 4).
+    rate computation re-decides the marked pairs and every pair routed
+    over a granted dynamic fallback. Only if a placement moved does it
+    re-fold all cached placements, in the order a from-scratch rebuild
+    would sum them, so every rate is bit-identical to one (DESIGN.md §3,
+    item 4).
 
     Packet-level artefacts (queueing jitter, loss bursts) are out of scope;
     the quantities the paper reports — rates over time, activation delays,
@@ -60,6 +61,8 @@ type sample = {
   demand_total : float;
   rate_total : float;  (** achieved aggregate sending rate *)
   pair_rates : ((int * int) * float) list;
+      (** achieved rate per pair carrying demand, in (origin, destination)
+          order *)
   link_rates : float array;  (** achieved load per undirected link (max direction) *)
   links_active : int;
 }

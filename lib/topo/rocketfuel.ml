@@ -21,7 +21,13 @@ let latency_of_distance d = d *. 4000.0 *. 5e-6
 let edge_bps = Eutil.Units.to_float (Eutil.Units.mbps 100.0)
 let trunk_bps = Eutil.Units.to_float (Eutil.Units.mbps 52.0)
 
+(** [make spec] regenerates the map [spec] describes; equal specs give
+    equal graphs.
+    @raise Invalid_argument if [spec.pops < 2]: the spanning tree that
+    keeps a map connected needs two PoPs. *)
 let make spec =
+  if spec.pops < 2 then
+    invalid_arg (Printf.sprintf "Rocketfuel.make: %s needs at least 2 PoPs" spec.name);
   let rng = Eutil.Prng.create spec.seed in
   let n = spec.pops in
   let pos = Array.init n (fun _ -> (Eutil.Prng.float rng, Eutil.Prng.float rng)) in
@@ -29,28 +35,35 @@ let make spec =
   let nodes =
     Array.init n (fun i -> Graph.Builder.add_node b ~role:Pop (Printf.sprintf "%s%02d" spec.name i))
   in
-  (* Spanning tree by Prim on Euclidean distance guarantees connectivity. *)
-  let in_tree = Array.make n false in
-  in_tree.(0) <- true;
+  (* Spanning tree by Prim on Euclidean distance guarantees connectivity.
+     Each step adds the shortest edge from the tree to [outside.(0 .. m-1)],
+     the nodes not yet in it; a tie goes to the lowest (tree node, new
+     node) pair. [near.(j)] is the tree node closest to [j], the lowest on
+     a tie, at distance [near_d.(j)]. *)
+  let near = Array.make n 0 in
+  let near_d = Array.map (fun p -> dist pos.(0) p) pos in
+  let outside = Array.init (n - 1) (fun x -> x + 1) in
+  let before j j' =
+    near_d.(j) < near_d.(j')
+    || (near_d.(j) = near_d.(j') && (near.(j) < near.(j') || (near.(j) = near.(j') && j < j')))
+  in
   let chosen = ref [] in
-  for _ = 1 to n - 1 do
-    let best = ref None in
-    for i = 0 to n - 1 do
-      if in_tree.(i) then
-        for j = 0 to n - 1 do
-          if not in_tree.(j) then begin
-            let d = dist pos.(i) pos.(j) in
-            match !best with
-            | Some (_, _, bd) when bd <= d -> ()
-            | _ -> best := Some (i, j, d)
-          end
-        done
+  for m = n - 1 downto 1 do
+    let best = ref 0 in
+    for x = 1 to m - 1 do
+      if before outside.(x) outside.(!best) then best := x
     done;
-    match !best with
-    | None -> assert false
-    | Some (i, j, _) ->
-        in_tree.(j) <- true;
-        chosen := (i, j) :: !chosen
+    let j = outside.(!best) in
+    outside.(!best) <- outside.(m - 1);
+    chosen := (near.(j), j) :: !chosen;
+    for x = 0 to m - 2 do
+      let y = outside.(x) in
+      let d = dist pos.(j) pos.(y) in
+      if d < near_d.(y) || (d = near_d.(y) && j < near.(y)) then begin
+        near.(y) <- j;
+        near_d.(y) <- d
+      end
+    done
   done;
   let have = Hashtbl.create 64 in
   List.iter (fun (i, j) -> Hashtbl.add have (min i j, max i j) ()) !chosen;

@@ -99,6 +99,10 @@ let remove_min h =
     vals.(!i) <- value
   end
 
+let min_priority h =
+  if h.len = 0 then invalid_arg "Heap.min_priority: empty heap";
+  Float.Array.get h.prio 0
+
 let take h =
   if h.len = 0 then invalid_arg "Heap.take: empty heap";
   let top = h.vals.(0) in

@@ -15,6 +15,11 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 (** [push h prio x] inserts [x] with priority [prio]. *)
 
+val min_priority : 'a t -> float
+(** The priority of the element {!take} would remove next, without
+    removing it.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element. Ties are broken by
     insertion order (FIFO), which keeps the event simulator deterministic. *)

@@ -4,8 +4,10 @@
    instruments removed (a second registration of the [netsim_*] metric
    names would fail at start-up) and with the public types taken from
    [Netsim.Sim], so the two [run]s return comparable results. Its event
-   queue is the frozen [Heap_reference], not [Eutil.Heap]. Do not optimise
-   it: its only job is to be obviously the old behaviour. *)
+   queue is the frozen [Heap_reference], not [Eutil.Heap], and its agents
+   the frozen [Te_reference], not [Response.Te], so the oracle is frozen
+   end to end. Do not optimise it: its only job is to be obviously the old
+   behaviour. *)
 
 open Netsim.Sim
 
@@ -23,7 +25,7 @@ type ev =
 type sim = {
   g : Topo.Graph.t;
   tables : Response.Tables.t;
-  te : Response.Te.t;
+  te : Te_reference.t;
   cfg : config;
   status : link_status array;
   failed : bool array;
@@ -76,7 +78,7 @@ let compute_rates s =
         | None -> ()
         | Some e ->
             let paths = Response.Tables.paths e in
-            let split = Response.Te.split s.te o d in
+            let split = Te_reference.split s.te o d in
             let fallback = ref None in
             Array.iteri
               (fun i p -> if !fallback = None && link_fully_active s p then fallback := Some i)
@@ -188,7 +190,7 @@ let pairs_using_link s l =
       | None -> false
       | Some e ->
           let paths = Response.Tables.paths e in
-          let split = Response.Te.split s.te o d in
+          let split = Te_reference.split s.te o d in
           Array.exists
             (fun i -> split.(i) > 0.0 && Topo.Path.uses_link s.g paths.(i) l)
             (Array.init (Array.length paths) (fun i -> i)))
@@ -247,18 +249,18 @@ let handle_probe s o d =
     (* Data-plane wake requests piggyback on the probe round. *)
     List.iter (fun l -> wake_link s l) s.wakes_wanted;
     let actions =
-      Response.Te.on_probe s.te ~origin:o ~dest:d ~now:s.now ~link_util:(link_util s)
+      Te_reference.on_probe s.te ~origin:o ~dest:d ~now:s.now ~link_util:(link_util s)
         ~link_usable:(fun l -> not s.known_failed.(l))
     in
     List.iter
       (fun action ->
         match action with
-        | Response.Te.Wake links -> List.iter (fun l -> request_wake s l) links
-        | Response.Te.Set_split _ -> invalidate s
-        | Response.Te.Use_fallback ->
+        | Te_reference.Wake links -> List.iter (fun l -> request_wake s l) links
+        | Te_reference.Set_split _ -> invalidate s
+        | Te_reference.Use_fallback ->
             Hashtbl.replace s.fallbacks (o, d) None;
             invalidate s
-        | Response.Te.Cancel_fallback ->
+        | Te_reference.Cancel_fallback ->
             Hashtbl.remove s.fallbacks (o, d);
             invalidate s)
       actions
@@ -284,7 +286,7 @@ let take_sample s power =
 
 let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~duration () =
   let g = Response.Tables.graph tables in
-  let te = Response.Te.create tables config.te in
+  let te = Te_reference.create tables config.te in
   let s =
     {
       g;
@@ -329,7 +331,7 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
           let split =
             match Hashtbl.find_opt seeded_splits (o, d) with
             | Some sp -> sp
-            | None -> Response.Te.split te o d
+            | None -> Te_reference.split te o d
           in
           Array.iteri
             (fun i share ->
@@ -340,7 +342,7 @@ let run ?(config = default_config) ?initial_splits ~tables ~power ~events ~durat
   (* Seed non-default splits (e.g. the pre-TE state of Figure 7). *)
   (match initial_splits with
   | None -> ()
-  | Some l -> List.iter (fun ((o, d), split) -> Response.Te.force_split te o d split) l);
+  | Some l -> List.iter (fun ((o, d), split) -> Te_reference.force_split te o d split) l);
   (* Schedule scenario events. *)
   List.iter
     (fun ev ->

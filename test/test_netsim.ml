@@ -573,6 +573,168 @@ let test_obs_rate_ledger_counters () =
         true
         (redecided > 0.0 && redecided < 0.5 *. passes *. pairs))
 
+(* Work counter: on the GÉANT seed 1 fault trial (10 s, MTBF 3 s) a pass
+   re-decides fewer than 10 pairs on average. A ledger that re-decides
+   every all-zero split on every pass, granted fallback or not, averages
+   28.7 there. *)
+let test_obs_rate_ledger_work () =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
+      let passes0 = read "netsim_rate_passes_total" in
+      let redecided0 = read "netsim_rate_pairs_redecided_total" in
+      let { tables; power; base } = Lazy.force geant_setup in
+      let spec = { Fault.Scenario.default with Fault.Scenario.seed = 1; duration = 10.0 } in
+      let events = Fault.Scenario.events spec (Response.Tables.graph tables) ~base in
+      ignore (Sim.run ~tables ~power ~events ~duration:10.0 ());
+      let passes = read "netsim_rate_passes_total" -. passes0 in
+      let redecided = read "netsim_rate_pairs_redecided_total" -. redecided0 in
+      Alcotest.(check bool) (Printf.sprintf "%.0f passes" passes) true (passes > 0.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f pairs re-decided per pass, under 10" (redecided /. passes))
+        true
+        (redecided < 10.0 *. passes))
+
+(* Oracle: [Response.Te] reads each path's links from arrays built once and
+   probes through pair handles, yet every probe must return the frozen
+   controller's actions and leave the same split, bit for bit. A case is a
+   random probe sequence over a few pairs of the GÉANT or k = 4 fat-tree
+   tables: time advancing by random steps (zero included), utilisations
+   drawn from a small set of levels so that ties occur, random usable
+   masks (all-unusable ones included), occasional forced splits, and
+   random panic retries and backoff. Each probe goes through the by-name
+   or the handle path at random, and a split read in place before a probe
+   must not change under it. [hits] counts the cases that reached each
+   decision branch, read off the live controller's Obs counters. *)
+
+let te_branches =
+  [| "panic"; "Use_fallback"; "recover"; "overload shift"; "consolidation" |]
+
+let te_branch_counts () =
+  let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
+  let recoveries =
+    List.fold_left
+      (fun acc (sm : Obs.Registry.sample) ->
+        match sm.Obs.Registry.value with
+        | Obs.Registry.Histogram_v h when sm.Obs.Registry.name = "te_recovery_seconds" ->
+            acc + h.Obs.Registry.count
+        | _ -> acc)
+      0 (Obs.Registry.snapshot Obs.Registry.default)
+  in
+  [|
+    read "te_panics_total";
+    read "te_fallbacks_total";
+    float_of_int recoveries;
+    read "te_overload_shifts_total";
+    read "te_consolidations_total";
+  |]
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let same_action a b =
+  match (a, b) with
+  | Response.Te.Wake x, Response.Te.Wake y -> List.equal Int.equal x y
+  | Response.Te.Set_split x, Response.Te.Set_split y -> same_floats x y
+  | Response.Te.Use_fallback, Response.Te.Use_fallback
+  | Response.Te.Cancel_fallback, Response.Te.Cancel_fallback ->
+      true
+  | _ -> false
+
+let prop_te_matches_reference hits =
+  QCheck.Test.make ~name:"te equals frozen reference" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let pick xs = xs.(Eutil.Prng.int rng (Array.length xs)) in
+      let chance p = Eutil.Prng.float rng < p in
+      let { tables; _ } = Lazy.force (if chance 0.5 then geant_setup else fattree_setup) in
+      let cfg =
+        {
+          Response.Te.default_config with
+          Response.Te.panic_retries = Eutil.Prng.int rng 4;
+          panic_backoff = Eutil.Units.seconds (Eutil.Prng.range rng 0.01 0.3);
+        }
+      in
+      let live = Response.Te.create tables cfg and frozen = Te_reference.create tables cfg in
+      let all_pairs = Array.of_list (Response.Tables.pairs tables) in
+      let pairs = Array.init (1 + Eutil.Prng.int rng 3) (fun _ -> pick all_pairs) in
+      let handles = Array.map (fun (o, d) -> Response.Te.pair live o d) pairs in
+      let links = Topo.Graph.link_count (Response.Tables.graph tables) in
+      let low = [| 0.0; 0.2; 0.35 |] and high = [| 0.9 *. 0.85; 0.9; 1.0; 1.5 |] in
+      let levels = Array.concat [ low; [| 0.4; 0.5 |]; high ] in
+      let util = Array.make links 0.0 and usable = Array.make links true in
+      let before = te_branch_counts () in
+      let now = ref 0.0 in
+      let rec step i =
+        if i = 0 then true
+        else begin
+          (* New utilisations, all from one regime: low, mixed or high. *)
+          if chance 0.15 then begin
+            let set = pick [| low; levels; high |] in
+            Array.iteri (fun l _ -> util.(l) <- pick set) util
+          end;
+          (* A new mask: all links usable, none, or each down with 15%. *)
+          if chance 0.2 then begin
+            let mask = Eutil.Prng.float rng in
+            Array.iteri
+              (fun l _ ->
+                usable.(l) <- (if mask < 0.45 then true else mask >= 0.65 && not (chance 0.15)))
+              usable
+          end;
+          let k = Eutil.Prng.int rng (Array.length pairs) in
+          let o, d = pairs.(k) in
+          if chance 0.05 then begin
+            let n = Array.length (Response.Te.shares handles.(k)) in
+            let split = Array.init n (fun _ -> if chance 0.4 then 0.0 else pick levels) in
+            Response.Te.force_split live o d split;
+            Te_reference.force_split frozen o d split
+          end;
+          if not (chance 0.1) then now := !now +. Eutil.Prng.range rng 0.0 0.12;
+          let link_util l = util.(l) and link_usable l = usable.(l) in
+          let read = Response.Te.shares handles.(k) in
+          let read_copy = Array.copy read in
+          let got =
+            if chance 0.5 then
+              Response.Te.probe live handles.(k) ~now:!now ~link_util ~link_usable
+            else Response.Te.on_probe live ~origin:o ~dest:d ~now:!now ~link_util ~link_usable
+          in
+          let want =
+            Te_reference.on_probe frozen ~origin:o ~dest:d ~now:!now ~link_util ~link_usable
+          in
+          let fail what = QCheck.Test.fail_reportf "seed %d, %d steps left: %s" seed i what in
+          if not (List.equal same_action got want) then fail "actions"
+          else if not (same_floats (Response.Te.split live o d) (Te_reference.split frozen o d))
+          then fail "split"
+          else if not (same_floats (Response.Te.shares handles.(k)) (Response.Te.split live o d))
+          then fail "shares"
+          else if not (same_floats read read_copy) then fail "a split read in place changed"
+          else step (i - 1)
+        end
+      in
+      let ok = step (40 + Eutil.Prng.int rng 80) in
+      let after = te_branch_counts () in
+      Array.iteri (fun b n -> if after.(b) > n then hits.(b) <- hits.(b) + 1) before;
+      ok)
+
+(* Runs the property with Obs on, so the branch counters move, then reports
+   how many cases reached each branch: a generator change that stops
+   reaching one fails here instead of passing vacuously. *)
+let te_oracle_case =
+  let hits = Array.make (Array.length te_branches) 0 in
+  let name, speed, run = QCheck_alcotest.to_alcotest (prop_te_matches_reference hits) in
+  ( name,
+    speed,
+    fun () ->
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) run;
+      Array.iteri
+        (fun b branch ->
+          Printf.printf "%s: %d cases\n" branch hits.(b);
+          Alcotest.(check bool) (branch ^ " reached") true (hits.(b) > 0))
+        te_branches )
+
 let () =
   Alcotest.run "netsim"
     [
@@ -605,5 +767,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_sim_invariants;
           Alcotest.test_case "obs rate-ledger counters" `Quick test_obs_rate_ledger_counters;
           QCheck_alcotest.to_alcotest prop_ledger_matches_reference;
+          Alcotest.test_case "rate-ledger work per pass" `Quick test_obs_rate_ledger_work;
+          te_oracle_case;
         ] );
     ]

@@ -198,6 +198,25 @@ let test_rocketfuel () =
       let c = G.link_capacity ab l in
       Alcotest.(check bool) "capacity rule" true (c = 100e6 || c = 52e6))
 
+(* A spec with fewer than two PoPs has no spanning tree to build: a typed
+   error, not a crash inside the generator. Two PoPs make one link. *)
+let test_rocketfuel_rejects_tiny () =
+  List.iter
+    (fun pops ->
+      let spec = { Topo.Rocketfuel.abovenet with Topo.Rocketfuel.pops } in
+      Alcotest.check_raises
+        (Printf.sprintf "%d PoPs" pops)
+        (Invalid_argument "Rocketfuel.make: abovenet needs at least 2 PoPs")
+        (fun () -> ignore (Topo.Rocketfuel.make spec)))
+    [ 1; 0; -3 ];
+  let g =
+    Topo.Rocketfuel.make
+      { Topo.Rocketfuel.abovenet with Topo.Rocketfuel.pops = 2; extra_links = 3 }
+  in
+  Alcotest.(check int) "two PoPs" 2 (G.node_count g);
+  Alcotest.(check int) "one link" 1 (G.link_count g);
+  Alcotest.(check bool) "connected" true (connected g)
+
 let test_pop_access () =
   let g = Topo.Pop_access.make () in
   Alcotest.(check int) "nodes" 28 (G.node_count g);
@@ -306,5 +325,6 @@ let () =
           Alcotest.test_case "pop-access" `Quick test_pop_access;
           Alcotest.test_case "figure 3 example" `Quick test_example_fig3;
           Alcotest.test_case "arcs of link layout" `Quick test_arcs_of_link_layout;
+          Alcotest.test_case "rocketfuel rejects tiny maps" `Quick test_rocketfuel_rejects_tiny;
         ] );
     ]
