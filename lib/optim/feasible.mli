@@ -16,7 +16,7 @@ val create : ?margin:float -> ?state:Topo.State.t -> Topo.Graph.t -> t
 (** Fresh placement over the given activity state (all-on by default).
     [margin] is the paper's safety margin [sm] (Section 4.5): flows may use at
     most [margin * capacity] of every arc (default 1.0).
-    @raise Invalid_argument if [margin] is not positive. *)
+    @raise Invalid_argument if [margin] is not positive (NaN included). *)
 
 val graph : t -> Topo.Graph.t
 val state : t -> Topo.State.t
@@ -27,11 +27,6 @@ val residual : t -> int -> float
 val load : t -> int -> float
 (** Committed load on an arc. *)
 
-val utilization : t -> int -> float
-(** Arc load divided by arc capacity. *)
-
-val max_utilization : t -> float
-
 val congestion_weight : t -> Topo.Graph.arc -> float
 (** Routing weight: latency scaled by (1 + utilisation), so placement spreads
     load before saturating. *)
@@ -39,14 +34,20 @@ val congestion_weight : t -> Topo.Graph.arc -> float
 val place : t -> int -> int -> float -> Topo.Path.t option
 (** [place t o d demand] routes the flow on the best feasible path and commits
     it. [None] when no active path has enough residual capacity. A flow for
-    the pair must not already be placed.
+    the pair must not already be placed. The search is
+    [Routing.Dijkstra.shortest_path_congested] over the live link mask and
+    this placement's residual and load arrays: the path
+    [Routing.Dijkstra.shortest_path] would give with {!congestion_weight}
+    and a filter keeping the arcs that are on and have at least
+    [demand -. 1e-9] left.
     @raise Invalid_argument if the pair is already placed or [demand] is
-    not positive. *)
+    not positive (NaN included). *)
 
 val place_on : t -> Topo.Path.t -> float -> bool
 (** Commits a flow on an explicit path if the path is active and has residual
     capacity everywhere; returns false (and commits nothing) otherwise.
-    @raise Invalid_argument if the path's pair is already placed. *)
+    @raise Invalid_argument if the path's pair is already placed or
+    [demand] is not positive (NaN included). *)
 
 val remove : t -> int -> int -> (Topo.Path.t * float) option
 (** Withdraws the committed flow of a pair, restoring residual capacity. *)
@@ -59,7 +60,14 @@ val flows : t -> (int * int * float) list
 val crossing : t -> int list -> (int * int * float) list
 (** [crossing t links] is every committed flow whose path traverses one of
     [links], in reroute order: volume descending, then origin, then
-    destination. One pass over the placed paths.
+    destination. Placements live in a dense table with one slot per pair,
+    assigned at the pair's first commit; the scan reads each placed path
+    once against a mask of the links' arcs, with no closure and no table
+    fold, so it costs one array read per arc of each path up to its first
+    hit. The hits come out in slot order and are sorted only when that is
+    not reroute order. In {!route_matrix} followed by moves that re-place
+    each pair with its volume, as the power-down greedy does, it always
+    is, so there is no sort.
     @raise Invalid_argument on an out-of-range link id. *)
 
 val route_matrix : t -> Traffic.Matrix.t -> bool

@@ -102,39 +102,81 @@ let m_moves =
     ~label_names:[ "outcome" ] "optim_greedy_moves_total"
 
 let m_moves_skipped = Obs.Metric.Family.labels m_moves [ "skipped" ]
+let m_moves_disconnected = Obs.Metric.Family.labels m_moves [ "disconnected" ]
 let m_moves_rejected = Obs.Metric.Family.labels m_moves [ "rejected" ]
 let m_moves_accepted = Obs.Metric.Family.labels m_moves [ "accepted" ]
 
 let m_displaced =
-  Obs.Metric.Counter.create ~help:"Flows removed by the greedy's tried moves"
+  Obs.Metric.Counter.create ~help:"Flows removed by the greedy's reroute trials"
     "optim_greedy_displaced_flows_total"
 
 type tally = {
   mutable skipped : int;
+  mutable disconnected : int;
   mutable rejected : int;
   mutable accepted : int;
   mutable displaced : int;
 }
 
+let rec root parent v =
+  let p = parent.(v) in
+  if p = v then v
+  else begin
+    let r = root parent p in
+    parent.(v) <- r;
+    r
+  end
+
+(* Whether some flow of [pairs] has no path over the links that are on:
+   components by union-find over those links ([parent] is scratch space,
+   one cell per node), then one look per pair. *)
+let splits_a_pair g st parent pairs =
+  for v = 0 to Array.length parent - 1 do
+    parent.(v) <- v
+  done;
+  let on = Topo.State.link_mask st in
+  for l = 0 to Array.length on - 1 do
+    if on.(l) then begin
+      let a, b = Topo.Graph.link_endpoints g l in
+      let ra = root parent a and rb = root parent b in
+      if ra <> rb then parent.(ra) <- rb
+    end
+  done;
+  List.exists (fun (o, d, _) -> root parent o <> root parent d) pairs
+
 (* Switches the move's links off if every flow crossing them can be
-   rerouted on what remains; otherwise leaves [f] exactly as it was. *)
-let try_move g f reroute tally move =
+   rerouted on what remains; otherwise leaves [f] exactly as it was.
+
+   A move that splits a placed pair is turned down before any flow is
+   removed. During the move loop the placed pairs are the matrix's flows,
+   and a pair whose path avoids the move keeps a path that is on, so some
+   placed pair is split exactly when some displaced pair is. That pair's
+   reroute would fail (a reroute commits only paths that are on), and the
+   trial would roll back to the state the early exit leaves. [pairs] are
+   the matrix's flows. *)
+let try_move g f ~parent ~pairs reroute tally move =
   let st = Feasible.state f in
   let relevant = List.filter (fun l -> Topo.State.link_on st l) move.links in
   if relevant = [] then tally.skipped <- tally.skipped + 1
   else begin
-    let affected = Feasible.crossing f relevant in
-    tally.displaced <- tally.displaced + List.length affected;
     List.iter (fun l -> Topo.State.set_link g st l false) relevant;
-    let ok =
-      Feasible.trial f (fun () ->
-          List.iter (fun (o, d, _) -> ignore (Feasible.remove f o d)) affected;
-          List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected)
-    in
-    if ok then tally.accepted <- tally.accepted + 1
-    else begin
+    if splits_a_pair g st parent pairs then begin
       List.iter (fun l -> Topo.State.set_link g st l true) relevant;
-      tally.rejected <- tally.rejected + 1
+      tally.disconnected <- tally.disconnected + 1
+    end
+    else begin
+      let affected = Feasible.crossing f relevant in
+      tally.displaced <- tally.displaced + List.length affected;
+      let ok =
+        Feasible.trial f (fun () ->
+            List.iter (fun (o, d, _) -> ignore (Feasible.remove f o d)) affected;
+            List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected)
+      in
+      if ok then tally.accepted <- tally.accepted + 1
+      else begin
+        List.iter (fun l -> Topo.State.set_link g st l true) relevant;
+        tally.rejected <- tally.rejected + 1
+      end
     end
   end
 
@@ -145,12 +187,15 @@ let power_down ?margin ?(pinned = fun _ -> false) ?(reroute = dijkstra_reroute) 
   if not (Feasible.route_matrix f tm) then None
   else begin
     let moves = router_moves g power tm @ link_moves g power in
-    let tally = { skipped = 0; rejected = 0; accepted = 0; displaced = 0 } in
+    let parent = Array.make (Topo.Graph.node_count g) 0 and pairs = Traffic.Matrix.flows tm in
+    let tally = { skipped = 0; disconnected = 0; rejected = 0; accepted = 0; displaced = 0 } in
     List.iter
-      (fun move -> if not (List.exists pinned move.links) then try_move g f reroute tally move)
+      (fun move ->
+        if not (List.exists pinned move.links) then try_move g f ~parent ~pairs reroute tally move)
       moves;
     if Obs.Control.enabled () then begin
       Obs.Metric.Counter.add_int m_moves_skipped tally.skipped;
+      Obs.Metric.Counter.add_int m_moves_disconnected tally.disconnected;
       Obs.Metric.Counter.add_int m_moves_rejected tally.rejected;
       Obs.Metric.Counter.add_int m_moves_accepted tally.accepted;
       Obs.Metric.Counter.add_int m_displaced tally.displaced

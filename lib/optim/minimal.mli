@@ -21,7 +21,15 @@ type result = {
 }
 
 type reroute = Feasible.t -> int -> int -> float -> Topo.Path.t option
-(** Strategy for re-placing one displaced flow; must commit on success. *)
+(** Strategy for re-placing one displaced flow; must commit on success, and
+    may commit only a path whose links are all on. {!power_down} relies on
+    the second rule: before it tries a move, it checks with a union-find
+    over the links still on that every placed pair stays connected, and it
+    turns down a move that splits one without removing or rerouting
+    anything. That is exact only because the split pair's reroute could not
+    have succeeded. Both strategies below keep the rule: {!Feasible.place}
+    searches only arcs that are on, and {!ksp_reroute} keeps only
+    candidates that are {!Topo.Path.active}. *)
 
 val dijkstra_reroute : reroute
 (** Unrestricted congestion-aware shortest-path rerouting ({!Feasible.place}). *)

@@ -1,13 +1,23 @@
 (** Single-source shortest paths with pluggable arc weights and an activity
     filter, the workhorse under every routing variant in the repository.
 
-    Leaves (degree-1 nodes) never go through the heap, except for the
-    [dst] of {!shortest_path}: a leaf's one in-arc is relaxed once, when its
+    One search loop serves {!run}, {!shortest_path} and
+    {!shortest_path_congested}. Its queue is an indexed binary heap that
+    holds each reached, unsettled node once, keyed by its distance and then
+    by the order of the strict decreases that set it; a decrease sifts the
+    node up in place, and a tie only moves its parent arc. Nodes settle in
+    the order a lazy heap with FIFO ties would settle them, so every
+    distance bit and parent arc is the same. The Obs counters
+    [routing_heap_pushes_total] and [routing_heap_pops_total] count
+    insertions and removals: a node is inserted at most once per search and
+    there are no stale entries.
+
+    Leaves (degree-1 nodes) never enter the queue, except for the [dst] of
+    a target-stopped search: a leaf's one in-arc is relaxed once, when its
     neighbour settles, and no path passes through a leaf without ending
     there. {!run} gives each leaf its final distance and parent arc at that
-    relaxation; {!shortest_path} skips the arc into a leaf before calling
-    [active] or [weight] on it. The Obs counters [routing_heap_pushes_total]
-    and [routing_heap_pops_total] therefore count the source, the nodes of
+    relaxation; the target-stopped searches skip the arc into a leaf before
+    weighing it. The two counters therefore count the source, the nodes of
     degree 2 or more, and a leaf [dst]; never another leaf. *)
 
 type result = {
@@ -47,8 +57,27 @@ val shortest_path :
     path are settled by then and a settled node is never re-parented. [None]
     when [dst] is unreachable or equal to [src].
 
-    The per-node arrays and the heap live in one workspace per domain,
+    The per-node arrays and the queue live in one workspace per domain,
     reused from call to call, so [weight] and [active] must not call
     [shortest_path] themselves (they would overwrite the search in
     progress). Both may be called any number of times per arc and should be
     pure. *)
+
+val shortest_path_congested :
+  Topo.Graph.t ->
+  on:bool array ->
+  residual:float array ->
+  load:float array ->
+  demand:float ->
+  src:int ->
+  dst:int ->
+  Topo.Path.t option
+(** {!shortest_path} with the congestion weight and capacity filter of
+    [Optim.Feasible.place], read from arrays instead of closures. An arc [a]
+    of link [l] is active when [on.(l)] holds and
+    [residual.(a) >= demand -. 1e-9], and weighs
+    [latency *. (1.0 +. (3.0 *. (load.(a) /. capacity)))]. These are the
+    closures' expressions, so the result is the one {!shortest_path} gives
+    with them, to the bit, without a call or a boxed float per arc. [on]
+    is indexed by link and [residual] and [load] by arc; the search only
+    reads them. Same workspace as {!shortest_path}. *)

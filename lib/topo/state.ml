@@ -33,6 +33,7 @@ let set_link g t l on =
   end
 
 let link_on t l = t.link_on.(l)
+let link_mask t = t.link_on
 let arc_on g t a = t.link_on.((Graph.arc g a).link)
 let node_on t n = t.active_degree.(n) > 0
 let active_links t = t.n_links_on

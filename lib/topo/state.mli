@@ -16,6 +16,13 @@ val set_link : Graph.t -> t -> int -> bool -> unit
 (** Activate/deactivate a link (both arcs at once). *)
 
 val link_on : t -> int -> bool
+
+val link_mask : t -> bool array
+(** Every link's {!link_on}, indexed by link: [(link_mask t).(l)] is
+    [link_on t l]. A read-only view of the state itself, not a copy, for
+    loops that would otherwise call {!link_on} per arc: it follows later
+    {!set_link} calls, and callers must not mutate it. *)
+
 val arc_on : Graph.t -> t -> int -> bool
 
 val node_on : t -> int -> bool

@@ -116,7 +116,3 @@ let pop h =
     remove_min h;
     Some (p, top)
   end
-
-let clear h =
-  h.len <- 0;
-  h.next_seq <- 0

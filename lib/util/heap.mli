@@ -1,9 +1,10 @@
 (** Binary min-heap keyed by float priorities.
 
-    Used by Dijkstra and by the discrete-event simulators' schedulers. The
-    heap keeps priorities, insertion numbers and values in parallel arrays
-    (priorities unboxed), so {!push} and {!take} allocate nothing once the
-    arrays have grown to the largest size seen. *)
+    Used by the discrete-event simulators' schedulers (the flow simulator
+    and the packet simulator). The heap keeps priorities, insertion numbers
+    and values in parallel arrays (priorities unboxed), so {!push} and
+    {!take} allocate nothing once the arrays have grown to the largest size
+    seen. *)
 
 type 'a t
 
@@ -29,6 +30,3 @@ val take : 'a t -> 'a
     without the option and the tuple [pop] allocates. Same order: priority,
     then FIFO among equal priorities.
     @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Empties the heap, keeping its storage for reuse. *)

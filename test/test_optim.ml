@@ -83,7 +83,9 @@ let test_route_matrix () =
   let tm = Traffic.Gravity.make g ~total:(Eutil.Units.bps 20e9) () in
   let f = Optim.Feasible.create g in
   Alcotest.(check bool) "moderate load feasible" true (Optim.Feasible.route_matrix f tm);
-  Alcotest.(check bool) "utilisation sane" true (Optim.Feasible.max_utilization f <= 1.0 +. 1e-9)
+  let utilization a = Optim.Feasible.load f a /. (G.arc g a).G.capacity in
+  Alcotest.(check bool) "utilisation sane" true
+    (List.for_all (fun a -> utilization a <= 1.0 +. 1e-9) (List.init (G.arc_count g) Fun.id))
 
 let test_route_matrix_infeasible () =
   let g = Topo.Example.line 2 in
@@ -466,15 +468,27 @@ let same_result (a : Optim.Minimal.result option) (b : Optim.Minimal.result opti
       && Int64.equal (bits a.power_percent) (bits b.power_percent)
   | _ -> false
 
-(* The undo-log greedy with its crossing scan and target-stopped Dijkstra
-   makes exactly the frozen greedy's decisions, under unrestricted and
-   k-shortest rerouting, random margins and random pinned links. *)
+let move_outcome o =
+  Option.value
+    (Obs.Registry.value Obs.Registry.default ~labels:[ ("outcome", o) ] "optim_greedy_moves_total")
+    ~default:0.0
+
+(* The cases in which the greedy turned some move down by the connectivity
+   pre-check, and in which some reroute trial failed (read with Obs on). *)
+let split_cases = ref 0
+let trial_cases = ref 0
+
+(* The undo-log greedy with its crossing scan, connectivity pre-check and
+   target-stopped Dijkstra makes exactly the frozen greedy's decisions,
+   under unrestricted and k-shortest rerouting, random margins and random
+   pinned links. *)
 let prop_power_down_vs_reference =
   QCheck.Test.make ~name:"power_down equals frozen reference" ~count:300
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Eutil.Prng.create seed in
       let g, power, tm = small_instance rng in
+      let split0 = move_outcome "disconnected" and trial0 = move_outcome "rejected" in
       let margin = Eutil.Units.ratio (0.6 +. (0.4 *. Eutil.Prng.float rng)) in
       let pinned_links = Array.init (G.link_count g) (fun _ -> Eutil.Prng.float rng < 0.15) in
       let pinned l = pinned_links.(l) in
@@ -490,7 +504,23 @@ let prop_power_down_vs_reference =
               power_down ~margin ~pinned ~reroute:(ksp_reroute table) g power tm) )
         end
       in
+      if move_outcome "disconnected" > split0 then incr split_cases;
+      if move_outcome "rejected" > trial0 then incr trial_cases;
       same_result want got)
+
+(* Run with Obs on, so that the property also shows that both ways of
+   turning a move down occur. *)
+let test_power_down_vs_reference =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_power_down_vs_reference in
+  Alcotest.test_case name speed (fun () ->
+      split_cases := 0;
+      trial_cases := 0;
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) run;
+      Printf.printf "cases with a move that split a pair: %d; with a failed reroute trial: %d\n"
+        !split_cases !trial_cases;
+      Alcotest.(check bool) "some move split a pair" true (!split_cases > 0);
+      Alcotest.(check bool) "some reroute trial failed" true (!trial_cases > 0))
 
 (* [evaluate] on a random activity state routes like the frozen copy. *)
 let prop_evaluate_vs_reference =
@@ -565,8 +595,9 @@ let prop_elastic_vs_reference =
           same_result (Greedy_reference.Minimal.evaluate g power tm r.Optim.Minimal.state) (Some r)
       | None -> Greedy_reference.Minimal.evaluate g power tm (State.all_on g) = None)
 
-(* The greedy's work counters: every unpinned move is skipped, rejected or
-   accepted exactly once, and nothing is counted with Obs off. *)
+(* The greedy's work counters: every unpinned move is skipped, turned down
+   by the connectivity pre-check, rejected by its reroute trial or accepted
+   exactly once, and nothing is counted with Obs off. *)
 let test_greedy_counters () =
   let g = Topo.Geant.make () in
   let power = Power.Model.cisco12000 g in
@@ -589,10 +620,12 @@ let test_greedy_counters () =
   let outcomes () =
     List.fold_left
       (fun acc o -> acc +. read ~labels:[ ("outcome", o) ] "optim_greedy_moves_total")
-      0.0 [ "skipped"; "rejected"; "accepted" ]
+      0.0 [ "skipped"; "disconnected"; "rejected"; "accepted" ]
   in
+  let outcome o = read ~labels:[ ("outcome", o) ] "optim_greedy_moves_total" in
   let displaced () = read "optim_greedy_displaced_flows_total" in
   let moves0 = outcomes () and displaced0 = displaced () in
+  let disconnected0 = outcome "disconnected" and rejected0 = outcome "rejected" in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled false)
@@ -601,10 +634,153 @@ let test_greedy_counters () =
     (float_of_int (router_moves + link_moves))
     (outcomes () -. moves0);
   Alcotest.(check bool) "displaced flows counted" true (displaced () > displaced0);
+  Alcotest.(check bool) "some move split a pair" true (outcome "disconnected" > disconnected0);
+  Alcotest.(check bool) "some reroute trial failed" true (outcome "rejected" > rejected0);
   let moves1 = outcomes () and displaced1 = displaced () in
   ignore (Optim.Minimal.power_down ~pinned g power tm);
   Alcotest.(check (float 0.0)) "no moves counted with Obs off" moves1 (outcomes ());
   Alcotest.(check (float 0.0)) "no flows counted with Obs off" displaced1 (displaced ())
+
+(* -------------------- Feasible input guards -------------------- *)
+
+(* A NaN margin used to pass the [margin <= 0.0] guard and make every later
+   [place] return [None]. *)
+let test_create_nan_margin () =
+  Alcotest.check_raises "nan margin" (Invalid_argument "Feasible.create: margin") (fun () ->
+      ignore (Optim.Feasible.create ~margin:Float.nan (Topo.Example.line 2)))
+
+(* A NaN demand used to pass the [demand <= 0.0] guard and come back as an
+   infeasible flow. *)
+let test_place_nan_demand () =
+  let f = Optim.Feasible.create (Topo.Example.line 2) in
+  Alcotest.check_raises "nan demand" (Invalid_argument "Feasible.place: demand") (fun () ->
+      ignore (Optim.Feasible.place f 0 1 Float.nan));
+  Alcotest.(check bool) "nothing placed" true (Optim.Feasible.path_of f 0 1 = None)
+
+(* [place_on] had no demand check: a negative demand was committed and
+   raised every residual on its path. *)
+let test_place_on_demand () =
+  let g = Topo.Example.line 2 in
+  let f = Optim.Feasible.create g in
+  let p = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:1 ()) in
+  let a = arc_between g 0 1 in
+  let before = Optim.Feasible.residual f a in
+  List.iter
+    (fun demand ->
+      Alcotest.check_raises "bad demand" (Invalid_argument "Feasible.place_on: demand") (fun () ->
+          ignore (Optim.Feasible.place_on f p demand)))
+    [ -5e9; 0.0; Float.nan ];
+  Alcotest.(check int64) "residual untouched" (Int64.bits_of_float before)
+    (Int64.bits_of_float (Optim.Feasible.residual f a));
+  Alcotest.(check bool) "nothing placed" true (Optim.Feasible.path_of f 0 1 = None)
+
+(* -------------------- Oracle: the crossing scan -------------------- *)
+
+let same_flows =
+  List.equal (fun (o1, d1, v1) (o2, d2, v2) -> o1 = o2 && d1 = d2 && Float.equal v1 v2)
+
+(* [crossing] by its definition: the placed flows whose path uses one of
+   [links], in reroute order (volume descending, then origin, then
+   destination). *)
+let crossing_by_definition f g links =
+  List.filter
+    (fun (o, d, _) ->
+      match Optim.Feasible.path_of f o d with
+      | Some p -> List.exists (Path.uses_link g p) links
+      | None -> false)
+    (Optim.Feasible.flows f)
+  |> List.sort
+       (Eutil.Order.by
+          (fun (o, d, v) -> (v, o, d))
+          (Eutil.Order.triple (Eutil.Order.desc Float.compare) Int.compare Int.compare))
+
+(* Random sequences of [place], [place_on], [remove] and trials that are
+   accepted, rejected or raise, on a small instance with some links off.
+   Volumes come from three values and pairs are placed in random order, so
+   the slot order is often not reroute order. After each step, [flows] and
+   [path_of] equal a shadow model of the bindings, and [crossing] on random
+   link sets equals its definition. *)
+let prop_crossing_vs_definition =
+  QCheck.Test.make ~name:"crossing equals its definition" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let g, _, _ = small_instance rng in
+      let n = G.node_count g and n_links = G.link_count g in
+      let st = State.all_on g in
+      G.iter_links g ~f:(fun l -> if Eutil.Prng.float rng < 0.15 then State.set_link g st l false);
+      let f = Optim.Feasible.create ~state:st g in
+      let volumes = [| 0.1e9; 0.2e9; 0.3e9 |] in
+      let same_binding (p, v) (q, w) = Path.equal p q && Float.equal v w in
+      (* One random operation against the model [m]; false on a mismatch. *)
+      let step m =
+        let o = Eutil.Prng.int rng n and d = Eutil.Prng.int rng n in
+        let v = volumes.(Eutil.Prng.int rng 3) in
+        let placed = List.mem_assoc (o, d) !m in
+        let raises op = try ignore (op ()); false with Invalid_argument _ -> true in
+        match Eutil.Prng.int rng 3 with
+        | 0 when placed -> raises (fun () -> Optim.Feasible.place f o d v)
+        | 0 ->
+            (match Optim.Feasible.place f o d v with
+            | Some p -> m := ((o, d), (p, v)) :: !m
+            | None -> ());
+            true
+        | 1 -> (
+            match Routing.Dijkstra.shortest_path g ~src:o ~dst:d () with
+            | None -> true
+            | Some p when placed -> raises (fun () -> Optim.Feasible.place_on f p v)
+            | Some p ->
+                if Optim.Feasible.place_on f p v then m := ((o, d), (p, v)) :: !m;
+                true)
+        | _ ->
+            let want = List.assoc_opt (o, d) !m in
+            m := List.remove_assoc (o, d) !m;
+            Option.equal same_binding want (Optim.Feasible.remove f o d)
+      in
+      let model = ref [] in
+      let agrees () =
+        let want =
+          List.sort
+            (Eutil.Order.triple Int.compare Int.compare Float.compare)
+            (List.map (fun ((o, d), (_, v)) -> (o, d, v)) !model)
+        in
+        same_flows want (Optim.Feasible.flows f)
+        && List.for_all
+             (fun k ->
+               let o = k / n and d = k mod n in
+               Option.equal Path.equal
+                 (Option.map fst (List.assoc_opt (o, d) !model))
+                 (Optim.Feasible.path_of f o d))
+             (List.init (n * n) Fun.id)
+        && List.for_all
+             (fun _ ->
+               let links = List.init (1 + Eutil.Prng.int rng 3) (fun _ -> Eutil.Prng.int rng n_links) in
+               same_flows (crossing_by_definition f g links) (Optim.Feasible.crossing f links))
+             [ (); (); () ]
+      in
+      List.for_all
+        (fun _ ->
+          let ok =
+            if Eutil.Prng.float rng < 0.25 then begin
+              let inner = ref !model and ok = ref true in
+              let outcome = Eutil.Prng.int rng 3 in
+              (match
+                 Optim.Feasible.trial f (fun () ->
+                     for _ = 1 to 1 + Eutil.Prng.int rng 4 do
+                       ok := step inner && !ok
+                     done;
+                     if outcome = 2 then raise Exit;
+                     outcome = 0)
+               with
+              | true -> model := !inner
+              | false -> ()
+              | exception Exit -> ());
+              !ok
+            end
+            else step model
+          in
+          ok && agrees ())
+        (List.init 14 Fun.id))
 
 let () =
   Alcotest.run "optim"
@@ -618,6 +794,10 @@ let () =
           Alcotest.test_case "trial rollback" `Quick test_trial_rollback;
           Alcotest.test_case "route matrix" `Quick test_route_matrix;
           Alcotest.test_case "route matrix infeasible" `Quick test_route_matrix_infeasible;
+          Alcotest.test_case "nan margin" `Quick test_create_nan_margin;
+          Alcotest.test_case "nan demand" `Quick test_place_nan_demand;
+          Alcotest.test_case "place_on demand" `Quick test_place_on_demand;
+          QCheck_alcotest.to_alcotest prop_crossing_vs_definition;
         ] );
       ( "greedy",
         [
@@ -629,7 +809,7 @@ let () =
           Alcotest.test_case "pinned links" `Quick test_pinned_links_stay_on;
           Alcotest.test_case "routers off in fat-tree" `Quick test_greedy_powers_off_routers;
           QCheck_alcotest.to_alcotest prop_greedy_consistent;
-          QCheck_alcotest.to_alcotest prop_power_down_vs_reference;
+          test_power_down_vs_reference;
           QCheck_alcotest.to_alcotest prop_evaluate_vs_reference;
           Alcotest.test_case "work counters" `Quick test_greedy_counters;
         ] );

@@ -216,6 +216,112 @@ let test_fattree_leaf_work () =
   Alcotest.(check bool) "every host reached" true
     (Array.for_all (fun h -> Float.is_finite res.Routing.Dijkstra.dist.(h)) hosts)
 
+(* The congestion entry point, [Feasible.place]'s search, against the
+   closure arm and the frozen Dijkstra, both given closures written the way
+   [Feasible.congestion_weight] and [place]'s filter are. Loads come from
+   three values, so weights tie; residuals sit at, just below and just
+   above [demand -. 1e-9], or far above it; some links are off. *)
+let prop_congestion_vs_closures =
+  QCheck.Test.make ~name:"congestion search equals closure search" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let n = 2 + Eutil.Prng.int rng 29 in
+      let g = random_graph rng n in
+      let n_arcs = G.arc_count g in
+      let demand = 1e8 *. (0.5 +. Eutil.Prng.float rng) in
+      let edge = demand -. 1e-9 in
+      let on = Array.init (G.link_count g) (fun _ -> Eutil.Prng.float rng < 0.85) in
+      let load = Array.init n_arcs (fun _ -> [| 0.0; 1e8; 3e8 |].(Eutil.Prng.int rng 3)) in
+      let residual =
+        Array.init n_arcs (fun _ ->
+            [| edge; Float.pred edge; Float.succ edge; 1e9 |].(Eutil.Prng.int rng 4))
+      in
+      let weight arc =
+        arc.G.latency *. (1.0 +. (3.0 *. (load.(arc.G.id) /. arc.G.capacity)))
+      in
+      let active arc = on.(arc.G.link) && residual.(arc.G.id) >= demand -. 1e-9 in
+      List.for_all
+        (fun k ->
+          let src = Eutil.Prng.int rng n in
+          let dst = if k = 0 then src else Eutil.Prng.int rng n in
+          let got =
+            Routing.Dijkstra.shortest_path_congested g ~on ~residual ~load ~demand ~src ~dst
+          in
+          Option.equal Path.equal got (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ())
+          && Option.equal Path.equal got
+               (Greedy_reference.Dijkstra.shortest_path g ~weight ~active ~src ~dst ()))
+        (List.init 6 Fun.id))
+
+(* The lazy-heap search the indexed queue replaced, as a test oracle: every
+   strict decrease or tie pushes an entry on the frozen heap, and a popped
+   settled node is skipped. Unlike [Greedy_reference.Dijkstra] it never
+   re-parents a settled node, so it also holds under zero weights, where
+   the order in which equal distances settle decides parents. *)
+let lazy_heap_tree g ~weight ~active ~src =
+  let n = G.node_count g in
+  let dist = Array.make n infinity and prev_arc = Array.make n (-1) in
+  let done_ = Array.make n false and heap = Heap_reference.create () in
+  dist.(src) <- 0.0;
+  Heap_reference.push heap 0.0 src;
+  let rec loop () =
+    match Heap_reference.pop heap with
+    | None -> ()
+    | Some (_, u) ->
+        if not done_.(u) then begin
+          done_.(u) <- true;
+          Array.iter
+            (fun aid ->
+              let arc = G.arc g aid in
+              let v = arc.G.dst in
+              if (not done_.(v)) && active arc then begin
+                let w = weight arc in
+                if w < infinity && w >= 0.0 then begin
+                  let nd = dist.(u) +. w in
+                  if nd < dist.(v) || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
+                  then begin
+                    dist.(v) <- nd;
+                    prev_arc.(v) <- aid;
+                    Heap_reference.push heap nd v
+                  end
+                end
+              end)
+            (G.out_arcs g u)
+        end;
+        loop ()
+  in
+  loop ();
+  { Routing.Dijkstra.dist; prev_arc }
+
+(* With weights in 0..2, equal distances are everywhere and a zero-weight
+   arc between two of them makes the settle order decide a parent. [run]
+   and [shortest_path] must still settle in the lazy heap's order: the
+   same distance bits and parents, and the path the lazy tree gives. *)
+let prop_queue_vs_lazy_heap =
+  QCheck.Test.make ~name:"queue equals lazy heap with zero weights" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let n = 2 + Eutil.Prng.int rng 29 in
+      let g = random_graph rng n in
+      let w = Array.init (G.arc_count g) (fun _ -> float_of_int (Eutil.Prng.int rng 3)) in
+      let on = Array.init (G.arc_count g) (fun _ -> Eutil.Prng.float rng < 0.9) in
+      let weight arc = w.(arc.G.id) and active arc = on.(arc.G.id) in
+      let src = Eutil.Prng.int rng n in
+      let want = lazy_heap_tree g ~weight ~active ~src in
+      let got = Routing.Dijkstra.run g ~weight ~active ~src () in
+      Array.for_all2
+        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+        want.Routing.Dijkstra.dist got.Routing.Dijkstra.dist
+      && Array.for_all2 Int.equal want.Routing.Dijkstra.prev_arc got.Routing.Dijkstra.prev_arc
+      && List.for_all
+           (fun dst ->
+             dst = src
+             || Option.equal Path.equal
+                  (Routing.Dijkstra.path_to g want dst)
+                  (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ()))
+           (List.init n Fun.id))
+
 (* Dijkstra distances equal Bellman-Ford distances on random graphs. *)
 let prop_dijkstra_vs_bellman_ford =
   QCheck.Test.make ~name:"dijkstra matches bellman-ford" ~count:50
@@ -414,6 +520,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fattree_shortest_path_vs_reference;
           QCheck_alcotest.to_alcotest prop_fattree_run_vs_reference;
           Alcotest.test_case "fat-tree leaf work" `Quick test_fattree_leaf_work;
+          QCheck_alcotest.to_alcotest prop_congestion_vs_closures;
+          QCheck_alcotest.to_alcotest prop_queue_vs_lazy_heap;
         ] );
       ( "spf",
         [
