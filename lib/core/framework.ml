@@ -253,10 +253,11 @@ let evaluate ?threshold tables power tm =
     Array.fold_left max 0.0
       (Array.mapi (fun a load -> load /. (Topo.Graph.arc g a).Topo.Graph.capacity) loads)
   in
+  let figures = Power.Model.figures power g state in
   {
     state;
-    power_watts = U.to_float (Power.Model.total power g state);
-    power_percent = Power.Model.percent_of_full power g state;
+    power_watts = U.to_float figures.Power.Model.total;
+    power_percent = figures.Power.Model.percent;
     max_utilization;
     levels_activated;
     congested;

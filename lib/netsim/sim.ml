@@ -591,13 +591,14 @@ let take_sample s power =
   let st = power_state s in
   let pair_rates = pair_rates s in
   let rate_total = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 pair_rates in
-  let watts = Eutil.Units.to_float (Power.Model.total power s.g st) in
+  let figures = Power.Model.figures power s.g st in
+  let watts = Eutil.Units.to_float figures.Power.Model.total in
   Obs.Metric.Gauge.set m_power_watts watts;
   Obs.Metric.Gauge.set_int m_links_active (Topo.State.active_links st);
   {
     time = s.now;
     power_watts = watts;
-    power_percent = Power.Model.percent_of_full power s.g st;
+    power_percent = figures.Power.Model.percent;
     demand_total = Traffic.Matrix.total s.demand;
     rate_total;
     pair_rates;

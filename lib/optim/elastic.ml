@@ -14,7 +14,8 @@ let pod_tables ft =
 
 (* Per-pod demand totals: cross-pod egress/ingress and intra-pod inter-edge
    volume (traffic between hosts of the same pod under different edge
-   switches still needs an aggregation switch). *)
+   switches still needs an aggregation switch). A flow from or to a node
+   with no pod (a core switch) is rejected here, before any routing. *)
 let pod_demands ft tm =
   let g = ft.Topo.Fattree.graph in
   let k = ft.Topo.Fattree.k in
@@ -27,6 +28,11 @@ let pod_demands ft tm =
   let intra = Array.make k 0.0 in
   Traffic.Matrix.iter_flows tm ~f:(fun o d v ->
       let po = pod_of.(o) and pd = pod_of.(d) in
+      if po < 0 || pd < 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Elastic.minimal_subset: flow endpoint %s is not a host, edge or aggregation switch"
+             (G.name g (if po < 0 then o else d)));
       if po <> pd then begin
         cross_out.(po) <- cross_out.(po) +. v;
         cross_in.(pd) <- cross_in.(pd) +. v

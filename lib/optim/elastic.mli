@@ -15,7 +15,9 @@ val minimal_subset :
     and verifies by routing; capacity is escalated until the placement
     succeeds. [None] if even the full fat-tree cannot carry the matrix.
     @raise Invalid_argument if the fat-tree's [k] is not even and at least
-    2, if its link capacity (scaled by [margin]) is not positive, or if a
-    host-edge, edge-aggregation or aggregation-core link that its [k] and
-    node arrays imply is missing from its graph (the message names both
-    ends). *)
+    2, if its link capacity (scaled by [margin]) is not positive, if a
+    flow of the matrix starts or ends at a core switch (or any node that
+    is not a host, edge or aggregation switch of its arrays; the message
+    names it), or if a host-edge, edge-aggregation or aggregation-core
+    link that its [k] and node arrays imply is missing from its graph (the
+    message names both ends). *)

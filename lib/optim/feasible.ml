@@ -119,18 +119,22 @@ let commit t s p demand =
   let s = if s >= 0 then s else new_slot t p.Topo.Path.src p.Topo.Path.dst in
   bind t s (Some (p, demand))
 
-let place t o d demand =
+(* [place], searching [walk] when given: [Routing.Dijkstra.walk] of
+   [t.st]'s link mask, which must not have changed since. *)
+let place_walking ?walk t o d demand =
   let s = find_slot t o d in
   if placed t s then invalid_arg "Feasible.place: already placed";
   if not (demand > 0.0) then invalid_arg "Feasible.place: demand";
   match
-    Routing.Dijkstra.shortest_path_congested t.g ~on:(Topo.State.link_mask t.st)
+    Routing.Dijkstra.shortest_path_congested ?walk t.g ~on:(Topo.State.link_mask t.st)
       ~residual:t.residual_a ~load:t.load_a ~demand ~src:o ~dst:d
   with
   | None -> None
   | Some p ->
       commit t s p demand;
       Some p
+
+let place t o d demand = place_walking t o d demand
 
 let place_on t p demand =
   let s = find_slot t p.Topo.Path.src p.Topo.Path.dst in
@@ -211,9 +215,12 @@ let crossing t links =
   done;
   if in_reroute_order !hits then !hits else List.sort reroute_order !hits
 
+(* The state does not change during the call, so one walk set serves
+   every placement. *)
 let route_matrix t tm =
+  let walk = Routing.Dijkstra.walk t.g ~on:(Topo.State.link_mask t.st) in
   List.for_all
-    (fun (o, d, demand) -> place t o d demand <> None)
+    (fun (o, d, demand) -> place_walking ~walk t o d demand <> None)
     (Traffic.Matrix.flows_desc tm)
 
 (* Replays the log newest first, so every arc gets back the exact floats it

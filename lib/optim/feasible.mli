@@ -71,10 +71,14 @@ val crossing : t -> int list -> (int * int * float) list
     @raise Invalid_argument on an out-of-range link id. *)
 
 val route_matrix : t -> Traffic.Matrix.t -> bool
-(** Places every positive demand of the matrix (largest first). Returns false
-    and leaves the placement in a partially-filled state if some flow cannot
-    be placed — callers trying a change they may back out should run it
-    inside {!trial}, or rebuild. *)
+(** Places every positive demand of the matrix (largest first), each as
+    {!place} would. Returns false and leaves the placement in a
+    partially-filled state if some flow cannot be placed — callers trying
+    a change they may back out should run it inside {!trial}, or rebuild.
+    The activity state is fixed for the whole call, so it builds one
+    [Routing.Dijkstra.walk] of the link mask and hands it to every search:
+    they then walk only the arcs that are on and do not lead into a leaf,
+    with the same results. *)
 
 val trial : t -> (unit -> bool) -> bool
 (** [trial t body] runs [body], whose {!place}, {!place_on} and {!remove}

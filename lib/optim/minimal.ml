@@ -86,13 +86,13 @@ let result_of g power f =
       match Feasible.path_of f o d with Some p -> Hashtbl.replace routing (o, d) p | None -> ())
     (Feasible.flows f);
   let arc_load = Array.init (Topo.Graph.arc_count g) (fun a -> Feasible.load f a) in
-  let power_watts = U.to_float (Power.Model.total power g st) in
+  let figures = Power.Model.figures power g st in
   {
     state = st;
     routing;
     arc_load;
-    power_watts;
-    power_percent = Power.Model.percent_of_full power g st;
+    power_watts = U.to_float figures.Power.Model.total;
+    power_percent = figures.Power.Model.percent;
   }
 
 (* Greedy work, tallied per [power_down] and flushed once behind

@@ -106,17 +106,37 @@ let m_links_asleep =
   Obs.Metric.Gauge.create ~help:"Links asleep in the last evaluated state"
     "power_links_asleep"
 
-let percent_of_full m g st =
+type figures = { total : U.watts U.q; full : U.watts U.q; percent : float }
+
+(* [total] and [full] summed side by side, both in [total]'s order: nodes,
+   then links, by identifier. A node is on in the all-on state exactly when
+   it has a link. [U.( +: )] is [+.], and the sums live in local float refs,
+   which stay unboxed. *)
+let figures m g st =
   if Obs.Control.enabled () then begin
     Obs.Metric.Gauge.set_int m_nodes_awake (Topo.State.active_nodes st);
     let awake = Topo.State.active_links st in
     Obs.Metric.Gauge.set_int m_links_awake awake;
     Obs.Metric.Gauge.set_int m_links_asleep (Topo.Graph.link_count g - awake)
   end;
-  let f = full m g in
-  match U.div_opt (total m g st) f with
-  | None -> 0.0
-  | Some r -> U.percent r
+  let on_sum = ref 0.0 and all_sum = ref 0.0 in
+  for i = 0 to Topo.Graph.node_count g - 1 do
+    if Topo.Graph.degree g i > 0 then begin
+      let w = U.to_float (m.chassis i) in
+      all_sum := !all_sum +. w;
+      if Topo.State.node_on st i then on_sum := !on_sum +. w
+    end
+  done;
+  for l = 0 to Topo.Graph.link_count g - 1 do
+    let w = U.to_float (link_power m g l) in
+    all_sum := !all_sum +. w;
+    if Topo.State.link_on st l then on_sum := !on_sum +. w
+  done;
+  let total = U.watts !on_sum and full = U.watts !all_sum in
+  let percent = match U.div_opt total full with None -> 0.0 | Some r -> U.percent r in
+  { total; full; percent }
+
+let percent_of_full m g st = (figures m g st).percent
 
 let state_of_loads g load =
   let st = Topo.State.all_off g in

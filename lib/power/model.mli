@@ -64,8 +64,25 @@ val full : t -> Topo.Graph.t -> Eutil.Units.watts Eutil.Units.q
     paper's figures. *)
 
 val percent_of_full : t -> Topo.Graph.t -> Topo.State.t -> float
-(** [100 * total / full], the y-axis of Figures 4, 5, 6 and 8a. Plain float:
-    a display quantity. *)
+(** [100 * total / full], the y-axis of Figures 4, 5, 6 and 8a (0 when
+    [full] is 0). Plain float: a display quantity. It is the [percent] of
+    {!figures}, computed the same way. *)
+
+type figures = {
+  total : Eutil.Units.watts Eutil.Units.q;  (** {!total} of the state *)
+  full : Eutil.Units.watts Eutil.Units.q;  (** {!full} of the graph *)
+  percent : float;  (** {!percent_of_full} of the state *)
+}
+
+val figures : t -> Topo.Graph.t -> Topo.State.t -> figures
+(** A state's power figures in one pass over the nodes and one over the
+    links, with no all-on state built: every element's power is computed
+    once and added to [full], and to [total] when the element is on. Each
+    sum runs in {!total}'s order (nodes, then links, by identifier, from
+    zero), so both are the bits {!total} and {!full} give, and [percent]
+    the bits of [100 * total / full]. With Obs on, it sets the
+    [power_nodes_awake], [power_links_awake] and [power_links_asleep]
+    gauges from the state. *)
 
 val state_of_loads : Topo.Graph.t -> (int -> float) -> Topo.State.t
 (** Activity state induced by per-link carried load (bit/s): a link is active

@@ -30,6 +30,46 @@ type arm =
       demand : float;
     }
 
+(* A walk set in CSR form: node [u]'s usable out-arcs are
+   [arcs.(start.(u)) .. arcs.(start.(u + 1) - 1)], in [adjacency] order. *)
+type walk = { start : int array; arcs : int array }
+
+(* Whether arc [aid] belongs in a walk set: its link is on and its head is
+   not a leaf. *)
+let usable adj (arcs : Topo.Graph.arc array) on aid =
+  let arc = arcs.(aid) in
+  on.(arc.Topo.Graph.link) && Array.length adj.(arc.Topo.Graph.dst) >= 2
+
+let no_walk = { start = [||]; arcs = [||] }
+
+(* Two passes, counting then filling, so [arcs] has exactly the walk set's
+   size: on the fattree-elastic subsets that is about 610 of 2,592 arcs. *)
+let walk g ~on =
+  let adj = Topo.Graph.adjacency g and arcs = Topo.Graph.arcs g in
+  let n = Array.length adj in
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let out = adj.(u) in
+    let k = ref start.(u) in
+    for i = 0 to Array.length out - 1 do
+      if usable adj arcs on out.(i) then incr k
+    done;
+    start.(u + 1) <- !k
+  done;
+  let walked = Array.make start.(n) 0 in
+  for u = 0 to n - 1 do
+    let out = adj.(u) in
+    let k = ref start.(u) in
+    for i = 0 to Array.length out - 1 do
+      let aid = out.(i) in
+      if usable adj arcs on aid then begin
+        walked.(!k) <- aid;
+        incr k
+      end
+    done
+  done;
+  { start; arcs = walked }
+
 (* The queue is an indexed binary heap of nodes: [heap.(0 .. len - 1)],
    with [pos.(v)] the slot of a queued [v]. A node's key is
    ([dist.(v)], [seq.(v)]), where [seq] numbers the strict decreases of
@@ -82,8 +122,10 @@ let sift_down (heap : int array) pos dist seq len v =
   pos.(v) <- !i
 
 (* Dijkstra from [src] into [dist]/[prev_arc]/[done_], which must hold
-   [infinity]/-1/[false] for every node; [heap], [pos] and [seq] need no
-   initial contents. The search stops when [stop] is popped (-1 never is).
+   [infinity]/-1/[false] for every node; [heap], [pos], [seq] and
+   [touched] need no initial contents. The search stops when [stop] is
+   popped (-1 never is). It returns how many nodes it queued, and
+   [touched] lists them in queueing order, [src] first.
    A settled node is never re-parented, so a zero-weight arc back into the
    tree cannot close a cycle in [prev_arc]. Ties keep the smaller arc id.
 
@@ -107,10 +149,24 @@ let sift_down (heap : int array) pos dist seq len v =
    and is marked settled. With one, no path to [stop] can pass through the
    leaf, so it is skipped before its arc is weighed. The graph's arrays are
    read once here because every library is compiled [-opaque]: a
-   [Topo.Graph] accessor per arc would be a call per arc. *)
-let search g arm ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~src ~stop =
+   [Topo.Graph] accessor per arc would be a call per arc.
+
+   With a [walk] (target-stopped searches only), a settled node walks its
+   walk set instead of its adjacency; it leaves out exactly the arcs that
+   write nothing here: arcs into a leaf other than [stop], which are
+   skipped before they are weighed, and arcs whose link is off, which
+   weigh [infinity]. The one exception is the tail of a leaf [stop]: the
+   walk set leaves out the arc into [stop] too, so that node walks its
+   full adjacency, and the arc is relaxed in its place among the others.
+   Every write, and so every [seq], happens as without the walk. *)
+let search g arm ~walk ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~touched ~src ~stop =
   let adj = Topo.Graph.adjacency g and arcs = Topo.Graph.arcs g in
   let prune = stop >= 0 in
+  let w = match walk with Some w -> w | None -> no_walk in
+  let walked = Option.is_some walk in
+  let tail =
+    if walked && Array.length adj.(stop) = 1 then arcs.(adj.(stop).(0)).Topo.Graph.dst else -1
+  in
   let pushes = ref 1 and pops = ref 0 and len = ref 1 and next = ref 1 in
   (* The candidate distance through the arc being relaxed; [infinity]
      relaxes nothing. A local float ref stays unboxed. *)
@@ -119,6 +175,7 @@ let search g arm ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~src ~stop =
   seq.(src) <- 0;
   heap.(0) <- src;
   pos.(src) <- 0;
+  touched.(0) <- src;
   while !len > 0 do
     let u = heap.(0) in
     incr pops;
@@ -129,8 +186,11 @@ let search g arm ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~src ~stop =
       if last > 0 then sift_down heap pos dist seq last heap.(last);
       done_.(u) <- true;
       let d = dist.(u) in
-      let out = adj.(u) in
-      for i = 0 to Array.length out - 1 do
+      let full = (not walked) || u = tail in
+      let out = if full then adj.(u) else w.arcs in
+      let first = if full then 0 else w.start.(u) in
+      let stop_at = if full then Array.length out else w.start.(u + 1) in
+      for i = first to stop_at - 1 do
         let aid = out.(i) in
         let arc = arcs.(aid) in
         let v = arc.Topo.Graph.dst in
@@ -162,6 +222,7 @@ let search g arm ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~src ~stop =
                 seq.(v) <- !next;
                 incr next;
                 if dv = infinity then begin
+                  touched.(!pushes) <- v;
                   incr pushes;
                   sift_up heap pos dist seq !len v;
                   incr len
@@ -179,7 +240,8 @@ let search g arm ~dist ~prev_arc ~done_ ~heap ~pos ~seq ~src ~stop =
     Obs.Metric.Counter.incr m_runs;
     Obs.Metric.Counter.add_int m_heap_pushes !pushes;
     Obs.Metric.Counter.add_int m_heap_pops !pops
-  end
+  end;
+  !pushes
 
 let closures weight active =
   Closures
@@ -190,8 +252,10 @@ let run g ?weight ?active ~src () =
   let n = Topo.Graph.node_count g in
   let dist = Array.make n infinity in
   let prev_arc = Array.make n (-1) in
-  search g (closures weight active) ~dist ~prev_arc ~done_:(Array.make n false)
-    ~heap:(Array.make n 0) ~pos:(Array.make n 0) ~seq:(Array.make n 0) ~src ~stop:(-1);
+  ignore
+    (search g (closures weight active) ~walk:None ~dist ~prev_arc ~done_:(Array.make n false)
+       ~heap:(Array.make n 0) ~pos:(Array.make n 0) ~seq:(Array.make n 0)
+       ~touched:(Array.make n 0) ~src ~stop:(-1));
   { dist; prev_arc }
 
 let collect_path g prev_arc dst =
@@ -204,9 +268,14 @@ let collect_path g prev_arc dst =
 let path_to g res dst = if res.dist.(dst) = infinity then None else collect_path g res.prev_arc dst
 
 (* One workspace per domain for the target-stopped searches: the per-node
-   arrays grow to the largest graph seen; [dist], [prev_arc] and the
-   settled flags are refilled per call, and the queue's arrays need no
-   refill. Domain-local, so parallel callers never share one. *)
+   arrays grow to the largest graph seen, and the queue's arrays need no
+   refill. Outside the first [ws_written] nodes of [ws_touched], every
+   cell of [ws_dist], [ws_prev] and [ws_done] holds [infinity], -1 or
+   [false], so a call resets only the nodes the previous search queued
+   (the only ones a target-stopped search writes). [ws_written] is -1
+   while a search runs; one that raised leaves it there, and the next call
+   refills the three arrays whole. Domain-local, so parallel callers never
+   share one. *)
 type workspace = {
   mutable ws_dist : float array;
   mutable ws_prev : int array;
@@ -214,12 +283,14 @@ type workspace = {
   mutable ws_heap : int array;
   mutable ws_pos : int array;
   mutable ws_seq : int array;
+  mutable ws_touched : int array;
+  mutable ws_written : int;
 }
 
 let workspace_key =
   Domain.DLS.new_key (fun () ->
       { ws_dist = [||]; ws_prev = [||]; ws_done = [||]; ws_heap = [||]; ws_pos = [||];
-        ws_seq = [||] })
+        ws_seq = [||]; ws_touched = [||]; ws_written = 0 })
 
 let workspace n =
   let ws = Domain.DLS.get workspace_key in
@@ -229,24 +300,39 @@ let workspace n =
     ws.ws_done <- Array.make n false;
     ws.ws_heap <- Array.make n 0;
     ws.ws_pos <- Array.make n 0;
-    ws.ws_seq <- Array.make n 0
+    ws.ws_seq <- Array.make n 0;
+    ws.ws_touched <- Array.make n 0
   end
-  else begin
-    Array.fill ws.ws_dist 0 n infinity;
-    Array.fill ws.ws_prev 0 n (-1);
-    Array.fill ws.ws_done 0 n false
-  end;
+  else if ws.ws_written < 0 then begin
+    Array.fill ws.ws_dist 0 (Array.length ws.ws_dist) infinity;
+    Array.fill ws.ws_prev 0 (Array.length ws.ws_prev) (-1);
+    Array.fill ws.ws_done 0 (Array.length ws.ws_done) false
+  end
+  else
+    for i = 0 to ws.ws_written - 1 do
+      let v = ws.ws_touched.(i) in
+      ws.ws_dist.(v) <- infinity;
+      ws.ws_prev.(v) <- -1;
+      ws.ws_done.(v) <- false
+    done;
+  ws.ws_written <- -1;
   ws
 
 (* Stopping at [dst] is exact: [dst] and every node on its path are settled
    by then, and nothing popped later changes a settled node. *)
-let stopped g arm ~src ~dst =
+let stopped g arm walk ~src ~dst =
   let ws = workspace (Topo.Graph.node_count g) in
-  search g arm ~dist:ws.ws_dist ~prev_arc:ws.ws_prev ~done_:ws.ws_done ~heap:ws.ws_heap
-    ~pos:ws.ws_pos ~seq:ws.ws_seq ~src ~stop:dst;
+  ws.ws_written <-
+    search g arm ~walk ~dist:ws.ws_dist ~prev_arc:ws.ws_prev ~done_:ws.ws_done ~heap:ws.ws_heap
+      ~pos:ws.ws_pos ~seq:ws.ws_seq ~touched:ws.ws_touched ~src ~stop:dst;
   if ws.ws_dist.(dst) = infinity then None else collect_path g ws.ws_prev dst
 
-let shortest_path g ?weight ?active ~src ~dst () = stopped g (closures weight active) ~src ~dst
+let shortest_path g ?weight ?active ~src ~dst () =
+  stopped g (closures weight active) None ~src ~dst
 
-let shortest_path_congested g ~on ~residual ~load ~demand ~src ~dst =
-  stopped g (Congestion { on; residual; load; demand }) ~src ~dst
+let shortest_path_congested ?walk g ~on ~residual ~load ~demand ~src ~dst =
+  (match walk with
+  | Some w when Array.length w.start <> Topo.Graph.node_count g + 1 ->
+      invalid_arg "Dijkstra.shortest_path_congested: walk set of another graph"
+  | _ -> ());
+  stopped g (Congestion { on; residual; load; demand }) walk ~src ~dst

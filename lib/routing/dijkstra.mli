@@ -20,6 +20,23 @@
     weighing it. The two counters therefore count the source, the nodes of
     degree 2 or more, and a leaf [dst]; never another leaf. *)
 
+type walk
+(** A walk set: for every node, the out-arcs whose link is on and whose
+    head is not a leaf, in {!Topo.Graph.adjacency} order. Those are the
+    only arcs that can write anything in a target-stopped search under
+    that link mask, so {!shortest_path_congested} given one walks them
+    and nothing else (except at the one neighbour of a leaf [dst], which
+    walks its full adjacency), and returns the same path, with the same
+    queue traffic, as without it. {!shortest_path_congested} is the only
+    entry point that takes one; {!run} and {!shortest_path} walk every
+    out-arc. *)
+
+val walk : Topo.Graph.t -> on:bool array -> walk
+(** The walk set of a graph under an on-link mask ([on] indexed by link).
+    It is valid for that graph while [on] holds the values it had here:
+    built once for a link mask that does not change, it can serve any
+    number of searches. *)
+
 type result = {
   dist : float array;  (** distance per node; [infinity] if unreachable *)
   prev_arc : int array;  (** incoming arc on the shortest-path tree; -1 at the source/unreachable *)
@@ -58,12 +75,15 @@ val shortest_path :
     when [dst] is unreachable or equal to [src].
 
     The per-node arrays and the queue live in one workspace per domain,
-    reused from call to call, so [weight] and [active] must not call
-    [shortest_path] themselves (they would overwrite the search in
-    progress). Both may be called any number of times per arc and should be
-    pure. *)
+    reused from call to call: a call resets only the nodes the previous
+    call on that domain queued, and after a call that raised, all of them.
+    [weight] and [active] must therefore not call [shortest_path]
+    themselves (they would overwrite the search in progress). Both may be
+    called any number of times per arc and should be pure; if one raises,
+    the exception is passed on and the next call is unaffected. *)
 
 val shortest_path_congested :
+  ?walk:walk ->
   Topo.Graph.t ->
   on:bool array ->
   residual:float array ->
@@ -80,4 +100,10 @@ val shortest_path_congested :
     closures' expressions, so the result is the one {!shortest_path} gives
     with them, to the bit, without a call or a boxed float per arc. [on]
     is indexed by link and [residual] and [load] by arc; the search only
-    reads them. Same workspace as {!shortest_path}. *)
+    reads them. Same workspace as {!shortest_path}.
+
+    [walk], when given, must be [walk g ~on] for this [g] and the current
+    contents of [on]: the search then walks it instead of every out-arc.
+    The result, the distances and the queue counters are the same.
+    @raise Invalid_argument if [walk] was built for a graph with another
+    node count. *)

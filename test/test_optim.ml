@@ -538,13 +538,18 @@ let prop_evaluate_vs_reference =
 (* A hand-built [Fattree.t] whose arrays or [k] disagree with its graph
    gets a typed error naming the missing link or the bad [k]. Each case
    breaks one field of a k = 4 fat-tree under far (cross-pod) traffic, so
-   every kind of link is needed. *)
-let elastic_raises msg broken =
+   every kind of link is needed; [flows], when given, replaces that
+   matrix. *)
+let elastic_raises ?flows msg broken =
   let ft = Topo.Fattree.make 4 in
-  let power = Power.Model.commodity_dc ft.Topo.Fattree.graph in
+  let g = ft.Topo.Fattree.graph in
+  let power = Power.Model.commodity_dc g in
   let tm =
-    Traffic.Sine.fattree ft Traffic.Sine.Far ~peak:(Eutil.Units.bps 5e8)
-      ~period:(Eutil.Units.seconds 100.0) 50.0
+    match flows with
+    | Some flows -> Matrix.of_flows (G.node_count g) (flows ft)
+    | None ->
+        Traffic.Sine.fattree ft Traffic.Sine.Far ~peak:(Eutil.Units.bps 5e8)
+          ~period:(Eutil.Units.seconds 100.0) 50.0
   in
   Alcotest.check_raises "typed error" (Invalid_argument ("Elastic.minimal_subset: " ^ msg))
     (fun () -> ignore (Optim.Elastic.minimal_subset (broken ft) power tm))
@@ -566,6 +571,23 @@ let test_elastic_missing_agg_core () =
 let test_elastic_bad_k () =
   elastic_raises "fat-tree k must be even and >= 2, got 0" (fun ft ->
       { ft with Topo.Fattree.k = 0 })
+
+(* A core switch has no pod, so a flow from or to one is turned down by
+   name before any routing; before, indexing the per-pod totals with pod
+   -1 raised "index out of bounds". Flows between an edge and an
+   aggregation switch still solve. *)
+let test_elastic_core_endpoint () =
+  let core ft = ft.Topo.Fattree.cores.(1) and host ft = ft.Topo.Fattree.hosts.(0) in
+  let msg = "flow endpoint c1 is not a host, edge or aggregation switch" in
+  elastic_raises ~flows:(fun ft -> [ (core ft, host ft, 1e8) ]) msg Fun.id;
+  elastic_raises ~flows:(fun ft -> [ (host ft, core ft, 1e8) ]) msg Fun.id;
+  let ft = Topo.Fattree.make 4 in
+  let g = ft.Topo.Fattree.graph in
+  let tm =
+    Matrix.of_flows (G.node_count g) [ (ft.Topo.Fattree.edges.(0), ft.Topo.Fattree.aggs.(1), 1e8) ]
+  in
+  Alcotest.(check bool) "edge to aggregation solves" true
+    (Option.is_some (Optim.Elastic.minimal_subset ft (Power.Model.commodity_dc g) tm))
 
 (* ElasticTree on random host-pair matrices over k = 4 and k = 6
    fat-trees: the subset it picks routes, to the bit, as the frozen
@@ -827,6 +849,7 @@ let () =
           Alcotest.test_case "missing edge-agg link" `Quick test_elastic_missing_edge_agg;
           Alcotest.test_case "missing agg-core link" `Quick test_elastic_missing_agg_core;
           Alcotest.test_case "bad k" `Quick test_elastic_bad_k;
+          Alcotest.test_case "core endpoint" `Quick test_elastic_core_endpoint;
           QCheck_alcotest.to_alcotest prop_elastic_vs_reference;
         ] );
       ( "exact",

@@ -154,6 +154,53 @@ let prop_power_finite =
               !ok))
         [ Model.cisco12000 g; Model.alternative_hw g; Model.commodity_dc g ])
 
+(* The one-pass figures equal their definitions to the bit: [total],
+   [full] (over an all-on state) and [100 * total / full] taken through
+   [Units.div_opt] as [percent_of_full] took it before, which must read the
+   same. Random states, from all off to all on, of GEANT, the k = 4
+   fat-tree and a graph with a node that has no link (never on, not even
+   in the all-on state), under the three hardware models. With Obs on,
+   the three power gauges read the state's counts. *)
+let prop_figures_one_pass =
+  let isolated =
+    let b = G.Builder.create () in
+    let x = G.Builder.add_node b "x" and y = G.Builder.add_node b "y" in
+    ignore (G.Builder.add_node b "alone");
+    ignore (G.Builder.add_link b ~capacity:2.5e9 ~latency:1e-3 x y);
+    G.Builder.build b
+  in
+  let topos = [| Topo.Geant.make (); (Topo.Fattree.make 4).Topo.Fattree.graph; isolated |] in
+  let gauge name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:(-1.0) in
+  QCheck.Test.make ~name:"figures equal their definitions" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let g = topos.(Eutil.Prng.int rng (Array.length topos)) in
+      let m =
+        [| Model.cisco12000 g; Model.alternative_hw g; Model.commodity_dc g |].(Eutil.Prng.int rng 3)
+      in
+      let st = State.all_off g in
+      let p = Eutil.Prng.float rng in
+      G.iter_links g ~f:(fun l -> if Eutil.Prng.float rng < p then State.set_link g st l true);
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let percent =
+        match U.div_opt (Model.total m g st) (Model.full m g) with
+        | None -> 0.0
+        | Some r -> U.percent r
+      in
+      Obs.set_enabled true;
+      let f =
+        Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> Model.figures m g st)
+      in
+      let awake = State.active_links st in
+      same (U.to_float f.Model.total) (total m g st)
+      && same (U.to_float f.Model.full) (full m g)
+      && same f.Model.percent percent
+      && same (Model.percent_of_full m g st) percent
+      && gauge "power_nodes_awake" = float_of_int (State.active_nodes st)
+      && gauge "power_links_awake" = float_of_int awake
+      && gauge "power_links_asleep" = float_of_int (G.link_count g - awake))
+
 let () =
   Alcotest.run "power"
     [
@@ -172,5 +219,6 @@ let () =
           Alcotest.test_case "state of loads" `Quick test_state_of_loads;
           QCheck_alcotest.to_alcotest prop_power_monotone;
           QCheck_alcotest.to_alcotest prop_power_finite;
+          QCheck_alcotest.to_alcotest prop_figures_one_pass;
         ] );
     ]

@@ -182,6 +182,17 @@ let prop_fattree_run_vs_reference =
       same_tree ft.Topo.Fattree.graph ~weight ~active
         ~src:from.(Eutil.Prng.int rng (Array.length from)))
 
+(* [f ()] run with Obs on, with the queue removals and insertions it made,
+   read from the Obs counters. *)
+let counted f =
+  let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
+  let pops = read "routing_heap_pops_total" and pushes = read "routing_heap_pushes_total" in
+  Obs.set_enabled true;
+  let x = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
+  ( x,
+    int_of_float (read "routing_heap_pops_total" -. pops),
+    int_of_float (read "routing_heap_pushes_total" -. pushes) )
+
 (* The leaf rule's work on the k = 12 fat-tree (432 hosts, 180 switches),
    all links on, latency weights, read from the Obs counters. A cross-pod
    host-to-host search pops the source, every switch (each is closer than
@@ -192,15 +203,6 @@ let test_fattree_leaf_work () =
   let ft = Topo.Fattree.make 12 in
   let g = ft.Topo.Fattree.graph and hosts = ft.Topo.Fattree.hosts in
   let switches = G.node_count g - Array.length hosts in
-  let read name = Option.value (Obs.Registry.value Obs.Registry.default name) ~default:0.0 in
-  let counted f =
-    let pops = read "routing_heap_pops_total" and pushes = read "routing_heap_pushes_total" in
-    Obs.set_enabled true;
-    let x = Fun.protect ~finally:(fun () -> Obs.set_enabled false) f in
-    ( x,
-      int_of_float (read "routing_heap_pops_total" -. pops),
-      int_of_float (read "routing_heap_pushes_total" -. pushes) )
-  in
   let src = hosts.(0) and dst = hosts.(Array.length hosts - 1) in
   let p, pops, _ = counted (fun () -> Routing.Dijkstra.shortest_path g ~src ~dst ()) in
   Alcotest.(check (option int)) "cross-pod path" (Some 6) (Option.map Path.hops p);
@@ -220,7 +222,14 @@ let test_fattree_leaf_work () =
    closure arm and the frozen Dijkstra, both given closures written the way
    [Feasible.congestion_weight] and [place]'s filter are. Loads come from
    three values, so weights tie; residuals sit at, just below and just
-   above [demand -. 1e-9], or far above it; some links are off. *)
+   above [demand -. 1e-9], or far above it; some links are off. Each case
+   also runs through a walk set of the link mask: the same path, the same
+   distance (the path's weights summed from 0, to the bit, against
+   [run]'s), and the same queue insertions and removals as the closure
+   arm. A leaf of the graph, its only link off in half the seeds, is the
+   source of one case and the destination of two: with ties everywhere,
+   relaxing a leaf destination's in-arc anywhere but in its place among
+   its neighbour's arcs changes the pop count. *)
 let prop_congestion_vs_closures =
   QCheck.Test.make ~name:"congestion search equals closure search" ~count:200
     QCheck.(int_range 0 100_000)
@@ -237,21 +246,106 @@ let prop_congestion_vs_closures =
         Array.init n_arcs (fun _ ->
             [| edge; Float.pred edge; Float.succ edge; 1e9 |].(Eutil.Prng.int rng 4))
       in
+      let leaves = Array.of_list (List.filter (fun v -> G.degree g v = 1) (List.init n Fun.id)) in
+      let leaf =
+        match leaves with
+        | [||] -> None
+        | _ ->
+            let v = leaves.(Eutil.Prng.int rng (Array.length leaves)) in
+            if Eutil.Prng.float rng < 0.5 then on.((G.arc g (G.out_arcs g v).(0)).G.link) <- false;
+            Some v
+      in
       let weight arc =
         arc.G.latency *. (1.0 +. (3.0 *. (load.(arc.G.id) /. arc.G.capacity)))
       in
       let active arc = on.(arc.G.link) && residual.(arc.G.id) >= demand -. 1e-9 in
+      let walk = Routing.Dijkstra.walk g ~on in
+      let pairs =
+        List.init 6 (fun k ->
+            let src = Eutil.Prng.int rng n in
+            (src, if k = 0 then src else Eutil.Prng.int rng n))
+        @
+        match leaf with
+        | None -> []
+        | Some v ->
+            let other () = Eutil.Prng.int rng n in
+            [ (v, other ()); (other (), v); (other (), v) ]
+      in
+      let same_dist p dst =
+        let tree = Routing.Dijkstra.run g ~weight ~active ~src:p.Path.src () in
+        let d = Array.fold_left (fun acc a -> acc +. weight (G.arc g a)) 0.0 p.Path.arcs in
+        Int64.equal (Int64.bits_of_float d) (Int64.bits_of_float tree.Routing.Dijkstra.dist.(dst))
+      in
       List.for_all
-        (fun k ->
-          let src = Eutil.Prng.int rng n in
-          let dst = if k = 0 then src else Eutil.Prng.int rng n in
+        (fun (src, dst) ->
           let got =
             Routing.Dijkstra.shortest_path_congested g ~on ~residual ~load ~demand ~src ~dst
           in
-          Option.equal Path.equal got (Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ())
+          let closed, pops, pushes =
+            counted (fun () -> Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst ())
+          in
+          let walked, walk_pops, walk_pushes =
+            counted (fun () ->
+                Routing.Dijkstra.shortest_path_congested ~walk g ~on ~residual ~load ~demand ~src
+                  ~dst)
+          in
+          Option.equal Path.equal got closed
           && Option.equal Path.equal got
-               (Greedy_reference.Dijkstra.shortest_path g ~weight ~active ~src ~dst ()))
-        (List.init 6 Fun.id))
+               (Greedy_reference.Dijkstra.shortest_path g ~weight ~active ~src ~dst ())
+          && Option.equal Path.equal walked got
+          && Option.fold ~none:true ~some:(fun p -> same_dist p dst) walked
+          && walk_pops = pops && walk_pushes = pushes)
+        pairs)
+
+exception Raised
+
+(* On a domain of its own, a latency-weighted search from [src] to [dst]
+   whose weight raises at its [after]-th call, then the query [src'] to
+   [dst']; and the query alone on another new domain. The raising search
+   leaves the first domain's workspace half written, and the next search
+   there must not see it. *)
+let query_after_raise g ~after ~src ~dst ~src' ~dst' =
+  let query () = Routing.Dijkstra.shortest_path g ~src:src' ~dst:dst' () in
+  let on_new_domain f = Domain.join (Domain.spawn f) in
+  let got =
+    on_new_domain (fun () ->
+        let calls = ref 0 in
+        let weight arc =
+          incr calls;
+          if !calls >= after then raise Raised;
+          arc.G.latency
+        in
+        (try ignore (Routing.Dijkstra.shortest_path g ~weight ~src ~dst ()) with Raised -> ());
+        query ())
+  in
+  Option.equal Path.equal got (on_new_domain query)
+
+let prop_workspace_after_raise =
+  QCheck.Test.make ~name:"workspace after a raising search" ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Eutil.Prng.create seed in
+      let n = 2 + Eutil.Prng.int rng 29 in
+      let g = random_graph rng n in
+      let pick () = Eutil.Prng.int rng n in
+      query_after_raise g ~after:(1 + Eutil.Prng.int rng (2 * n)) ~src:(pick ()) ~dst:(pick ())
+        ~src':(pick ()) ~dst':(pick ()))
+
+(* The same on the k = 12 fat-tree, host to host: the raising search stops
+   after 1 to 300 weighed arcs, a few pods into its sweep. *)
+let test_fattree_workspace_after_raise () =
+  let ft = Topo.Fattree.make 12 in
+  let hosts = ft.Topo.Fattree.hosts in
+  let rng = Eutil.Prng.create 12 in
+  let pick () = hosts.(Eutil.Prng.int rng (Array.length hosts)) in
+  for _ = 1 to 20 do
+    let after = 1 + Eutil.Prng.int rng 300 in
+    let src = pick () and dst = pick () and src' = pick () and dst' = pick () in
+    Alcotest.(check bool)
+      (Printf.sprintf "raise after %d weights" after)
+      true
+      (query_after_raise ft.Topo.Fattree.graph ~after ~src ~dst ~src' ~dst')
+  done
 
 (* The lazy-heap search the indexed queue replaced, as a test oracle: every
    strict decrease or tie pushes an entry on the frozen heap, and a popped
@@ -521,6 +615,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_fattree_run_vs_reference;
           Alcotest.test_case "fat-tree leaf work" `Quick test_fattree_leaf_work;
           QCheck_alcotest.to_alcotest prop_congestion_vs_closures;
+          QCheck_alcotest.to_alcotest prop_workspace_after_raise;
+          Alcotest.test_case "fat-tree workspace after a raising search" `Quick
+            test_fattree_workspace_after_raise;
           QCheck_alcotest.to_alcotest prop_queue_vs_lazy_heap;
         ] );
       ( "spf",
