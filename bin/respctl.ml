@@ -17,6 +17,21 @@ let topology_arg =
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for sampled pairs.")
 
+(* A count or a length that must be positive: zero or a negative value is a
+   usage error naming the option (exit 124), as a malformed number is,
+   rather than an exception deep inside the run. *)
+let positive base ~is_positive =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when is_positive v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
+
+let positive_int = positive Arg.int ~is_positive:(fun n -> n > 0)
+let positive_float = positive Arg.float ~is_positive:(fun x -> x > 0.0)
+
 let fraction_arg =
   Arg.(
     value
@@ -151,7 +166,8 @@ let power_cmd =
 
 let replay_cmd =
   let days_arg =
-    Arg.(value & opt int 3 & info [ "days" ] ~docv:"DAYS" ~doc:"Length of the synthetic trace.")
+    Arg.(
+      value & opt positive_int 3 & info [ "days" ] ~docv:"DAYS" ~doc:"Length of the synthetic trace.")
   in
   let run name seed fraction days metrics =
     with_topology name (fun t g ->
@@ -199,8 +215,9 @@ let analyze_cmd =
   let entries_arg =
     let doc =
       "Additional entry-point trees (executables/tests/examples): the lint and doc passes check \
-       them and their definitions seed reachability for dead-function, but the other passes do \
-       not analyze them. Repeatable."
+       them, and the definitions of executables seed reachability for dead-function; a tree \
+       under a (test) or (tests) dune stanza seeds nothing, so code that only tests call is \
+       dead. The other passes do not analyze them. Repeatable."
     in
     Arg.(value & opt_all string [] & info [ "entries" ] ~docv:"PATH" ~doc)
   in
@@ -513,31 +530,41 @@ let stats_cmd =
 
 let chaos_cmd =
   let trials_arg =
-    Arg.(value & opt int 3 & info [ "trials" ] ~docv:"K" ~doc:"Independent trials (seed, seed+1, ...).")
+    Arg.(
+      value
+      & opt positive_int 3
+      & info [ "trials" ] ~docv:"K" ~doc:"Independent trials (seed, seed+1, ...).")
   in
   let mtbf_arg =
     Arg.(
       value
-      & opt float 3.0
+      & opt positive_float 3.0
       & info [ "mtbf" ] ~docv:"S" ~doc:"Per-link mean time between failures, seconds.")
   in
   let mttr_arg =
     Arg.(
-      value & opt float 0.5 & info [ "mttr" ] ~docv:"S" ~doc:"Per-link mean time to repair, seconds.")
+      value
+      & opt positive_float 0.5
+      & info [ "mttr" ] ~docv:"S" ~doc:"Per-link mean time to repair, seconds.")
   in
   let node_mtbf_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "node-mtbf" ] ~docv:"S"
           ~doc:"Enable node (chassis) failures with this MTBF; all incident links fail together.")
   in
   let node_mttr_arg =
     Arg.(
-      value & opt float 1.0 & info [ "node-mttr" ] ~docv:"S" ~doc:"Node mean time to repair, seconds.")
+      value
+      & opt positive_float 1.0
+      & info [ "node-mttr" ] ~docv:"S" ~doc:"Node mean time to repair, seconds.")
   in
   let duration_arg =
-    Arg.(value & opt float 10.0 & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds per trial.")
+    Arg.(
+      value
+      & opt positive_float 10.0
+      & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds per trial.")
   in
   let load_arg =
     Arg.(
@@ -650,7 +677,8 @@ let export_cmd =
       & info [ "format" ] ~docv:"FORMAT" ~doc:"Output: dot (Graphviz), csv (links), trace (synthetic demand trace CSV).")
   in
   let days_arg =
-    Arg.(value & opt int 1 & info [ "days" ] ~docv:"DAYS" ~doc:"Trace length for --format trace.")
+    Arg.(
+      value & opt positive_int 1 & info [ "days" ] ~docv:"DAYS" ~doc:"Trace length for --format trace.")
   in
   let run name seed fraction format days =
     with_topology name (fun _t g ->

@@ -7,7 +7,13 @@
 module S = Srclint
 module Ints = Set.Make (Int)
 
-type source = { sc_file : string; sc_library : string; sc_entry : bool; sc_text : string }
+type source = {
+  sc_file : string;
+  sc_library : string;
+  sc_entry : bool;
+  sc_test : bool;
+  sc_text : string;
+}
 
 type def = {
   d_id : int;
@@ -17,6 +23,7 @@ type def = {
   d_file : string;
   d_line : int;
   d_entry : bool;
+  d_test : bool;
   d_public : bool;
   d_body : S.tok array;
 }
@@ -121,7 +128,7 @@ let def_name (toks : S.tok array) i =
     else if S.is_lower tj then tj
     else "_"
 
-let defs_of_ml ~library ~entry ~file toks =
+let defs_of_ml ~library ~entry ~test ~file toks =
   let n = Array.length toks in
   let file_module = module_of_file file in
   let marks = ref [] in
@@ -198,6 +205,7 @@ let defs_of_ml ~library ~entry ~file toks =
               d_file = file;
               d_line = line;
               d_entry = entry;
+              d_test = test;
               d_public = false (* assigned later *);
               d_body = body;
             }
@@ -410,7 +418,9 @@ let build_sources ?(entries = []) sources =
   let per_file =
     List.map
       (fun (s, f) ->
-        (s, defs_of_ml ~library:s.sc_library ~entry:s.sc_entry ~file:s.sc_file f.f_lex.S.toks))
+        ( s,
+          defs_of_ml ~library:s.sc_library ~entry:s.sc_entry ~test:s.sc_test ~file:s.sc_file
+            f.f_lex.S.toks ))
       ml
   in
   let all = List.concat_map (fun (_, (ds, _)) -> ds) per_file in
@@ -560,7 +570,8 @@ let dune_info dir =
   if not (Sys.file_exists f) then None
   else begin
     let text = S.read_file f in
-    let entry = contains_sub text "(executable" || contains_sub text "(test" in
+    let test = contains_sub text "(test" in
+    let entry = test || contains_sub text "(executable" in
     let name =
       match find_sub text "(name" with
       | None -> None
@@ -582,17 +593,19 @@ let dune_info dir =
           done;
           if !j > start then Some (String.sub text start (!j - start)) else None
     in
-    Some (name, entry)
+    Some (name, entry, test)
   end
 
 let rec gather inherited acc path =
   if Sys.is_directory path then begin
     let info =
       match dune_info path with
-      | Some (nameopt, entry) ->
+      | Some (nameopt, entry, test) ->
           let name = match nameopt with Some n -> n | None -> Filename.basename path in
-          let entry = entry || match inherited with Some (_, e) -> e | None -> false in
-          Some (name, entry)
+          let entry, test =
+            match inherited with Some (_, e, t) -> (entry || e, test || t) | None -> (entry, test)
+          in
+          Some (name, entry, test)
       | None -> inherited
     in
     let names = Sys.readdir path in
@@ -604,12 +617,13 @@ let rec gather inherited acc path =
       names
   end
   else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then begin
-    let lib, entry =
+    let lib, entry, test =
       match inherited with
-      | Some (n, e) -> (n, e)
-      | None -> (Filename.basename (Filename.dirname path), false)
+      | Some info -> info
+      | None -> (Filename.basename (Filename.dirname path), false, false)
     in
-    acc := { sc_file = path; sc_library = lib; sc_entry = entry; sc_text = S.read_file path } :: !acc
+    let text = S.read_file path in
+    acc := { sc_file = path; sc_library = lib; sc_entry = entry; sc_test = test; sc_text = text } :: !acc
   end
 
 let build ?(entries = []) dirs =
@@ -647,8 +661,6 @@ let fixpoint ~n ~init ~step ~equal =
 let propagate g ~init ~join ~equal =
   fixpoint ~n:(Array.length g.defs) ~init ~equal ~step:(fun v i ->
       List.fold_left (fun acc j -> join acc v.(j)) v.(i) g.callees.(i))
-
-let find_def g ~module_ ~name = Array.find_opt (fun d -> d.d_module = module_ && d.d_name = name) g.defs
 
 let reachable g ~roots =
   let n = Array.length g.defs in

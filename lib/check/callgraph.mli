@@ -33,6 +33,7 @@ type source = {
   sc_file : string;  (** path used in findings *)
   sc_library : string;  (** dune library (or executable) name *)
   sc_entry : bool;  (** under an [executable]/[tests] dune stanza *)
+  sc_test : bool;  (** under a [test]/[tests] dune stanza *)
   sc_text : string;  (** raw file contents *)
 }
 (** One source file plus its dune context; {!build_sources} lets tests
@@ -50,6 +51,9 @@ type def = {
   d_file : string;
   d_line : int;
   d_entry : bool;  (** defined in an executable/test/bench/example *)
+  d_test : bool;
+      (** defined under a test stanza: an entry whose calls keep nothing
+          alive for [dead-function] *)
   d_public : bool;
       (** part of the library's surface: the module either has no [.mli]
           or the [.mli] declares a [val] with this name (submodule
@@ -87,7 +91,7 @@ type t = {
       (** [sites.(i)] = every resolved call site in [defs.(i).d_body] as
           [(token index, callee id)] pairs in body order; the same callee
           appears once per site. {!Cost} pairs the token index with its
-          lexical loop depth to weight the call. *)
+          lexical loop depth to tell a call made inside a loop. *)
   vals : vdecl list;
   files : file list;  (** every input, PATH trees first, in walk order *)
 }
@@ -98,13 +102,13 @@ val build_sources : ?entries:source list -> source list -> t
 
 val build : ?entries:string list -> string list -> t
 (** [build ~entries dirs] lexes every [.ml]/[.mli] under [dirs] (library
-    code) and [entries] (executables/tests/examples: their definitions
-    become reachability roots), reading each directory's [dune] file for
-    the library name ([(name ...)], defaulting to the directory basename)
-    and the entry flag ([(executable], [(executables], [(test] or [(tests]
-    stanzas). Entries whose basename starts with ['.'] or ['_'] (e.g.
-    [_build]) are skipped; files are visited in sorted order. This is the
-    one directory walk of [respctl analyze]. *)
+    code) and [entries] (executables/tests/examples), reading each
+    directory's [dune] file for the library name ([(name ...)], defaulting
+    to the directory basename), the entry flag ([(executable],
+    [(executables], [(test] or [(tests] stanzas) and the test flag
+    ([(test] or [(tests]). Entries whose basename starts with ['.'] or
+    ['_'] (e.g. [_build]) are skipped; files are visited in sorted order.
+    This is the one directory walk of [respctl analyze]. *)
 
 val per_file :
   ?entry_trees:bool -> t -> (file:string -> Srclint.lexed -> Finding.t list) -> Finding.t list
@@ -124,9 +128,6 @@ val propagate :
   t -> init:(int -> 'a) -> join:('a -> 'a -> 'a) -> equal:('a -> 'a -> bool) -> 'a array
 (** {!fixpoint} along call edges: the least [v] with
     [v.(i) ⊒ init i ⊔ ⨆ { v.(j) | j ∈ callees.(i) }], indexed by [d_id]. *)
-
-val find_def : t -> module_:string -> name:string -> def option
-(** Lookup by module path and definition name, for tests. *)
 
 val reachable : t -> roots:int list -> bool array
 (** Forward BFS over [callees]. *)

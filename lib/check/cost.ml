@@ -1,14 +1,11 @@
 (* Loop-cost and allocation analysis. Intraprocedural loop structure is
    recovered token-by-token (for/while blocks, higher-order iteration
-   argument spans, recursive bodies); interprocedural facts are Kleene
-   fixpoints on finite lattices, solved by Callgraph.fixpoint like every
-   other pass. See cost.mli and DESIGN.md §12 for the accepted blind
-   spots. *)
+   argument spans, recursive bodies); the allocation facts are Kleene
+   fixpoints on the boolean lattice, solved by Callgraph.fixpoint like
+   every other pass. See cost.mli and DESIGN.md §12 for the accepted
+   blind spots. *)
 
 module S = Srclint
-
-let max_depth = 3
-let clamp v = if v > max_depth then max_depth else v
 
 (* ------------------------------------------------------------------ *)
 (* Primitive tables (Hashtbl membership: these are consulted once per
@@ -113,11 +110,6 @@ let depths (body : S.tok array) =
   done;
   d
 
-let depths_of_string text =
-  let toks = (S.clean text).S.toks in
-  let d = depths toks in
-  Array.mapi (fun i { S.t; _ } -> (t, d.(i))) toks
-
 (* [and]-chained definitions carry no [let rec] of their own: a self-call
    of the bound name marks the body recursive. Plain [let] bodies cannot
    self-call, so name shadowing ([let loads ... = let loads, _ = ...])
@@ -147,7 +139,6 @@ type facts = {
   f_rebuild : (int * string) list;
   f_alloc_any : bool;
   f_alloc_iter : bool;  (** a local allocation site at depth >= 1 *)
-  f_local : int;  (** max lexical depth over the body *)
 }
 
 let facts_of_def (d : Callgraph.def) =
@@ -155,7 +146,6 @@ let facts_of_def (d : Callgraph.def) =
   let dep = def_depths d in
   let quad = ref [] and rebuild = ref [] in
   let alloc_any = ref false and alloc_iter = ref false in
-  let local = ref 0 in
   (* A bare [@] token that is part of a parenthesized operator name — the
      [*@] of [U.( *@ )], or a section like [( @ )] — is not list append;
      the tokenizer splits unknown two-char operators apart. *)
@@ -166,7 +156,6 @@ let facts_of_def (d : Callgraph.def) =
   in
   Array.iteri
     (fun i { S.t; _ } ->
-      if dep.(i) > !local then local := dep.(i);
       if Hashtbl.mem alloc_prims t then begin
         alloc_any := true;
         if dep.(i) >= 1 then alloc_iter := true
@@ -182,18 +171,14 @@ let facts_of_def (d : Callgraph.def) =
     f_rebuild = List.rev !rebuild;
     f_alloc_any = !alloc_any;
     f_alloc_iter = !alloc_iter;
-    f_local = !local;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural fixpoints                                          *)
 (* ------------------------------------------------------------------ *)
 
-type info = { c_local_depth : int; c_cost : int; c_alloc : bool; c_alloc_per_iter : bool }
-
 type analysis = {
   a_facts : facts array;
-  a_cost : int array;
   a_alloc : bool array;
   a_per_iter : bool array;
 }
@@ -204,16 +189,6 @@ let compute (g : Callgraph.t) =
   let defs = g.Callgraph.defs in
   let n = Array.length defs in
   let facts = Array.init n (fun i -> facts_of_def defs.(i)) in
-  (* Cost: lexical depth plus callee cost weighted by the call site's
-     depth, clamped — a finite lattice, so the iteration terminates. *)
-  let cost =
-    Callgraph.fixpoint ~n ~equal:Int.equal
-      ~init:(fun i -> clamp facts.(i).f_local)
-      ~step:(fun cost i ->
-        List.fold_left
-          (fun acc (tok, j) -> max acc (clamp (site_depth facts i tok + cost.(j))))
-          cost.(i) g.Callgraph.sites.(i))
-  in
   (* May-allocate, then may-allocate-per-iteration (needs the former:
      calling an allocator from inside a loop allocates every pass). *)
   let alloc =
@@ -228,19 +203,7 @@ let compute (g : Callgraph.t) =
              (fun (tok, j) -> per_iter.(j) || (site_depth facts i tok >= 1 && alloc.(j)))
              g.Callgraph.sites.(i))
   in
-  { a_facts = facts; a_cost = cost; a_alloc = alloc; a_per_iter = per_iter }
-
-let infer g =
-  let a = compute g in
-  Array.init
-    (Array.length g.Callgraph.defs)
-    (fun i ->
-      {
-        c_local_depth = a.a_facts.(i).f_local;
-        c_cost = a.a_cost.(i);
-        c_alloc = a.a_alloc.(i);
-        c_alloc_per_iter = a.a_per_iter.(i);
-      })
+  { a_facts = facts; a_alloc = alloc; a_per_iter = per_iter }
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                              *)

@@ -1,6 +1,6 @@
 (** Loop-cost and allocation analysis over the {!Callgraph}: the static
-    half of the hot-path campaign (ROADMAP item 1). Like {!Effect} and
-    {!Share} it is a zero-dependency heuristic over {!Srclint} tokens.
+    half of the hot-path work. Like {!Effect} and {!Share} it is a
+    zero-dependency heuristic over {!Srclint} tokens.
 
     {b Intraprocedural}: every definition body gets a per-token lexical
     loop depth — [for]/[while ... done] blocks, the argument span of
@@ -10,17 +10,19 @@
     recursive bodies ([let rec] anywhere in the body, or a self-call of
     the definition's own name) each add one level.
 
-    {b Interprocedural}: per-definition facts are propagated along call
-    sites by {!Callgraph.fixpoint} on finite lattices, so costs compose —
-    a depth-1 callee invoked from a depth-1 site makes the caller
-    depth 2, clamped at {!max_depth}:
-    - [c_cost]: loop-nest depth including callees, weighted by the
-      lexical depth of each call site;
-    - [c_alloc]: may allocate a container at all;
-    - [c_alloc_per_iter]: may allocate on every iteration of some loop
-      (a local allocation inside a loop, a call {e from} a loop to an
-      allocating function, or a call to a function that already
-      allocates per iteration).
+    The lexical depth is what [quadratic-list-op] and [rebuild-in-loop]
+    judge, and their messages print it.
+
+    {b Interprocedural}: two allocation facts are propagated along call
+    sites by {!Callgraph.fixpoint} on the boolean lattice:
+    - may allocate a container at all;
+    - may allocate on every iteration of some loop (a local allocation
+      inside a loop, a call {e from} a loop to an allocating function, or
+      a call to a function that already allocates per iteration).
+
+    [alloc-in-hot-loop] reads the second for the declared hot
+    entrypoints. No loop-nest depth is propagated across calls: no rule
+    reads one.
 
     Rules (see {!analyze}): [quadratic-list-op], [rebuild-in-loop],
     [alloc-in-hot-loop], [memo-unsafe], [cost-manifest].
@@ -32,24 +34,6 @@
     count as loops), allocation through [::]/closures/records (only
     explicit container constructors are tracked), and [for]-loop bounds,
     which are treated as inside the loop although evaluated once. *)
-
-type info = {
-  c_local_depth : int;  (** max lexical loop depth inside the own body *)
-  c_cost : int;  (** interprocedural loop-nest depth, clamped at {!max_depth} *)
-  c_alloc : bool;  (** transitively may allocate a container *)
-  c_alloc_per_iter : bool;  (** transitively may allocate per loop iteration *)
-}
-
-val max_depth : int
-(** Clamp for the cost lattice (3): beyond cubic, deeper is not more
-    interesting and the clamp keeps the fixpoint finite. *)
-
-val depths_of_string : string -> (string * int) array
-(** Tokenizes [clean]ed source and pairs each token with its lexical
-    loop depth (before clamping), for fixtures. *)
-
-val infer : Callgraph.t -> info array
-(** Per-definition cost facts at the fixpoint, indexed by [d_id]. *)
 
 val rules : Finding.rule list
 (** The cost rules, for [respctl analyze --list-rules]. *)
@@ -69,8 +53,8 @@ val analyze :
       iteration ([Hashtbl.create], [Array.make]/[make_matrix]/
       [create_float], [Buffer.create], [Bytes.create], [Queue.create],
       [Stack.create], [Array.to_list], [Array.of_list] at depth >= 1).
-    - [alloc-in-hot-loop] (warn): a declared hot entrypoint whose
-      transitive [c_alloc_per_iter] bit is set; the message carries the
+    - [alloc-in-hot-loop] (warn): a declared hot entrypoint that
+      transitively allocates per iteration; the message carries the
       shortest call chain to the definition with the per-iteration
       allocation site.
     - [memo-unsafe] (error): a declared memoized function whose

@@ -99,19 +99,12 @@ let base_of_body (body : S.tok array) =
   done;
   !e
 
-let base_of_string text = base_of_body (S.clean text).S.toks
-
 (* ------------------------------------------------------------------ *)
 (* Fixpoint                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let propagate g base =
   Callgraph.propagate g ~init:(fun i -> base.(i)) ~join:union ~equal:equal_effects
-
-let bases (g : Callgraph.t) =
-  Array.map (fun (d : Callgraph.def) -> base_of_body d.Callgraph.d_body) g.Callgraph.defs
-
-let infer g = propagate g (bases g)
 
 let witnessed g ~base eff sel i =
   Strings.min_elt_opt (sel eff.(i))
@@ -146,7 +139,7 @@ let export_modules = [ "Export"; "Harness" ]
 
 let analyze (g : Callgraph.t) =
   let defs = g.Callgraph.defs in
-  let base = bases g in
+  let base = Array.map (fun (d : Callgraph.def) -> base_of_body d.Callgraph.d_body) defs in
   let witnessed = witnessed g ~base (propagate g base) in
   let findings = ref [] in
   let add f = findings := f :: !findings in
@@ -197,12 +190,15 @@ let analyze (g : Callgraph.t) =
           defs
       end)
     g.Callgraph.vals;
-  (* dead-function: unreachable from entry points and initializers. *)
+  (* dead-function: unreachable from entry points and initializers. A
+     test stanza roots nothing: code that only its tests call is dead. *)
   let roots = ref [] in
   Array.iter
     (fun (d : Callgraph.def) ->
-      if d.Callgraph.d_entry || d.Callgraph.d_name = "()" || d.Callgraph.d_name = "_" then
-        roots := d.Callgraph.d_id :: !roots)
+      if
+        (not d.Callgraph.d_test)
+        && (d.Callgraph.d_entry || d.Callgraph.d_name = "()" || d.Callgraph.d_name = "_")
+      then roots := d.Callgraph.d_id :: !roots)
     defs;
   let live = Callgraph.reachable g ~roots:!roots in
   Array.iter

@@ -36,16 +36,9 @@ val equal_effects : effects -> effects -> bool
 val base_of_body : Srclint.tok array -> effects
 (** Base (intraprocedural) effects of one definition body. *)
 
-val base_of_string : string -> effects
-(** Tokenizes [clean]ed source text and returns its base effects; a
-    convenience wrapper over {!base_of_body} for tests. *)
-
 val propagate : Callgraph.t -> effects array -> effects array
 (** [propagate g base] is the least array [e] with
     [e.(i) ⊇ base.(i) ∪ ⋃ { e.(j) | j ∈ callees.(i) }]. *)
-
-val infer : Callgraph.t -> effects array
-(** Per-definition transitive effects, indexed by [d_id]. *)
 
 val witnessed :
   Callgraph.t -> base:effects array -> effects array -> (effects -> Strings.t) -> int ->
@@ -71,8 +64,10 @@ val analyze : Callgraph.t -> Finding.t list
     - [undocumented-raise] (warn): a public [.mli] value whose body
       {e directly} raises but whose doc comment lacks [@raise].
     - [dead-function] (warn): a library definition unreachable from every
-      entry point ([bin]/[bench]/[test]/[examples] definitions and
-      [let () = ...] initializers). *)
+      entry point: the definitions of executables ([bin]/[bench]/
+      [examples]) and every [let () = ...] initializer, except those under
+      a test stanza ({!Callgraph.def.d_test}), so a function that only its
+      tests call is dead. *)
 
 val is_io_prim : string -> bool
 (** Whether a token is one of the IO primitives the {b IO} effect tracks;

@@ -11,8 +11,6 @@ let emit r ~where message = { rule = r.id; severity = r.level; where; message }
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 
-let has_rule rule fs = List.exists (fun f -> String.equal f.rule rule) fs
-
 let severity_to_string = function Error -> "error" | Warn -> "warning"
 
 let pp ppf f =

@@ -32,9 +32,6 @@ val emit : rule -> where:string -> string -> t
 val errors : t list -> t list
 (** Only the findings with severity [Error]. *)
 
-val has_rule : string -> t list -> bool
-(** True iff some finding carries the given rule identifier. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders as [where: severity rule: message]. *)
 

@@ -41,7 +41,7 @@ let plain_ident t = is_ident t && not (String.contains t '.')
 
 (* Constructors of Eutil.Units, matched on the last path component so that
    [U.bps], [Eutil.Units.bps], and a bare [bps] under an open all count. *)
-let unit_ctors = [ "watts"; "bps"; "kbps"; "mbps"; "gbps"; "ratio"; "seconds"; "joules"; "unsafe" ]
+let unit_ctors = [ "watts"; "bps"; "mbps"; "gbps"; "ratio"; "seconds"; "unsafe" ]
 let is_unit_ctor t = is_ident t && List.mem (S.last_component t) unit_ctors
 
 let number_value t =

@@ -24,8 +24,6 @@ type root = {
   r_line : int;
 }
 
-type klass = Domain_safe | Reader | Writer
-
 type audit = {
   a_roots : root array;
   a_base_reads : Ints.t array;  (* per def: roots read directly *)
@@ -328,11 +326,6 @@ let audit (g : Callgraph.t) =
   }
 
 let roots a = a.a_roots
-
-let classify a i =
-  if not (Ints.is_empty a.a_writes.(i)) then Writer
-  else if not (Ints.is_empty a.a_reads.(i)) then Reader
-  else Domain_safe
 
 let reads a i = Ints.elements a.a_reads.(i)
 let writes a i = Ints.elements a.a_writes.(i)

@@ -11,8 +11,8 @@
     tokens in context ([x := ...], [h.f <- ...], [a.(i) <- ...],
     [Hashtbl.replace x ...], [incr x]; any use of a PRNG or lazy root
     counts as a write) and propagated through the call graph by
-    {!Callgraph.propagate}, classifying every definition on the lattice
-    [Domain_safe < Reader < Writer].
+    {!Callgraph.propagate}, giving every definition its transitive
+    {!reads} and {!writes}.
 
     A root is {e guarded} when its owning file (or the file of the
     allocating definition) uses a [Mutex]/[Atomic]/[Domain.DLS]
@@ -38,19 +38,12 @@ type root = {
   r_line : int;
 }
 
-type klass = Domain_safe | Reader | Writer
-
 type audit
 (** Roots plus per-definition base and transitive read/write sets. *)
 
 val audit : Callgraph.t -> audit
 
 val roots : audit -> root array
-
-val classify : audit -> int -> klass
-(** [classify a id] for a def id: [Writer] if the definition can
-    transitively write some root, [Reader] if it can only read,
-    [Domain_safe] otherwise. *)
 
 val reads : audit -> int -> int list
 (** Transitive root ids read by a def id (sorted). *)

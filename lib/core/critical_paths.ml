@@ -48,6 +48,3 @@ let coverage t ~top =
 
 let coverage_curve t ~max =
   List.init max (fun i -> (i + 1, coverage t ~top:(i + 1)))
-
-let distinct_paths t =
-  Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.by_pair 0

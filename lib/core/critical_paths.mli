@@ -23,6 +23,3 @@ val coverage_curve : t -> max:int -> (int * float) list
 
 val paths_of : t -> int -> int -> (Topo.Path.t * float) list
 (** A pair's observed paths with accumulated traffic, heaviest first. *)
-
-val distinct_paths : t -> int
-(** Total number of distinct (pair, path) combinations observed. *)

@@ -39,31 +39,3 @@ let vulnerable_pairs g tables =
         else None
       end)
     (Tables.entries tables)
-
-(* Interior (transit) nodes of a path; endpoint loss is not a routing
-   failure, so origins and destinations do not count. *)
-let interior_nodes g p =
-  let nodes = Topo.Path.nodes g p in
-  if Array.length nodes <= 2 then [||] else Array.sub nodes 1 (Array.length nodes - 2)
-
-let node_vulnerable_pairs g tables =
-  List.filter_map
-    (fun e ->
-      (* A pair is node-vulnerable iff some transit node lies on every
-         installed path: a chassis loss there takes out all of the pair's
-         links at once, which no per-link disjointness protects against. *)
-      let paths = Tables.paths e in
-      if Array.length paths = 0 then None
-      else begin
-        let on_all_interiors v =
-          let ok = ref true in
-          for i = 1 to Array.length paths - 1 do
-            if not (Array.exists (Int.equal v) (interior_nodes g paths.(i))) then ok := false
-          done;
-          !ok
-        in
-        if Array.exists on_all_interiors (interior_nodes g paths.(0)) then
-          Some (e.Tables.origin, e.Tables.dest)
-        else None
-      end)
-    (Tables.entries tables)

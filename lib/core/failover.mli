@@ -30,11 +30,3 @@ val vulnerable_pairs : Topo.Graph.t -> Tables.t -> (int * int) list
 (** Pairs for which a single link failure can disconnect every installed
     path — the quantity behind the paper's claim that a single failover path
     deals with the vast majority of failures. *)
-
-val node_vulnerable_pairs : Topo.Graph.t -> Tables.t -> (int * int) list
-(** Pairs for which a single transit-node (chassis) failure — all of the
-    node's links failing together — disconnects every installed path.
-    Origins and destinations are excluded: losing an endpoint is not a
-    routing failure. Always a superset-or-equal of the pairs that share a
-    transit node across all paths; link-disjoint paths through a common
-    transit node are caught here but not by {!vulnerable_pairs}. *)

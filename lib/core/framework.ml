@@ -157,7 +157,6 @@ let config_signature c =
 
 let cache : (string, Tables.t) Eutil.Memo.t = Eutil.Memo.create ~capacity:32 ()
 
-let cache_stats () = Eutil.Memo.stats cache
 let cache_clear () = Eutil.Memo.clear cache
 
 let precompute_cached ?(config = default) ?(jobs = 1) g power ~pairs =

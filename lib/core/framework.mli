@@ -58,20 +58,17 @@ val precompute_cached :
     the pair list, and the config including the
     {!Traffic.Matrix.signature} of any embedded matrix. [jobs] is not part
     of the key — tables are identical for any fan-out. Certified memo-safe
-    by the [memo-unsafe] rule of [respctl analyze --cost] (see
-    [check/analyze.json]); a raising computation (infeasible demands, invariant
-    violation) is never cached.
+    by the [memo-unsafe] rule of [respctl analyze], which reads the [cost]
+    section of [check/analyze.json]; a raising computation (infeasible
+    demands, invariant violation) is never cached.
 
     The returned tables may reference the structurally-identical graph of
     an earlier call rather than [g] itself; all identifiers coincide by the
     signature contract.
     @raise Invalid_argument as {!precompute}. *)
 
-val cache_stats : unit -> Eutil.Memo.stats
-(** Lifetime hit/miss/eviction counters of the precompute cache. *)
-
 val cache_clear : unit -> unit
-(** Drops every cached table set (counters keep counting). *)
+(** Drops every cached table set. *)
 
 type evaluation = {
   state : Topo.State.t;  (** elements carrying traffic (the rest sleep) *)

@@ -39,29 +39,13 @@ let paths e =
 let n_tables t =
   Hashtbl.fold (fun _ e acc -> max acc (Array.length (paths e))) t.table 0
 
-let state_of_paths g select t =
-  let st = Topo.State.all_off g in
+let always_on_state t =
+  let st = Topo.State.all_off t.g in
   Hashtbl.iter
     (fun _ e ->
-      List.iter
-        (fun p -> Array.iter (fun l -> Topo.State.set_link g st l true) (Topo.Path.links g p))
-        (select e))
+      Array.iter (fun l -> Topo.State.set_link t.g st l true) (Topo.Path.links t.g e.always_on))
     t.table;
   st
-
-let always_on_state t = state_of_paths t.g (fun e -> [ e.always_on ]) t
-
-let full_state t =
-  state_of_paths t.g
-    (fun e -> (e.always_on :: e.on_demand) @ Option.to_list e.failover)
-    t
-
-let level_state t level =
-  state_of_paths t.g
-    (fun e ->
-      let rec take n = function [] -> [] | x :: r -> if n <= 0 then [] else x :: take (n - 1) r in
-      e.always_on :: take level e.on_demand)
-    t
 
 let pp ppf t =
   Format.fprintf ppf "tables(%d pairs, up to %d paths each)" (Hashtbl.length t.table) (n_tables t)

@@ -35,10 +35,4 @@ val n_tables : t -> int
 val always_on_state : t -> Topo.State.t
 (** Activity state with exactly the links of the always-on paths powered. *)
 
-val full_state : t -> Topo.State.t
-(** Links of any installed path powered (the maximum REsPoNse footprint). *)
-
-val level_state : t -> int -> Topo.State.t
-(** Links of all paths up to the given activation level (0 = always-on). *)
-
 val pp : Format.formatter -> t -> unit

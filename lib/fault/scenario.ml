@@ -182,21 +182,3 @@ let random_srlgs g rng ~groups ~size =
       else
         Array.to_list (Array.sub picks lo (min size (want - lo))) |> List.sort Int.compare)
   |> List.filter (fun grp -> grp <> [])
-
-let describe g evs =
-  let name_of_link l =
-    let i, j = Topo.Graph.link_endpoints g l in
-    Printf.sprintf "%s-%s" (Topo.Graph.name g i) (Topo.Graph.name g j)
-  in
-  String.concat ""
-    (List.map
-       (fun ev ->
-         match ev with
-         | Netsim.Sim.Set_demand (t, m) ->
-             Printf.sprintf "%8.3f demand %.3e bit/s over %d pairs\n" t
-               (Traffic.Matrix.total m) (Traffic.Matrix.flow_count m)
-         | Netsim.Sim.Fail_link (t, l) ->
-             Printf.sprintf "%8.3f fail   link %d (%s)\n" t l (name_of_link l)
-         | Netsim.Sim.Repair_link (t, l) ->
-             Printf.sprintf "%8.3f repair link %d (%s)\n" t l (name_of_link l))
-       evs)

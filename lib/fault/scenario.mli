@@ -59,6 +59,3 @@ val random_srlgs :
 (** [groups] disjoint link groups of (up to) [size] links drawn without
     replacement — a stand-in for real shared-conduit data.
     @raise Invalid_argument unless [groups] and [size] are positive. *)
-
-val describe : Topo.Graph.t -> Netsim.Sim.event list -> string
-(** One line per event, for goldens and debugging. *)

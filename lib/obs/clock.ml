@@ -1,6 +1,4 @@
-let default_source = Unix.gettimeofday
-
-let source = Atomic.make default_source
+let source = Atomic.make Unix.gettimeofday
 
 (* Highest time seen so far: a source stepping backwards must not make a
    span duration negative. Maintained with a CAS loop so concurrent reads
@@ -10,8 +8,6 @@ let floor_s = Atomic.make neg_infinity
 let set_source f =
   Atomic.set source f;
   Atomic.set floor_s neg_infinity
-
-let reset_source () = set_source default_source
 
 let rec bump_floor t =
   let cur = Atomic.get floor_s in

@@ -15,6 +15,3 @@ val now_s : unit -> float
 val set_source : (unit -> float) -> unit
 (** Replace the time source (seconds). Resets the monotonic floor, so the
     new source's origin need not relate to the old one's. *)
-
-val reset_source : unit -> unit
-(** Restore the default [Unix.gettimeofday] source. *)

@@ -159,7 +159,6 @@ module Histogram = struct
 
   (* [quantile_u] assumes [h.lock] is held (or the instrument is quiescent). *)
   let quantile_u h q =
-    if q < 0.0 || q > 1.0 then invalid_arg "Obs.Metric.Histogram.quantile: q outside [0, 1]";
     if h.count = 0 then 0.0
     else begin
       let rank = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
@@ -179,8 +178,6 @@ module Histogram = struct
         walk h.low (sorted_buckets h)
       end
     end
-
-  let quantile h q = locked h (fun () -> quantile_u h q)
 
   let snapshot_u h =
     let buckets =

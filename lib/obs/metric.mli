@@ -66,12 +66,10 @@ module Histogram : sig
   val count : t -> int
   val sum : t -> float
 
-  val quantile : t -> float -> float
-  (** [quantile h q] for [q] in [0, 1]; 0 when empty. Estimates clamp to
-      the exact observed [min]/[max]. Raises [Invalid_argument] on [q]
-      outside [0, 1]. *)
-
   val snapshot : t -> Registry.histogram_snapshot
+  (** Count, sum, min, max, cumulative buckets and the 0.5, 0.9 and 0.99
+      quantile estimates (0 when empty). Estimates clamp to the exact
+      observed [min]/[max]. *)
 end
 
 module Family : sig

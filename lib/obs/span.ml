@@ -64,14 +64,6 @@ let roots () =
   Mutex.unlock completed_lock;
   r
 
-let clear () =
-  Mutex.lock completed_lock;
-  Queue.clear completed;
-  Mutex.unlock completed_lock;
-  (* Only the calling domain's open frames can be dropped; other domains'
-     stacks are theirs alone (and empty outside a live fan-out). *)
-  stack () := []
-
 let to_text () =
   let buf = Buffer.create 256 in
   let rec render indent n =

@@ -28,9 +28,6 @@ val timed : string -> (unit -> 'a) -> 'a * float
 val roots : unit -> node list
 (** Completed top-level spans, oldest first. *)
 
-val clear : unit -> unit
-(** Drop the recorded forest (and any dangling open frames). *)
-
 val max_roots : int
 (** Retention bound on completed top-level spans; beyond it the oldest root
     is dropped. *)

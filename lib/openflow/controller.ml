@@ -49,18 +49,3 @@ let program t ~splits =
     (Response.Tables.entries t.tables)
 
 let tables_installed t = Array.fold_left (fun acc tbl -> acc + Flowtable.size tbl) 0 t.switch
-
-let route t ~src ~dst ~key =
-  let rec walk node acc guard =
-    if node = dst then (match acc with [] -> None | l -> Some (Topo.Path.of_arcs t.g (List.rev l)))
-    else if guard = 0 then None
-    else begin
-      match Flowtable.lookup t.switch.(node) ~src ~dst with
-      | None -> None
-      | Some e -> (
-          match Flowtable.select e ~key with
-          | None -> None
-          | Some a -> walk (Topo.Graph.arc t.g a).Topo.Graph.dst (a :: acc) (guard - 1))
-    end
-  in
-  walk src [] (Topo.Graph.node_count t.g)

@@ -21,8 +21,3 @@ val table_of : t -> int -> Flowtable.t
 
 val tables_installed : t -> int
 (** Total number of entries across all switches (the TCAM footprint). *)
-
-val route : t -> src:int -> dst:int -> key:int -> Topo.Path.t option
-(** Data-plane walk: follow the flow tables hop by hop for a flow with the
-    given select key. [None] when some switch has no matching entry (or
-    drops). Used for verification and by the packet simulator. *)

@@ -6,19 +6,6 @@ let avoiding g ?(weight = default_weight) ?(active = fun _ -> true) ~avoid ~src 
   let active' arc = active arc && not (Hashtbl.mem banned arc.Topo.Graph.link) in
   Dijkstra.shortest_path g ~weight ~active:active' ~src ~dst ()
 
-let shared_links g p others =
-  let used = Hashtbl.create 16 in
-  List.iter (fun o -> Array.iter (fun l -> Hashtbl.replace used l ()) (Topo.Path.links g o)) others;
-  let counted = Hashtbl.create 16 in
-  Array.fold_left
-    (fun acc l ->
-      if Hashtbl.mem used l && not (Hashtbl.mem counted l) then begin
-        Hashtbl.replace counted l ();
-        acc + 1
-      end
-      else acc)
-    0 (Topo.Path.links g p)
-
 let max_disjoint g ?(weight = default_weight) ~protect ~src ~dst () =
   let protected_links = Hashtbl.create 16 in
   List.iter

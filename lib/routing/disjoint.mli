@@ -27,6 +27,3 @@ val max_disjoint :
     fully disjoint when the topology allows it, otherwise least-overlapping.
     Implemented by weighting shared links with a large additive penalty that
     dominates any real path weight. *)
-
-val shared_links : Topo.Graph.t -> Topo.Path.t -> Topo.Path.t list -> int
-(** Number of distinct undirected links the path shares with the set. *)

@@ -5,10 +5,6 @@ let invcap g =
   let ref_bw = reference_bandwidth g in
   fun arc -> ref_bw /. arc.Topo.Graph.capacity
 
-let path g ?weight ~src ~dst () =
-  let weight = match weight with Some w -> w | None -> invcap g in
-  Dijkstra.shortest_path g ~weight ~src ~dst ()
-
 let routes g ?weight ~pairs () =
   let weight = match weight with Some w -> w | None -> invcap g in
   let by_origin = Hashtbl.create 16 in

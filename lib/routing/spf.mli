@@ -5,11 +5,6 @@ val invcap : Topo.Graph.t -> Topo.Graph.arc -> float
 (** InvCap weight: reference bandwidth (the largest capacity in the topology)
     divided by the arc capacity, so a 10G link weighs 1. *)
 
-val path :
-  Topo.Graph.t -> ?weight:(Topo.Graph.arc -> float) -> src:int -> dst:int -> unit ->
-  Topo.Path.t option
-(** Shortest path under InvCap weights (or an explicit [weight]). *)
-
 val routes :
   Topo.Graph.t ->
   ?weight:(Topo.Graph.arc -> float) ->

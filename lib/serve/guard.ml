@@ -128,7 +128,6 @@ let admit t ~now =
 let enter t = Atomic.incr t.inflight
 let leave t = Atomic.decr t.inflight
 let inflight t = Atomic.get t.inflight
-let degraded t = match Atomic.get t.mode with Normal -> false | Degraded _ -> true
 
 let conn_opened t =
   if t.cfg.max_conns <= 0 then begin
@@ -153,5 +152,3 @@ let deadline t ~now =
   if t.cfg.request_budget_s <= 0.0 then Float.infinity else now +. t.cfg.request_budget_s
 
 let expired ~deadline ~now = now > deadline
-
-let remaining_s ~deadline ~now = Float.max 0.0 (deadline -. now)

@@ -57,9 +57,6 @@ val leave : t -> unit
 
 val inflight : t -> int
 
-val degraded : t -> bool
-(** Whether the guard is currently shedding (Degraded mode). *)
-
 val conn_opened : t -> bool
 (** Claim a connection slot; [false] means the cap is reached and the
     caller must close the socket without serving it. *)
@@ -80,6 +77,3 @@ val deadline : t -> now:float -> float
 (** [now + request_budget_s], or [infinity] when budgets are off. *)
 
 val expired : deadline:float -> now:float -> bool
-
-val remaining_s : deadline:float -> now:float -> float
-(** Budget left, floored at 0; [infinity] when budgets are off. *)

@@ -332,30 +332,3 @@ let request_type = function
   | Stats -> "stats"
   | Health -> "health"
   | Reload -> "reload"
-
-(* Bit equality, so NaN payloads (and signed zeros) satisfy the
-   round-trip law exactly as transmitted. *)
-let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let equal_request a b =
-  match (a, b) with
-  | Path_query x, Path_query y -> x.origin = y.origin && x.dest = y.dest
-  | Demand_update x, Demand_update y ->
-      x.origin = y.origin && x.dest = y.dest && float_eq x.bps y.bps
-  | Link_event x, Link_event y -> x.link = y.link && x.up = y.up
-  | Stats, Stats | Health, Health | Reload, Reload -> true
-  | _ -> false
-
-let equal_response a b =
-  match (a, b) with
-  | Path_reply x, Path_reply y ->
-      x.status = y.status && x.level = y.level && List.equal Int.equal x.nodes y.nodes
-  | Ack x, Ack y -> x.version = y.version
-  | Stats_reply x, Stats_reply y ->
-      x.s_version = y.s_version && x.s_swaps = y.s_swaps && x.s_served = y.s_served
-      && float_eq x.s_uptime_s y.s_uptime_s
-      && x.s_levels = y.s_levels
-      && float_eq x.s_power_percent y.s_power_percent
-  | Health_reply x, Health_reply y -> x.healthy = y.healthy && x.version = y.version
-  | Error_reply x, Error_reply y -> x.code = y.code && String.equal x.message y.message
-  | _ -> false

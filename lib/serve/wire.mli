@@ -132,9 +132,3 @@ val crc32 : string -> int32
 val request_type : request -> string
 (** Stable lowercase name ("path_query", "stats", ...), used as the
     [type] label of the serve metrics. *)
-
-val equal_request : request -> request -> bool
-(** Structural equality with NaN-tolerant float comparison (bit
-    equality), so round-trip laws hold for every encodable value. *)
-
-val equal_response : response -> response -> bool

@@ -25,9 +25,6 @@ let nodes g p =
 let latency g p =
   Array.fold_left (fun acc a -> acc +. (Graph.arc g a).Graph.latency) 0.0 p.arcs
 
-let bottleneck g p =
-  Array.fold_left (fun acc a -> min acc (Graph.arc g a).Graph.capacity) infinity p.arcs
-
 let links g p = Array.map (fun a -> (Graph.arc g a).Graph.link) p.arcs
 
 let uses_link g p l = Array.exists (fun a -> (Graph.arc g a).Graph.link = l) p.arcs
@@ -35,10 +32,6 @@ let uses_link g p l = Array.exists (fun a -> (Graph.arc g a).Graph.link = l) p.a
 let active g st p = Array.for_all (fun a -> State.arc_on g st a) p.arcs
 
 let equal a b = a.src = b.src && a.dst = b.dst && a.arcs = b.arcs
-
-let compare a b =
-  Eutil.Order.triple Int.compare Int.compare (Eutil.Order.array Int.compare) (a.src, a.dst, a.arcs)
-    (b.src, b.dst, b.arcs)
 
 let shares_link g a b =
   let la = links g a in

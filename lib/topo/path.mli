@@ -15,9 +15,6 @@ val nodes : Graph.t -> t -> int array
 val latency : Graph.t -> t -> float
 (** Sum of arc propagation latencies. *)
 
-val bottleneck : Graph.t -> t -> float
-(** Minimum arc capacity along the path; [infinity] for the empty path. *)
-
 val links : Graph.t -> t -> int array
 (** Undirected links traversed, in order. *)
 
@@ -27,8 +24,6 @@ val active : Graph.t -> State.t -> t -> bool
 (** True iff every link of the path is active. *)
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val shares_link : Graph.t -> t -> t -> bool
 (** True iff the two paths traverse at least one common undirected link. *)

@@ -59,12 +59,6 @@ let scale t factor =
       { n = t.n; rep = Sparse h' }
 
 let total t = fold_values t ~init:0.0 ~f:( +. )
-let max_demand t = fold_values t ~init:0.0 ~f:max
-
-let flow_count t =
-  match t.rep with
-  | Dense a -> Array.fold_left (fun acc x -> if x > 0.0 then acc + 1 else acc) 0 a
-  | Sparse h -> Hashtbl.fold (fun _ v acc -> if v > 0.0 then acc + 1 else acc) h 0
 
 let iter_flows t ~f =
   match t.rep with
@@ -109,13 +103,3 @@ let signature t =
   Buffer.add_string b (string_of_int t.n);
   iter_flows t ~f:(fun o d v -> Buffer.add_string b (Printf.sprintf "|%d,%d:%h" o d v));
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let equal a b =
-  a.n = b.n
-  &&
-  match (a.rep, b.rep) with
-  | Dense x, Dense y -> x = y
-  | _ ->
-      (* Mixed or sparse: compare positive entries both ways. *)
-      let sub x y = fold_flows x ~init:true ~f:(fun acc o d v -> acc && get y o d = v) in
-      sub a b && sub b a

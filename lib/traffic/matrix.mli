@@ -22,11 +22,6 @@ val scale : t -> float -> t
 val total : t -> float
 (** Sum of all demands. *)
 
-val max_demand : t -> float
-
-val flow_count : t -> int
-(** Number of strictly positive demands. *)
-
 val iter_flows : t -> f:(int -> int -> float -> unit) -> unit
 (** Iterates over strictly positive demands, in (origin, destination) order. *)
 
@@ -52,8 +47,6 @@ val uniform : int -> pairs:(int * int) list -> demand:float -> t
 
 val pairs : t -> (int * int) list
 (** Origin-destination pairs with positive demand. *)
-
-val equal : t -> t -> bool
 
 val signature : t -> string
 (** Digest of the matrix size and every positive demand (hex float, exact).

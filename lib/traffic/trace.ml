@@ -11,12 +11,6 @@ let time_of t i = t.start +. (float_of_int i *. t.interval)
 
 let iter t ~f = Array.iteri (fun i tm -> f i (time_of t i) tm) t.tms
 
-let subsample t ~every =
-  if every <= 0 then invalid_arg "Trace.subsample";
-  let n = (length t + every - 1) / every in
-  let tms = Array.init n (fun i -> t.tms.(i * every)) in
-  { start = t.start; interval = t.interval *. float_of_int every; tms }
-
 let peak t =
   let n = Matrix.size t.tms.(0) in
   let acc = Matrix.create n in

@@ -16,10 +16,6 @@ val time_of : t -> int -> float
 val iter : t -> f:(int -> float -> Matrix.t -> unit) -> unit
 (** [f index time tm] for each interval. *)
 
-val subsample : t -> every:int -> t
-(** Keeps one interval in [every]; the interval length scales accordingly.
-    @raise Invalid_argument if [every] is not positive. *)
-
 val peak : t -> Matrix.t
 (** Element-wise envelope: per-OD maximum across the trace — the peak-hour
     estimate used to compute on-demand paths with traffic knowledge. *)

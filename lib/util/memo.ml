@@ -15,13 +15,8 @@ type ('k, 'v) t = {
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable front : ('k, 'v) node option;
   mutable back : ('k, 'v) node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
   lock : Mutex.t;
 }
-
-type stats = { hits : int; misses : int; evictions : int }
 
 let create ?(capacity = 128) () =
   if capacity < 1 then invalid_arg "Memo.create: capacity >= 1";
@@ -30,9 +25,6 @@ let create ?(capacity = 128) () =
     tbl = Hashtbl.create (min capacity 64);
     front = None;
     back = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
     lock = Mutex.create ();
   }
 
@@ -66,8 +58,7 @@ let evict_over_capacity t =
     | None -> assert false (* length > cap >= 1 implies a back node *)
     | Some n ->
         unlink t n;
-        Hashtbl.remove t.tbl n.key;
-        t.evictions <- t.evictions + 1
+        Hashtbl.remove t.tbl n.key
   done
 
 let insert t k v =
@@ -88,12 +79,9 @@ let find_or_add t k ~compute =
     locked t (fun () ->
         match Hashtbl.find_opt t.tbl k with
         | Some n ->
-            t.hits <- t.hits + 1;
             touch t n;
             Some n.value
-        | None ->
-            t.misses <- t.misses + 1;
-            None)
+        | None -> None)
   in
   match cached with
   | Some v -> v
@@ -102,15 +90,8 @@ let find_or_add t k ~compute =
       locked t (fun () -> insert t k v);
       v
 
-let mem t k = locked t (fun () -> Hashtbl.mem t.tbl k)
-
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
-
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
       t.front <- None;
       t.back <- None)
-
-let stats t =
-  locked t (fun () -> { hits = t.hits; misses = t.misses; evictions = t.evictions })

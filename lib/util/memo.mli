@@ -7,8 +7,9 @@
     across domains (and keeping {!Check.Share}'s guard discipline happy
     for the global caches registered in [lib/core]).
 
-    Registration contract: a function may only be wrapped when
-    [respctl analyze --cost] certifies it memo-safe — transitively free of
+    Registration contract: a function may only be wrapped when it is
+    listed under [memo] in the [cost] section of [check/analyze.json] and
+    [respctl analyze] certifies it memo-safe — transitively free of
     nondeterminism, IO and partiality, with no direct raise in its own
     body (the [memo-unsafe] rule). The cache itself upholds the matching
     runtime half of the contract: [compute] runs {e outside} the lock and
@@ -16,8 +17,6 @@
     replayed as a stale success. *)
 
 type ('k, 'v) t
-
-type stats = { hits : int; misses : int; evictions : int }
 
 val create : ?capacity:int -> unit -> ('k, 'v) t
 (** A fresh cache holding at most [capacity] entries (default 128).
@@ -31,14 +30,5 @@ val find_or_add : ('k, 'v) t -> 'k -> compute:('k -> 'v) -> 'v
     compute and the later insert wins (the results are equal for a
     certified-pure [compute]). *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Whether a key is currently cached (does not touch LRU order). *)
-
-val length : ('k, 'v) t -> int
-(** Number of live entries, always [<= capacity]. *)
-
 val clear : ('k, 'v) t -> unit
-(** Drops every entry; the hit/miss/eviction counters keep counting. *)
-
-val stats : ('k, 'v) t -> stats
-(** Lifetime hit/miss/eviction counts. *)
+(** Drops every entry. *)

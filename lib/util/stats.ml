@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stdev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-    sqrt (acc /. float_of_int n)
-  end
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty";

@@ -3,9 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for an empty array. *)
 
-val stdev : float array -> float
-(** Population standard deviation; 0 for fewer than two samples. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], linear interpolation between order
     statistics. The input array is not modified.

@@ -19,14 +19,12 @@ let watts x = check "watts" x
 let bps x = check "bps" x
 let ratio x = check "ratio" x
 let seconds x = check "seconds" x
-let joules x = check "joules" x
 let unsafe x = x
 
 let kilo = 1e3
 let mega = 1e6
 let giga = 1e9
 
-let kbps x = check "kbps" (x *. kilo)
 let mbps x = check "mbps" (x *. mega)
 let gbps x = check "gbps" (x *. giga)
 
@@ -36,7 +34,6 @@ let percent r = 100.0 *. r
 let zero = 0.0
 
 let ( +: ) a b = a +. b
-let ( -: ) a b = a -. b
 let ( *: ) r x = r *. x
 
 let ( /: ) a b =
@@ -51,5 +48,3 @@ let scale f x = check "scale" (f *. x)
 
 let compare_q a b = Float.compare a b
 let min_q a b = if Float.compare a b <= 0 then a else b
-let max_q a b = if Float.compare a b >= 0 then a else b
-let is_zero x = x = 0.0

@@ -30,7 +30,6 @@ val watts : float -> watts q
 val bps : float -> bps q
 val ratio : float -> ratio q
 val seconds : float -> seconds q
-val joules : float -> joules q
 
 val unsafe : float -> 'dim q
 (** Unchecked injection with a caller-chosen dimension. For tests that forge
@@ -43,7 +42,6 @@ val kilo : float
 val mega : float
 val giga : float
 
-val kbps : float -> bps q
 val mbps : float -> bps q
 val gbps : float -> bps q
 
@@ -62,7 +60,6 @@ val percent : ratio q -> float
 val zero : 'dim q
 
 val ( +: ) : 'dim q -> 'dim q -> 'dim q
-val ( -: ) : 'dim q -> 'dim q -> 'dim q
 
 val ( *: ) : ratio q -> 'dim q -> 'dim q
 (** Scaling by a dimensionless ratio preserves the dimension. *)
@@ -86,5 +83,3 @@ val scale : float -> 'dim q -> 'dim q
 
 val compare_q : 'dim q -> 'dim q -> int
 val min_q : 'dim q -> 'dim q -> 'dim q
-val max_q : 'dim q -> 'dim q -> 'dim q
-val is_zero : 'dim q -> bool

@@ -35,6 +35,11 @@ let fig3_tables () =
   in
   (ex, Response.Tables.make g entries)
 
+(* Table sets [Framework.precompute] has built while observability was
+   on: a precompute memo miss moves it, a hit does not. *)
+let precomputes () =
+  Option.value (Obs.Registry.value Obs.Registry.default "core_precomputes_total") ~default:0.0
+
 let link_between g i j = (G.arc g (Option.get (G.find_arc g i j))).G.link
 
 (* Demand matrix for the Figure 7 workload: A and C each send 2.5 Mbit/s
@@ -45,3 +50,42 @@ let fig7_demand ex =
   Traffic.Matrix.set m ex.Topo.Example.a ex.Topo.Example.k 2.5e6;
   Traffic.Matrix.set m ex.Topo.Example.c ex.Topo.Example.k 2.5e6;
   m
+
+(* Tiny topologies used across the test suites. *)
+
+let triangle ?(capacity = 1e9) ?(latency = 1e-3) () =
+  let b = G.Builder.create () in
+  let n0 = G.Builder.add_node b "n0" in
+  let n1 = G.Builder.add_node b "n1" in
+  let n2 = G.Builder.add_node b "n2" in
+  ignore (G.Builder.add_link b ~capacity ~latency n0 n1);
+  ignore (G.Builder.add_link b ~capacity ~latency n1 n2);
+  ignore (G.Builder.add_link b ~capacity ~latency n0 n2);
+  G.Builder.build b
+
+let gig = Eutil.Units.to_float (Eutil.Units.gbps 1.0)
+
+(* 4-cycle n0-n1-n2-n3 plus chord n0-n2; useful for path-diversity tests. *)
+let square_with_diagonal () =
+  let b = G.Builder.create () in
+  let n = Array.init 4 (fun i -> G.Builder.add_node b (Printf.sprintf "n%d" i)) in
+  let link x y = ignore (G.Builder.add_link b ~capacity:gig ~latency:1e-3 x y) in
+  link n.(0) n.(1);
+  link n.(1) n.(2);
+  link n.(2) n.(3);
+  link n.(3) n.(0);
+  link n.(0) n.(2);
+  G.Builder.build b
+
+let line n_nodes =
+  let b = G.Builder.create () in
+  let n = Array.init n_nodes (fun i -> G.Builder.add_node b (Printf.sprintf "n%d" i)) in
+  for i = 0 to n_nodes - 2 do
+    ignore (G.Builder.add_link b ~capacity:gig ~latency:1e-3 n.(i) n.(i + 1))
+  done;
+  G.Builder.build b
+
+(* A total order on paths, for counting distinct ones with sort_uniq. *)
+let path_compare (a : Path.t) (b : Path.t) =
+  Eutil.Order.triple Int.compare Int.compare (Eutil.Order.array Int.compare)
+    (a.Path.src, a.Path.dst, a.Path.arcs) (b.Path.src, b.Path.dst, b.Path.arcs)

@@ -96,7 +96,7 @@ let test_web_file_sizes_deterministic () =
 let test_web_latency_components () =
   (* On a single 1 ms 1G link, a small file's latency is dominated by RTTs +
      server time. *)
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let p = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:1 ()) in
   let cfg = { Appsim.Web.default with requests = 200 } in
   let r =
@@ -110,7 +110,7 @@ let test_web_latency_components () =
 let test_web_longer_paths_cost_more () =
   (* The REsPoNse-lat vs InvCap comparison shape: a 3-hop path is slower than
      the 1-hop path for the same workload. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let direct = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:2 ()) in
   let detour = Option.get (Routing.Disjoint.max_disjoint g ~protect:[ direct ] ~src:0 ~dst:2 ()) in
   let cfg = { Appsim.Web.default with requests = 500 } in
@@ -120,7 +120,7 @@ let test_web_longer_paths_cost_more () =
   Alcotest.(check bool) (Printf.sprintf "increase %.0f%%" increase) true (increase > 0.0)
 
 let test_web_background_util_slows_transfer () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let p = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:1 ()) in
   let cfg = { Appsim.Web.default with requests = 300; median_size = 5e6 } in
   let free = Appsim.Web.run g ~path_of:(fun _ -> Some p) ~background_util:(fun _ -> 0.0) ~clients:[ 1 ] cfg in

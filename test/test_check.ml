@@ -10,12 +10,13 @@ module Graph = Topo.Graph
 module Path = Topo.Path
 
 let rule_ids fs = List.sort_uniq String.compare (List.map (fun f -> f.F.rule) fs)
+let has_rule rule fs = List.exists (fun f -> String.equal f.F.rule rule) fs
 let rule_ids_of rules = List.map (fun (r : F.rule) -> r.F.id) rules
 
 let lint src = Lint.lint ~file:"fixture.ml" (Lint.clean src)
 
 let fires rule src =
-  Alcotest.(check bool) (rule ^ " fires") true (F.has_rule rule (lint src))
+  Alcotest.(check bool) (rule ^ " fires") true (has_rule rule (lint src))
 
 let lints_clean name src =
   Alcotest.(check (list string)) (name ^ " is clean") [] (rule_ids (lint src))
@@ -80,7 +81,7 @@ let test_report_formats () =
   let fs = lint "let x = Obj.magic y\n" in
   let txt = F.render fs in
   Alcotest.(check bool) "text mentions rule" true
-    (String.length txt > 0 && F.has_rule "obj-magic" fs);
+    (String.length txt > 0 && has_rule "obj-magic" fs);
   let json = String.trim (F.to_json fs) in
   Alcotest.(check bool) "json array" true
     (String.length json >= 2 && json.[0] = '[' && json.[String.length json - 1] = ']')
@@ -128,7 +129,7 @@ let test_lexer_attributes () =
 let analyze ?(file = "fixture.ml") src = Check.Flow.analyze ~file (Lint.clean src)
 
 let flow_fires rule src =
-  Alcotest.(check bool) (rule ^ " fires") true (F.has_rule rule (analyze src))
+  Alcotest.(check bool) (rule ^ " fires") true (has_rule rule (analyze src))
 
 let flow_clean name src =
   Alcotest.(check (list string)) (name ^ " is clean") [] (rule_ids (analyze src))
@@ -227,7 +228,7 @@ let p_adk () =
       arc ex.Topo.Example.d ex.Topo.Example.g;
       arc ex.Topo.Example.g ex.Topo.Example.k ]
 
-let has rule fs = Alcotest.(check bool) (rule ^ " fires") true (F.has_rule rule fs)
+let has rule fs = Alcotest.(check bool) (rule ^ " fires") true (has_rule rule fs)
 
 let no_findings name fs = Alcotest.(check (list string)) (name ^ " is clean") [] (rule_ids fs)
 
@@ -355,7 +356,10 @@ module Cg = Check.Callgraph
 module Eff = Check.Effect
 
 let src ?(entry = false) ~lib file text =
-  { Cg.sc_file = file; Cg.sc_library = lib; Cg.sc_entry = entry; Cg.sc_text = text }
+  { Cg.sc_file = file; sc_library = lib; sc_entry = entry; sc_test = false; sc_text = text }
+
+let find_def g ~module_ ~name =
+  Array.find_opt (fun d -> d.Cg.d_module = module_ && d.Cg.d_name = name) g.Cg.defs
 
 (* A two-library fixture with a known call graph: [helper] is private and
    partial, [top] reaches it, [safe] is total and never called. *)
@@ -383,16 +387,16 @@ let test_cg_defs () =
     "all toplevel defs found"
     [ "A.helper"; "A.safe"; "A.top"; "B.use"; "Main.()" ]
     names;
-  let helper = Option.get (Cg.find_def g ~module_:"A" ~name:"helper") in
-  let top = Option.get (Cg.find_def g ~module_:"A" ~name:"top") in
+  let helper = Option.get (find_def g ~module_:"A" ~name:"helper") in
+  let top = Option.get (find_def g ~module_:"A" ~name:"top") in
   Alcotest.(check bool) "helper hidden by mli" false helper.Cg.d_public;
   Alcotest.(check bool) "top exported by mli" true top.Cg.d_public;
   Alcotest.(check bool) "entry flagged" true
-    (Option.get (Cg.find_def g ~module_:"Main" ~name:"()")).Cg.d_entry
+    (Option.get (find_def g ~module_:"Main" ~name:"()")).Cg.d_entry
 
 let test_cg_edges () =
   let g = fixture () in
-  let id m n = (Option.get (Cg.find_def g ~module_:m ~name:n)).Cg.d_id in
+  let id m n = (Option.get (find_def g ~module_:m ~name:n)).Cg.d_id in
   Alcotest.(check (list int)) "top calls helper" [ id "A" "helper" ] g.Cg.callees.(id "A" "top");
   Alcotest.(check (list int)) "use resolves cross-library A.top" [ id "A" "top" ]
     g.Cg.callees.(id "B" "use");
@@ -420,8 +424,8 @@ let test_cg_submodule_and_alias () =
           "module D = Deep\n\nlet go x = D.Builder.make x\n";
       ]
   in
-  let mk = Option.get (Cg.find_def g ~module_:"Deep.Builder" ~name:"make") in
-  let go = Option.get (Cg.find_def g ~module_:"Client" ~name:"go") in
+  let mk = Option.get (find_def g ~module_:"Deep.Builder" ~name:"make") in
+  let go = Option.get (find_def g ~module_:"Client" ~name:"go") in
   Alcotest.(check (list int)) "alias + submodule resolve" [ mk.Cg.d_id ] g.Cg.callees.(go.Cg.d_id)
 
 let test_cg_raise_doc () =
@@ -439,7 +443,7 @@ let test_cg_raise_doc () =
   Alcotest.(check bool) "boom documented" true (Option.get (doc "boom")).Cg.v_raise_doc;
   Alcotest.(check bool) "quiet undocumented" false (Option.get (doc "quiet")).Cg.v_raise_doc
 
-let effect_of s = Eff.base_of_string s
+let effect_of s = Eff.base_of_body (Lint.clean s).Lint.toks
 let strings l = Eff.Strings.of_list l
 
 let test_effect_base () =
@@ -472,8 +476,8 @@ let test_effect_sorted_fold () =
 
 let test_effect_fixpoint_transitive () =
   let g = fixture () in
-  let eff = Eff.infer g in
-  let id m n = (Option.get (Cg.find_def g ~module_:m ~name:n)).Cg.d_id in
+  let eff = Eff.propagate g (Array.map (fun d -> Eff.base_of_body d.Cg.d_body) g.Cg.defs) in
+  let id m n = (Option.get (find_def g ~module_:m ~name:n)).Cg.d_id in
   Alcotest.(check bool) "partial propagates to entry" true
     (Eff.Strings.mem "List.hd" eff.(id "Main" "()").Eff.partial);
   Alcotest.(check bool) "safe stays clean" true (Eff.equal_effects eff.(id "A" "safe") Eff.empty)
@@ -503,7 +507,7 @@ let test_effect_nondet_export_rule () =
       ]
   in
   Alcotest.(check bool) "unsorted export flagged" true
-    (F.has_rule "nondet-export" (Eff.analyze bad));
+    (has_rule "nondet-export" (Eff.analyze bad));
   let good =
     Cg.build_sources
       [
@@ -515,7 +519,7 @@ let test_effect_nondet_export_rule () =
       ]
   in
   Alcotest.(check bool) "sorted export clean" false
-    (F.has_rule "nondet-export" (Eff.analyze good))
+    (has_rule "nondet-export" (Eff.analyze good))
 
 let test_effect_undocumented_raise_rule () =
   (* [todo] mentions @raise only in a plain comment, which documents
@@ -539,9 +543,64 @@ let test_effect_undocumented_raise_rule () =
   Alcotest.(check (list string))
     "only the undocumented vals" [ "alib/r.mli:5"; "alib/r.mli:8" ] hits
 
+(* The dead-function roots, on a tree laid out like the repository's: a
+   library, an executable and a test stanza, walked as [respctl analyze
+   lib --entries bin --entries test] walks them. The tests call all three
+   library functions, the executable only [shared]: a test stanza roots
+   nothing, whether the call sits in a function or in [let () =], yet the
+   lint and doc passes still check the test tree. *)
+let test_effect_test_stanzas_root_nothing () =
+  let root = Filename.temp_dir "roots" "" in
+  let files =
+    [
+      ("lib/dune", "(library\n (name rlib))\n");
+      ("lib/util.ml", "let shared x = x + 1\n\nlet helper x = x * 2\n\nlet setup x = x - 1\n");
+      ("bin/dune", "(executable\n (name main)\n (libraries rlib))\n");
+      ("bin/main.ml", "let () = print_int (Util.shared 1)\n");
+      ("test/dune", "(tests\n (names t)\n (libraries rlib))\n");
+      ( "test/t.ml",
+        "let check () = Util.shared (Util.helper 2)\n\n\
+         (** Raw lookup.\n    @raises Not_found when absent. *)\n\
+         let find h k = Hashtbl.find h k\n\n\
+         let () = print_int (check () + Util.setup 3)\n" );
+    ]
+  in
+  let path rel = Filename.concat root rel in
+  List.iter (fun d -> Sys.mkdir (path d) 0o755) [ "lib"; "bin"; "test" ];
+  List.iter
+    (fun (rel, text) -> Out_channel.with_open_bin (path rel) (fun oc -> output_string oc text))
+    files;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (rel, _) -> Sys.remove (path rel)) files;
+      List.iter (fun d -> Sys.rmdir (path d)) [ "lib"; "bin"; "test"; "" ])
+    (fun () ->
+      let g = Cg.build ~entries:[ path "bin"; path "test" ] [ path "lib" ] in
+      let dead =
+        List.filter (fun f -> f.F.rule = "dead-function") (Eff.analyze g)
+        |> List.map (fun f -> f.F.message)
+      in
+      Alcotest.(check (list string))
+        "only the test-only functions are dead"
+        [ "Util.helper is unreachable from every entry point";
+          "Util.setup is unreachable from every entry point" ]
+        dead;
+      let wheres rule fs =
+        List.filter_map (fun f -> if f.F.rule = rule then Some f.F.where else None) fs
+      in
+      (* Lint findings carry a column, doc findings do not. *)
+      Alcotest.(check (list string)) "the test tree is still linted"
+        [ path "test/t.ml" ^ ":5" ]
+        (wheres "hashtbl-find" (Cg.per_file g Lint.lint)
+        |> List.map (fun w -> String.sub w 0 (String.rindex w ':')));
+      Alcotest.(check (list string)) "and doc-checked"
+        [ path "test/t.ml" ^ ":4" ]
+        (wheres "doc-unknown-tag" (Cg.per_file g Check.Doc.check)))
+
 (* Monotonicity of the shared solver: adding one edge to a random graph
-   never shrinks any summary, on Effect's union lattice and on Cost's
-   clamped-max loop-depth lattice (edges weighted by call-site depth). *)
+   never shrinks any summary, on Effect's union lattice and on a
+   clamped-max depth lattice whose edges are weighted by call-site depth
+   (the shape a loop-nest summary would take). *)
 let prop_fixpoint_monotone =
   let n = 8 in
   let base_of_seed st i =
@@ -553,7 +612,7 @@ let prop_fixpoint_monotone =
       Eff.io = bit 3;
     }
   in
-  let clamp v = min v Check.Cost.max_depth in
+  let clamp v = min v 3 in
   QCheck.Test.make ~name:"effect fixpoint is monotone in the edge set" ~count:200
     QCheck.(triple (int_bound ((1 lsl 30) - 1)) (int_bound ((1 lsl 30) - 1)) (pair (int_bound (n - 1)) (int_bound (n - 1))))
     (fun (bseed, eseed, (extra_src, extra_dst)) ->
@@ -644,7 +703,7 @@ let test_cg_attributed_defs () =
            let use x = double (count x)\n";
       ]
   in
-  let id n = (Option.get (Cg.find_def g ~module_:"Att" ~name:n)).Cg.d_id in
+  let id n = (Option.get (find_def g ~module_:"Att" ~name:n)).Cg.d_id in
   Alcotest.(check (list int))
     "use calls both attributed defs"
     (List.sort Int.compare [ id "double"; id "count" ])
@@ -707,23 +766,30 @@ let test_share_roots () =
   (* Functions never become roots, only value bindings do. *)
   Alcotest.(check int) "exactly three roots" 3 (Array.length (Sh.roots a))
 
+(* The lattice Domain_safe < Reader < Writer over a def's transitive root
+   sets: Writer if it can write some root, Reader if it can only read. *)
+type klass = Domain_safe | Reader | Writer
+
+let classify a i =
+  if Sh.writes a i <> [] then Writer else if Sh.reads a i <> [] then Reader else Domain_safe
+
 let test_share_classify () =
   let g = share_fixture () in
   let a = Sh.audit g in
-  let id m n = (Option.get (Cg.find_def g ~module_:m ~name:n)).Cg.d_id in
-  Alcotest.(check bool) "bump writes" true (Sh.classify a (id "Store" "bump") = Sh.Writer);
+  let id m n = (Option.get (find_def g ~module_:m ~name:n)).Cg.d_id in
+  Alcotest.(check bool) "bump writes" true (classify a (id "Store" "bump") = Writer);
   Alcotest.(check bool) "tick writes transitively" true
-    (Sh.classify a (id "Store" "tick") = Sh.Writer);
-  Alcotest.(check bool) "peek only reads" true (Sh.classify a (id "Store" "peek") = Sh.Reader);
+    (classify a (id "Store" "tick") = Writer);
+  Alcotest.(check bool) "peek only reads" true (classify a (id "Store" "peek") = Reader);
   Alcotest.(check bool) "pure is domain-safe" true
-    (Sh.classify a (id "Store" "pure") = Sh.Domain_safe);
+    (classify a (id "Store" "pure") = Domain_safe);
   Alcotest.(check bool) "draw writes its stream" true
-    (Sh.classify a (id "Draw" "draw") = Sh.Writer);
+    (classify a (id "Draw" "draw") = Writer);
   Alcotest.(check bool) "the entry point writes everything" true
-    (Sh.classify a (id "Smain" "()") = Sh.Writer);
+    (classify a (id "Smain" "()") = Writer);
   (* The counter's own initialiser is neither a read nor a write. *)
   Alcotest.(check bool) "the binding itself is safe" true
-    (Sh.classify a (id "Store" "count") = Sh.Domain_safe);
+    (classify a (id "Store" "count") = Domain_safe);
   let count = (share_root a "Store.count").Sh.r_id in
   let stream = (share_root a "Draw.stream").Sh.r_id in
   Alcotest.(check (list int)) "bump's write set" [ count ] (Sh.writes a (id "Store" "bump"));
@@ -876,20 +942,26 @@ module Co = Check.Cost
 let cost_rule ?manifest rule sources =
   List.filter (fun f -> f.F.rule = rule) (Co.analyze ?manifest (Cg.build_sources sources))
 
-let depth_of text tok =
-  match Array.to_list (Co.depths_of_string text) |> List.filter (fun (t, _) -> t = tok) with
-  | (_, dep) :: _ -> dep
-  | [] -> Alcotest.fail ("token not found: " ^ tok)
+(* The lexical loop depth of the one [@] in a definition, as the
+   [quadratic-list-op] message prints it; 0 when the rule stays silent,
+   which it does outside every loop. *)
+let append_depth def =
+  match cost_rule "quadratic-list-op" [ src ~lib:"clib" "clib/c.ml" (def ^ "\n") ] with
+  | [] -> 0
+  | [ f ] -> Scanf.sscanf f.F.message "%s at loop depth %d" (fun _ d -> d)
+  | fs -> Alcotest.failf "expected at most 1 quadratic finding, got %d" (List.length fs)
 
 let test_cost_depths () =
-  Alcotest.(check int) "for body" 1 (depth_of "for i = 0 to 9 do work i done" "work");
-  Alcotest.(check int) "after done" 0 (depth_of "for i = 0 to 9 do step i done; total" "total");
-  Alcotest.(check int) "hof span" 1 (depth_of "List.iter (fun x -> work x) xs" "work");
-  Alcotest.(check int) "after in" 0 (depth_of "let ys = List.map f xs in total ys" "total");
+  Alcotest.(check int) "for body" 1 (append_depth "let f xs = for i = 0 to 9 do work (xs @ i) done");
+  Alcotest.(check int) "after done" 0
+    (append_depth "let f xs = for i = 0 to 9 do step i done; xs @ xs");
+  Alcotest.(check int) "hof span" 1 (append_depth "let f xs = List.iter (fun x -> work (x @ xs)) xs");
+  Alcotest.(check int) "after in" 0 (append_depth "let f xs = let ys = List.map g xs in ys @ xs");
   Alcotest.(check int) "nested hofs" 2
-    (depth_of "List.iter (fun x -> List.iter (fun y -> work y) ys) xs" "work");
-  Alcotest.(check int) "rec body" 1 (depth_of "let rec loop x = work (loop x)" "work");
-  Alcotest.(check int) "scalar module map" 0 (depth_of "Option.map (fun x -> work x) o" "work")
+    (append_depth "let f xs ys = List.iter (fun x -> List.iter (fun y -> work (y @ x)) ys) xs");
+  Alcotest.(check int) "rec body" 1 (append_depth "let rec loop x = work (loop (x @ x))");
+  Alcotest.(check int) "scalar module map" 0
+    (append_depth "let f o ys = Option.map (fun x -> x @ ys) o")
 
 let test_cost_quadratic_rule () =
   let bad = [ src ~lib:"clib" "clib/c.ml" "let join xs ys = List.map (fun x -> x @ ys) xs\n" ] in
@@ -1003,33 +1075,31 @@ let test_cost_manifest_rule () =
         (contains_sub f.F.message "Nope.nothing")
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 unresolved error, got %d" (List.length fs))
 
+(* Per-iteration allocation as [alloc-in-hot-loop] reports it: [fresh]
+   allocates once per call, [per_row] calls it from inside a loop, and
+   [outer] inherits that through a plain call. *)
 let test_cost_infer_propagation () =
-  let cg =
-    Cg.build_sources
-      [
-        src ~lib:"clib" "clib/m.ml"
-          "let fresh n = Array.make n 0\n\
-           let per_row rows = List.map (fun n -> fresh n) rows\n\
-           let flat xs = List.concat xs\n";
-      ]
+  let sources =
+    [
+      src ~lib:"clib" "clib/m.ml"
+        "let fresh n = Array.make n 0\n\
+         let per_row rows = List.map (fun n -> fresh n) rows\n\
+         let outer rows = per_row rows\n\
+         let flat xs = List.concat xs\n";
+    ]
   in
-  let infos = Co.infer cg in
-  let info_of name =
-    match
-      Array.to_list (Array.mapi (fun i d -> (d, infos.(i))) cg.Cg.defs)
-      |> List.filter (fun ((d : Cg.def), _) -> d.Cg.d_name = name)
-    with
-    | (_, info) :: _ -> info
-    | [] -> Alcotest.fail ("def not found: " ^ name)
+  let hot name =
+    cost_rule ~manifest:[ ("hot", [ name ]) ] "alloc-in-hot-loop" sources
+    |> List.map (fun f -> f.F.message)
   in
-  let fresh = info_of "fresh" in
-  Alcotest.(check bool) "fresh allocates" true fresh.Co.c_alloc;
-  Alcotest.(check bool) "fresh not per-iteration by itself" false fresh.Co.c_alloc_per_iter;
-  Alcotest.(check int) "fresh has no loops" 0 fresh.Co.c_local_depth;
-  let per_row = info_of "per_row" in
-  Alcotest.(check int) "per_row loops once" 1 per_row.Co.c_local_depth;
-  Alcotest.(check bool) "allocation inside the loop propagates" true per_row.Co.c_alloc_per_iter;
-  Alcotest.(check bool) "cost reaches depth 1" true (per_row.Co.c_cost >= 1)
+  Alcotest.(check (list string)) "fresh not per-iteration by itself" [] (hot "M.fresh");
+  Alcotest.(check (list string)) "a loop without allocation is silent" [] (hot "M.flat");
+  Alcotest.(check (list string)) "allocation inside the loop propagates"
+    [ "hot entrypoint M.per_row allocates per iteration (via M.per_row)" ]
+    (hot "M.per_row");
+  Alcotest.(check (list string)) "and on through a caller"
+    [ "hot entrypoint M.outer allocates per iteration (via M.outer -> M.per_row)" ]
+    (hot "M.outer")
 
 let test_cost_rules_catalogue () =
   Alcotest.(check (list string)) "rule ids"
@@ -1116,9 +1186,9 @@ let test_cg_closure_args () =
            let ( >>= ) m f = f m\n";
       ]
   in
-  let id n = (Option.get (Cg.find_def g ~module_:"W" ~name:n)).Cg.d_id in
-  let run_def = Option.get (Cg.find_def g ~module_:"W" ~name:"run") in
-  let go_def = Option.get (Cg.find_def g ~module_:"W" ~name:"go") in
+  let id n = (Option.get (find_def g ~module_:"W" ~name:n)).Cg.d_id in
+  let run_def = Option.get (find_def g ~module_:"W" ~name:"run") in
+  let go_def = Option.get (find_def g ~module_:"W" ~name:"go") in
   Alcotest.(check (list string)) "run's params" [ "f" ] (Cg.def_params run_def);
   Alcotest.(check bool) "run applies its param" true (Cg.applies_params run_def);
   Alcotest.(check bool) "go applies nothing" false (Cg.applies_params go_def);
@@ -1159,7 +1229,7 @@ let test_cg_arg_span () =
           "let other () = 1\n\nlet go () = run ( task 1 ) ; other ()\n";
       ]
   in
-  let d = Option.get (Cg.find_def g ~module_:"Sp" ~name:"go") in
+  let d = Option.get (find_def g ~module_:"Sp" ~name:"go") in
   let body = d.Cg.d_body in
   let idx t =
     let r = ref (-1) in
@@ -1320,13 +1390,13 @@ let test_lock_blocking_via_wrapper () =
       ]
   in
   Alcotest.(check bool) "closure body scanned under the wrapper's lock" true
-    (F.has_rule "blocking-under-lock" fs);
-  Alcotest.(check bool) "no spurious cycle" false (F.has_rule "lock-order-cycle" fs)
+    (has_rule "blocking-under-lock" fs);
+  Alcotest.(check bool) "no spurious cycle" false (has_rule "lock-order-cycle" fs)
 
 (* Atomic read-modify-write discipline. *)
 let test_lock_atomic_rmw () =
   let fires txt =
-    F.has_rule "atomic-rmw" (lock_findings [ src ~lib:"alib" "alib/at.ml" txt ])
+    has_rule "atomic-rmw" (lock_findings [ src ~lib:"alib" "alib/at.ml" txt ])
   in
   Alcotest.(check bool) "inline get-then-set fires" true
     (fires "let c = Atomic.make 0\n\nlet bump () = Atomic.set c (Atomic.get c + 1)\n");
@@ -1465,6 +1535,8 @@ let () =
           Alcotest.test_case "rules on fixture" `Quick test_effect_rules_fire;
           Alcotest.test_case "nondet-export rule" `Quick test_effect_nondet_export_rule;
           Alcotest.test_case "undocumented-raise rule" `Quick test_effect_undocumented_raise_rule;
+          Alcotest.test_case "test stanzas root nothing" `Quick
+            test_effect_test_stanzas_root_nothing;
           QCheck_alcotest.to_alcotest prop_fixpoint_monotone;
         ] );
       ( "budget",

@@ -6,6 +6,24 @@ module G = Topo.Graph
 module Path = Topo.Path
 module FT = Openflow.Flowtable
 
+(* Data-plane walk: follow the controller's flow tables hop by hop for a
+   flow with the given select key. [None] when some switch has no matching
+   entry (or drops). *)
+let route ctl ~src ~dst ~key =
+  let g = Openflow.Controller.graph ctl in
+  let rec walk node acc guard =
+    if node = dst then (match acc with [] -> None | l -> Some (Path.of_arcs g (List.rev l)))
+    else if guard = 0 then None
+    else
+      match FT.lookup (Openflow.Controller.table_of ctl node) ~src ~dst with
+      | None -> None
+      | Some e -> (
+          match FT.select e ~key with
+          | None -> None
+          | Some a -> walk (G.arc g a).G.dst (a :: acc) (guard - 1))
+  in
+  walk src [] (G.node_count g)
+
 (* -------------------- Flow table -------------------- *)
 
 let test_priority_and_wildcards () =
@@ -69,7 +87,7 @@ let test_controller_programs_always_on () =
   (* The route followed in the data plane is exactly the always-on path. *)
   let a = ex.Topo.Example.a and k = ex.Topo.Example.k in
   let expected = (Option.get (Response.Tables.find tables a k)).Response.Tables.always_on in
-  (match Openflow.Controller.route ctl ~src:a ~dst:k ~key:0 with
+  (match route ctl ~src:a ~dst:k ~key:0 with
   | Some p -> Alcotest.(check bool) "always-on route" true (Path.equal p expected)
   | None -> Alcotest.fail "route expected");
   (* Entry count: 2 pairs x 3 hops. *)
@@ -82,14 +100,14 @@ let test_controller_reprogram_on_split_change () =
   Response.Te.force_split te a k [| 0.0; 1.0 |];
   Openflow.Controller.program ctl ~splits:(Response.Te.split te);
   let upper = List.hd (Option.get (Response.Tables.find tables a k)).Response.Tables.on_demand in
-  (match Openflow.Controller.route ctl ~src:a ~dst:k ~key:3 with
+  (match route ctl ~src:a ~dst:k ~key:3 with
   | Some p -> Alcotest.(check bool) "moved to on-demand path" true (Path.equal p upper)
   | None -> Alcotest.fail "route expected")
 
 let test_controller_route_missing_pair () =
   let ex, _, ctl = fig3_controller () in
   let te_tables_missing =
-    Openflow.Controller.route ctl ~src:ex.Topo.Example.d ~dst:ex.Topo.Example.k ~key:0
+    route ctl ~src:ex.Topo.Example.d ~dst:ex.Topo.Example.k ~key:0
   in
   Alcotest.(check bool) "unprogrammed controller has no route" true (te_tables_missing = None)
 
@@ -187,7 +205,7 @@ let test_full_pipeline_geant () =
   (* Every pair is routable in the data plane along its always-on path. *)
   List.iter
     (fun (o, d) ->
-      match Openflow.Controller.route ctl ~src:o ~dst:d ~key:0 with
+      match route ctl ~src:o ~dst:d ~key:0 with
       | Some p ->
           let expected = (Option.get (Response.Tables.find tables o d)).Response.Tables.always_on in
           Alcotest.(check bool) "data plane = always-on" true (Path.equal p expected)
@@ -220,7 +238,7 @@ let prop_route_is_installed_path =
       Openflow.Controller.program ctl ~splits:(Response.Te.split te);
       List.for_all
         (fun (o, d) ->
-          match Openflow.Controller.route ctl ~src:o ~dst:d ~key with
+          match route ctl ~src:o ~dst:d ~key with
           | None -> false
           | Some p ->
               let entry = Option.get (Response.Tables.find tables o d) in

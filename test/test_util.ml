@@ -33,7 +33,6 @@ let test_units_constructors_reject_nan () =
       ("bps", fun x -> U.to_float (U.bps x));
       ("ratio", fun x -> U.to_float (U.ratio x));
       ("seconds", fun x -> U.to_float (U.seconds x));
-      ("joules", fun x -> U.to_float (U.joules x));
     ];
   (* Infinity is a legal magnitude (breakeven gaps use it). *)
   Alcotest.(check bool) "infinity allowed" true (U.to_float (U.seconds infinity) = infinity);
@@ -41,13 +40,11 @@ let test_units_constructors_reject_nan () =
   Alcotest.(check bool) "unsafe NaN" true (Float.is_nan (U.to_float (U.unsafe Float.nan)))
 
 let test_units_prefixes () =
-  Alcotest.check magnitude "kbps" 1.0e3 (U.to_float (U.kbps 1.0));
   Alcotest.check magnitude "mbps" 2.0e6 (U.to_float (U.mbps 2.0));
   Alcotest.check magnitude "gbps" 2.5e9 (U.to_float (U.gbps 2.5))
 
 let test_units_additive () =
   Alcotest.check magnitude "+:" 740.0 (U.to_float U.(watts 600.0 +: watts 140.0));
-  Alcotest.check magnitude "-:" 460.0 (U.to_float U.(watts 600.0 -: watts 140.0));
   Alcotest.check magnitude "zero is neutral" 42.0 (U.to_float U.(bps 42.0 +: zero))
 
 let test_units_ratio_algebra () =
@@ -74,10 +71,7 @@ let test_units_energy_and_scale () =
 
 let test_units_comparisons () =
   Alcotest.(check int) "compare_q" (-1) (U.compare_q (U.bps 1.0) (U.bps 2.0));
-  Alcotest.check magnitude "min_q" 1.0 (U.to_float (U.min_q (U.bps 1.0) (U.bps 2.0)));
-  Alcotest.check magnitude "max_q" 2.0 (U.to_float (U.max_q (U.bps 1.0) (U.bps 2.0)));
-  Alcotest.(check bool) "is_zero zero" true (U.is_zero U.zero);
-  Alcotest.(check bool) "is_zero nonzero" false (U.is_zero (U.bps 1.0))
+  Alcotest.check magnitude "min_q" 1.0 (U.to_float (U.min_q (U.bps 1.0) (U.bps 2.0)))
 
 let test_prng_deterministic () =
   let a = Prng.create 123 and b = Prng.create 123 in
@@ -108,8 +102,10 @@ let test_prng_int_range () =
 let test_prng_gaussian_moments () =
   let r = Prng.create 11 in
   let xs = Array.init 20_000 (fun _ -> Prng.gaussian r) in
-  Alcotest.(check bool) "mean ~ 0" true (abs_float (Stats.mean xs) < 0.05);
-  Alcotest.(check bool) "stdev ~ 1" true (abs_float (Stats.stdev xs -. 1.0) < 0.05)
+  let m = Stats.mean xs in
+  let stdev = sqrt (Stats.mean (Array.map (fun x -> (x -. m) ** 2.0) xs)) in
+  Alcotest.(check bool) "mean ~ 0" true (abs_float m < 0.05);
+  Alcotest.(check bool) "stdev ~ 1" true (abs_float (stdev -. 1.0) < 0.05)
 
 let test_prng_sample_distinct () =
   let r = Prng.create 3 in
@@ -276,10 +272,20 @@ let test_memo_hit_miss_counters () =
   Alcotest.(check int) "first call computes" 30 (Memo.find_or_add t 3 ~compute:f);
   Alcotest.(check int) "second call cached" 30 (Memo.find_or_add t 3 ~compute:f);
   Alcotest.(check int) "computed once" 1 !calls;
-  let s = Memo.stats t in
-  Alcotest.(check int) "one hit" 1 s.Memo.hits;
-  Alcotest.(check int) "one miss" 1 s.Memo.misses;
-  Alcotest.(check int) "no evictions" 0 s.Memo.evictions
+  Alcotest.(check int) "a new key misses" 40 (Memo.find_or_add t 4 ~compute:f);
+  Alcotest.(check int) "two misses" 2 !calls;
+  (* Nothing was evicted under the capacity: both keys still hit. *)
+  ignore (Memo.find_or_add t 3 ~compute:f);
+  ignore (Memo.find_or_add t 4 ~compute:f);
+  Alcotest.(check int) "no eviction" 2 !calls
+
+(* Which keys a cache holds, observed through [find_or_add]: a key whose
+   lookup runs [compute] was absent. Each probe re-inserts what it
+   misses, so callers probe keys they are done with. *)
+let cached t k =
+  let hit = ref true in
+  ignore (Memo.find_or_add t k ~compute:(fun k -> hit := false; k));
+  !hit
 
 let test_memo_lru_eviction () =
   let t = Memo.create ~capacity:2 () in
@@ -289,18 +295,16 @@ let test_memo_lru_eviction () =
   (* Touch 1 so 2 is the least recently used entry. *)
   ignore (Memo.find_or_add t 1 ~compute:f);
   ignore (Memo.find_or_add t 3 ~compute:f);
-  Alcotest.(check bool) "1 survives (recently used)" true (Memo.mem t 1);
-  Alcotest.(check bool) "2 evicted (LRU)" false (Memo.mem t 2);
-  Alcotest.(check bool) "3 present" true (Memo.mem t 3);
-  Alcotest.(check int) "one eviction counted" 1 (Memo.stats t).Memo.evictions;
-  Alcotest.(check int) "length at capacity" 2 (Memo.length t)
+  (* Probe the survivors first: probing 2 re-inserts it and evicts one. *)
+  Alcotest.(check bool) "3 present" true (cached t 3);
+  Alcotest.(check bool) "1 survives (recently used)" true (cached t 1);
+  Alcotest.(check bool) "2 evicted (LRU)" false (cached t 2)
 
 let test_memo_clear_and_errors () =
   let t = Memo.create ~capacity:2 () in
   ignore (Memo.find_or_add t 1 ~compute:(fun k -> k));
   Memo.clear t;
-  Alcotest.(check int) "empty after clear" 0 (Memo.length t);
-  Alcotest.(check int) "counters survive clear" 1 (Memo.stats t).Memo.misses;
+  Alcotest.(check bool) "empty after clear" false (cached t 1);
   Alcotest.check_raises "capacity 0 rejected" (Invalid_argument "Memo.create: capacity >= 1")
     (fun () -> ignore (Memo.create ~capacity:0 ()));
   (* A raising computation is never cached: the next lookup recomputes. *)
@@ -319,8 +323,11 @@ let prop_memo_bounded_and_transparent =
     (fun (cap, keys) ->
       let t = Memo.create ~capacity:cap () in
       let g k = Memo.find_or_add t k ~compute:(fun k -> (2 * k) + 1) in
+      let distinct = List.sort_uniq Int.compare keys in
       List.for_all (fun k -> g k = (2 * k) + 1 && g k = (2 * k) + 1) keys
-      && Memo.length t <= cap)
+      (* After one pass over every distinct key, at most [cap] of them
+         are still held. *)
+      && List.length (List.filter (cached t) distinct) <= cap)
 
 let () =
   Alcotest.run "util"
