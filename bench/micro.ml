@@ -50,12 +50,12 @@ let tests () =
     let t = Lazy.force tables in
     let te = Response.Te.create t Response.Te.default_config in
     let o, d = List.hd pairs in
+    (* The form the simulator runs: a resolved pair over per-link arrays. *)
+    let pair = Response.Te.pair te o d in
+    let links = Topo.Graph.link_count geant in
+    let util = Array.make links 0.6 and known_failed = Array.make links false in
     Test.make ~name:"REsPoNseTE probe decision"
-      (Staged.stage (fun () ->
-           ignore
-             (Response.Te.on_probe te ~origin:o ~dest:d ~now:1.0
-                ~link_util:(fun _ -> 0.6)
-                ~link_usable:(fun _ -> true))))
+      (Staged.stage (fun () -> ignore (Response.Te.probe te pair ~now:1.0 ~util ~known_failed)))
   in
   [ dijkstra; yen; te_probe; evaluate; greente; greedy; always_on ]
 

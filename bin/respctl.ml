@@ -17,26 +17,22 @@ let topology_arg =
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for sampled pairs.")
 
-(* A count or a length that must be positive: zero or a negative value is a
-   usage error naming the option (exit 124), as a malformed number is,
-   rather than an exception deep inside the run. *)
-let positive base ~is_positive =
-  let parse s =
-    match Arg.conv_parser base s with
-    | Ok v when is_positive v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %s" s))
-    | Error _ as e -> e
-  in
-  Arg.conv ~docv:(Arg.conv_docv base) (parse, Arg.conv_printer base)
+(* Counts and lengths: zero or a negative value is a usage error. *)
+let positive_int = checked Arg.int ~ok:(fun n -> n > 0) ~expected:"a positive number"
+let positive_float = checked Arg.float ~ok:(fun x -> x > 0.0) ~expected:"a positive number"
 
-let positive_int = positive Arg.int ~is_positive:(fun n -> n > 0)
-let positive_float = positive Arg.float ~is_positive:(fun x -> x > 0.0)
-
-let fraction_arg =
-  Arg.(
-    value
-    & opt float 0.7
-    & info [ "fraction" ] ~docv:"F" ~doc:"Fraction of traffic nodes used as origins/destinations.")
+(* The tables [build] precomputes for the sampled [pairs], passed to [f]. A
+   precompute that fails (the always-on demands do not fit the sample, say)
+   is one line on stderr naming the command and the sample, and exit 1, as
+   an unknown topology is. *)
+let with_tables cmd ~pairs build f =
+  match build () with
+  | tables -> f tables
+  | exception Invalid_argument msg ->
+      let nodes = List.sort_uniq Int.compare (List.concat_map (fun (o, d) -> [ o; d ]) pairs) in
+      Format.eprintf "%s: cannot precompute tables for %d sampled node(s), %d pair(s): %s@." cmd
+        (List.length nodes) (List.length pairs) msg;
+      1
 
 let beta_arg =
   Arg.(
@@ -106,24 +102,27 @@ let tables_cmd =
         let power = power_of t g in
         let pairs = pairs_of g ~seed ~fraction in
         let config = { Response.Framework.default with latency_beta = beta } in
-        let tables = Response.Framework.precompute_cached ~config ~jobs g power ~pairs in
-        Format.printf "%a@." Response.Tables.pp tables;
-        let ao = Response.Tables.always_on_state tables in
-        Format.printf "always-on footprint: %a (%.1f%% of full power)@." (Topo.State.pp g) ao
-          (Power.Model.percent_of_full power g ao);
-        let vulnerable = Response.Failover.vulnerable_pairs g tables in
-        Format.printf "pairs vulnerable to a single link failure: %d of %d@."
-          (List.length vulnerable)
-          (List.length (Response.Tables.pairs tables));
-        (match Response.Tables.entries tables with
-        | e :: _ ->
-            Format.printf "@.example entry %s -> %s:@." (Topo.Graph.name g e.Response.Tables.origin)
-              (Topo.Graph.name g e.Response.Tables.dest);
-            Array.iteri
-              (fun i p -> Format.printf "  path %d: %a@." i (Topo.Path.pp g) p)
-              (Response.Tables.paths e)
-        | [] -> ());
-        0)
+        with_tables "tables" ~pairs
+          (fun () -> Response.Framework.precompute_cached ~config ~jobs g power ~pairs)
+          (fun tables ->
+            Format.printf "%a@." Response.Tables.pp tables;
+            let ao = Response.Tables.always_on_state tables in
+            Format.printf "always-on footprint: %a (%.1f%% of full power)@." (Topo.State.pp g) ao
+              (Power.Model.percent_of_full power g ao);
+            let vulnerable = Response.Failover.vulnerable_pairs g tables in
+            Format.printf "pairs vulnerable to a single link failure: %d of %d@."
+              (List.length vulnerable)
+              (List.length (Response.Tables.pairs tables));
+            (match Response.Tables.entries tables with
+            | e :: _ ->
+                Format.printf "@.example entry %s -> %s:@."
+                  (Topo.Graph.name g e.Response.Tables.origin)
+                  (Topo.Graph.name g e.Response.Tables.dest);
+                Array.iteri
+                  (fun i p -> Format.printf "  path %d: %a@." i (Topo.Path.pp g) p)
+                  (Response.Tables.paths e)
+            | [] -> ());
+            0))
   in
   let doc = "Precompute the always-on / on-demand / failover tables." in
   Cmd.v (Cmd.info "tables" ~doc)
@@ -141,22 +140,25 @@ let power_cmd =
         obs_enable_for metrics;
         let power = power_of t g in
         let pairs = pairs_of g ~seed ~fraction in
-        let tables = Response.Framework.precompute_cached g power ~pairs in
-        let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps load) () in
-        let e = Response.Framework.evaluate tables power tm in
-        Format.printf "offered load:     %.2f Gbit/s@." load;
-        Format.printf "network power:    %.1f%% of full (%.2f kW)@."
-          e.Response.Framework.power_percent
-          (e.Response.Framework.power_watts /. 1e3);
-        Format.printf "max utilisation:  %.2f@." e.Response.Framework.max_utilization;
-        Format.printf "on-demand levels: %d@." e.Response.Framework.levels_activated;
-        Format.printf "congested pairs:  %d@." (List.length e.Response.Framework.congested);
-        (match Optim.Minimal.power_down g power tm with
-        | Some opt ->
-            Format.printf "optimal subset:   %.1f%% of full power@." opt.Optim.Minimal.power_percent
-        | None -> Format.printf "optimal subset:   demand infeasible@.");
-        obs_dump_for metrics;
-        0)
+        with_tables "power" ~pairs
+          (fun () -> Response.Framework.precompute_cached g power ~pairs)
+          (fun tables ->
+            let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps load) () in
+            let e = Response.Framework.evaluate tables power tm in
+            Format.printf "offered load:     %.2f Gbit/s@." load;
+            Format.printf "network power:    %.1f%% of full (%.2f kW)@."
+              e.Response.Framework.power_percent
+              (e.Response.Framework.power_watts /. 1e3);
+            Format.printf "max utilisation:  %.2f@." e.Response.Framework.max_utilization;
+            Format.printf "on-demand levels: %d@." e.Response.Framework.levels_activated;
+            Format.printf "congested pairs:  %d@." (List.length e.Response.Framework.congested);
+            (match Optim.Minimal.power_down g power tm with
+            | Some opt ->
+                Format.printf "optimal subset:   %.1f%% of full power@."
+                  opt.Optim.Minimal.power_percent
+            | None -> Format.printf "optimal subset:   demand infeasible@.");
+            obs_dump_for metrics;
+            0))
   in
   let doc = "Evaluate the steady-state power for a gravity demand." in
   Cmd.v (Cmd.info "power" ~doc)
@@ -388,27 +390,29 @@ let check_cmd =
            the first error, so the report is complete. *)
         let saved = Atomic.get Response.Framework.install_checks in
         Atomic.set Response.Framework.install_checks false;
-        let tables =
-          Fun.protect
-            ~finally:(fun () -> Atomic.set Response.Framework.install_checks saved)
-            (fun () ->
-              let config = { Response.Framework.default with latency_beta = beta } in
-              Response.Framework.precompute ~config g power ~pairs)
-        in
-        let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 1.0) () in
-        let findings =
-          Check.Invariant.check_graph g
-          @ Check.Invariant.check_power power g
-          @ Response.Framework.table_findings g ~pairs tables
-          @ Check.Invariant.check_matrix g tm
-        in
-        report_findings ~json findings;
-        let errors = Check.Finding.errors findings in
-        if not json then
-          Format.printf "check: %d error(s), %d warning(s) over %d pairs@." (List.length errors)
-            (List.length findings - List.length errors)
-            (List.length pairs);
-        if errors = [] then 0 else 1)
+        with_tables "check" ~pairs
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set Response.Framework.install_checks saved)
+              (fun () ->
+                let config = { Response.Framework.default with latency_beta = beta } in
+                Response.Framework.precompute ~config g power ~pairs))
+          (fun tables ->
+            let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 1.0) () in
+            let findings =
+              Check.Invariant.check_graph g
+              @ Check.Invariant.check_power power g
+              @ Response.Framework.table_findings g ~pairs tables
+              @ Check.Invariant.check_matrix g tm
+            in
+            report_findings ~json findings;
+            let errors = Check.Finding.errors findings in
+            if not json then
+              Format.printf "check: %d error(s), %d warning(s) over %d pairs@."
+                (List.length errors)
+                (List.length findings - List.length errors)
+                (List.length pairs);
+            if errors = [] then 0 else 1))
   in
   let doc = "Validate domain invariants (graph, tables, power, traffic) for a topology." in
   Cmd.v (Cmd.info "check" ~doc)
@@ -420,10 +424,7 @@ let check_cmd =
    evaluate (routing + core + power), a node-bounded exact MILP (lp), and a
    short simulator scenario whose demand swing forces TE shifts, wake
    transitions and idle sleeps (te + netsim). *)
-let stats_workload t g ~seed ~fraction =
-  let power = power_of t g in
-  let pairs = pairs_of g ~seed ~fraction in
-  let tables = Response.Framework.precompute_cached g power ~pairs in
+let stats_workload g power ~pairs tables =
   let tm = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps 5.0) () in
   let _ = Response.Framework.evaluate tables power tm in
   (* The exact formulation is only tractable for small instances (see
@@ -484,7 +485,7 @@ let stats_workload t g ~seed ~fraction =
           ])
       ~duration:4.0 ()
   in
-  (tables, r)
+  r
 
 let stats_cmd =
   let fmt_arg =
@@ -506,18 +507,23 @@ let stats_cmd =
   let run name seed fraction fmt validate spans =
     with_topology name (fun t g ->
         Obs.set_enabled true;
-        let _tables, r = stats_workload t g ~seed ~fraction in
-        ignore r.Netsim.Sim.mean_power_percent;
-        print_string (render_metrics fmt);
-        if spans then print_string ("\n" ^ Obs.Span.to_text ());
-        if validate then begin
-          match Obs.Export.validate_json (render_metrics `Json) with
-          | Ok () -> 0
-          | Error e ->
-              Format.eprintf "stats: JSON export invalid: %s@." e;
-              1
-        end
-        else 0)
+        let power = power_of t g in
+        let pairs = pairs_of g ~seed ~fraction in
+        with_tables "stats" ~pairs
+          (fun () -> Response.Framework.precompute_cached g power ~pairs)
+          (fun tables ->
+            let r = stats_workload g power ~pairs tables in
+            ignore r.Netsim.Sim.mean_power_percent;
+            print_string (render_metrics fmt);
+            if spans then print_string ("\n" ^ Obs.Span.to_text ());
+            if validate then begin
+              match Obs.Export.validate_json (render_metrics `Json) with
+              | Ok () -> 0
+              | Error e ->
+                  Format.eprintf "stats: JSON export invalid: %s@." e;
+                  1
+            end
+            else 0))
   in
   let doc =
     "Run an instrumented workload (precompute, evaluate, bounded exact MILP, simulator \
@@ -595,67 +601,69 @@ let chaos_cmd =
     with_topology name (fun t g ->
         let power = power_of t g in
         let pairs = pairs_of g ~seed ~fraction in
-        let tables = Response.Framework.precompute_cached g power ~pairs in
-        let base = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps load) () in
-        let spec =
-          {
-            Fault.Scenario.default with
-            Fault.Scenario.seed;
-            duration;
-            link_faults = Some { Fault.Scenario.mtbf; mttr };
-            node_faults =
-              Option.map (fun m -> { Fault.Scenario.mtbf = m; mttr = node_mttr }) node_mtbf;
-            srlgs =
-              (if srlg <= 0 then []
-               else
-                 Fault.Scenario.random_srlgs g
-                   (Eutil.Prng.create (seed lxor 0x5126))
-                   ~groups:srlg ~size:2);
-            srlg_faults =
-              (if srlg <= 0 then None
-               else Some { Fault.Scenario.mtbf = mtbf *. 2.0; mttr });
-            flapping =
-              (if flap then
-                 Some
-                   {
-                     Fault.Scenario.flap_link = None;
-                     flap_period = 1.0;
-                     flap_cycles = int_of_float duration;
-                     flap_start = duration /. 4.0;
-                   }
-               else None);
-            surges =
-              (match surge with
-              | None -> []
-              | Some f ->
-                  [
-                    {
-                      Fault.Scenario.surge_at = duration /. 2.0;
-                      surge_factor = f;
-                      surge_duration = duration /. 5.0;
-                    };
-                  ]);
-          }
-        in
-        let report = Fault.Harness.run ~jobs ~tables ~power ~base ~spec ~trials () in
-        if json then print_string (Fault.Harness.to_json report ^ "\n")
-        else begin
-          let open Fault.Harness in
-          Format.printf "chaos %s: %d trial(s) x %.1f s, base seed %d@." t.tname trials duration
-            report.base_seed;
-          Format.printf "availability:      %.4f (%d outage(s))@." report.availability
-            report.outages;
-          Format.printf "delivered:         %.2f%% of offered traffic (lost %.3e bits)@."
-            (100.0 *. report.delivered_fraction)
-            report.lost_bits;
-          Format.printf "recovery time:     p50 %.2f s, p99 %.2f s, max %.2f s@."
-            report.recovery_p50 report.recovery_p99 report.recovery_max;
-          Format.printf "sleep ratio:       %.3f (mean power %.1f%% of full)@." report.sleep_ratio
-            report.mean_power_percent;
-          Format.printf "rejected wakes:    %d@." report.rejected_wakes;
-          Format.printf "fallback routes:   %d@." report.fallback_routes
-        end;
-        0)
+        with_tables "chaos" ~pairs
+          (fun () -> Response.Framework.precompute_cached g power ~pairs)
+          (fun tables ->
+            let base = Traffic.Gravity.make g ~pairs ~total:(Eutil.Units.gbps load) () in
+            let spec =
+              {
+                Fault.Scenario.default with
+                Fault.Scenario.seed;
+                duration;
+                link_faults = Some { Fault.Scenario.mtbf; mttr };
+                node_faults =
+                  Option.map (fun m -> { Fault.Scenario.mtbf = m; mttr = node_mttr }) node_mtbf;
+                srlgs =
+                  (if srlg <= 0 then []
+                   else
+                     Fault.Scenario.random_srlgs g
+                       (Eutil.Prng.create (seed lxor 0x5126))
+                       ~groups:srlg ~size:2);
+                srlg_faults =
+                  (if srlg <= 0 then None
+                   else Some { Fault.Scenario.mtbf = mtbf *. 2.0; mttr });
+                flapping =
+                  (if flap then
+                     Some
+                       {
+                         Fault.Scenario.flap_link = None;
+                         flap_period = 1.0;
+                         flap_cycles = int_of_float duration;
+                         flap_start = duration /. 4.0;
+                       }
+                   else None);
+                surges =
+                  (match surge with
+                  | None -> []
+                  | Some f ->
+                      [
+                        {
+                          Fault.Scenario.surge_at = duration /. 2.0;
+                          surge_factor = f;
+                          surge_duration = duration /. 5.0;
+                        };
+                      ]);
+              }
+            in
+            let report = Fault.Harness.run ~jobs ~tables ~power ~base ~spec ~trials () in
+            if json then print_string (Fault.Harness.to_json report ^ "\n")
+            else begin
+              let open Fault.Harness in
+              Format.printf "chaos %s: %d trial(s) x %.1f s, base seed %d@." t.tname trials duration
+                report.base_seed;
+              Format.printf "availability:      %.4f (%d outage(s))@." report.availability
+                report.outages;
+              Format.printf "delivered:         %.2f%% of offered traffic (lost %.3e bits)@."
+                (100.0 *. report.delivered_fraction)
+                report.lost_bits;
+              Format.printf "recovery time:     p50 %.2f s, p99 %.2f s, max %.2f s@."
+                report.recovery_p50 report.recovery_p99 report.recovery_max;
+              Format.printf "sleep ratio:       %.3f (mean power %.1f%% of full)@."
+                report.sleep_ratio report.mean_power_percent;
+              Format.printf "rejected wakes:    %d@." report.rejected_wakes;
+              Format.printf "fallback routes:   %d@." report.fallback_routes
+            end;
+            0))
   in
   let doc =
     "Run seeded fault-injection trials (link/node/SRLG failures, flaps, surges) through the \

@@ -213,12 +213,6 @@ let workers_arg =
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for sampled pairs.")
 
-let fraction_arg =
-  Arg.(
-    value
-    & opt float 0.7
-    & info [ "fraction" ] ~docv:"F" ~doc:"Fraction of traffic nodes used as origins/destinations.")
-
 let beta_arg =
   Arg.(
     value
@@ -311,6 +305,6 @@ let () =
        (Cmd.v info
           Term.(
             const serve $ topology_arg $ port_arg $ http_port_arg $ workers_arg $ seed_arg
-            $ fraction_arg $ beta_arg $ load_arg $ jobs_arg $ journal_arg $ max_inflight_arg
+            $ Cli_topo.fraction_arg $ beta_arg $ load_arg $ jobs_arg $ journal_arg $ max_inflight_arg
             $ max_conns_arg $ request_budget_arg $ read_deadline_arg $ idle_timeout_arg
             $ smoke_arg)))

@@ -148,7 +148,11 @@ let force_split t o d split =
       ps.below_since <- None;
       ps.mode <- Normal
 
-let path_usable ps usable i = Array.for_all usable ps.links.(i)
+(* Do [links] from [x] on avoid every known-failed link? *)
+let rec avoids known_failed links x =
+  x >= Array.length links || ((not known_failed.(links.(x))) && avoids known_failed links (x + 1))
+
+let path_usable ps known_failed i = avoids known_failed ps.links.(i) 0
 
 (* The path's worst link; [max]'s comparison, so ties and NaNs resolve as a
    polymorphic [max] fold would. *)
@@ -156,22 +160,22 @@ let path_util ps util i =
   let links = ps.links.(i) in
   let worst = ref 0.0 in
   for x = 0 to Array.length links - 1 do
-    let u = util links.(x) in
+    let u = util.(links.(x)) in
     if not (!worst >= u) then worst := u
   done;
   !worst
 
 (* The lowest usable path at or above [i]; -1 if there is none. *)
-let rec first_usable ps usable i =
+let rec first_usable ps known_failed i =
   if i >= Array.length ps.links then -1
-  else if path_usable ps usable i then i
-  else first_usable ps usable (i + 1)
+  else if path_usable ps known_failed i then i
+  else first_usable ps known_failed (i + 1)
 
 (* Is a share on an unusable path at or above [i]? *)
-let rec failed_share_from ps split usable i =
+let rec failed_share_from ps split known_failed i =
   i < Array.length split
-  && ((split.(i) > 0.0 && not (path_usable ps usable i))
-     || failed_share_from ps split usable (i + 1))
+  && ((split.(i) > 0.0 && not (path_usable ps known_failed i))
+     || failed_share_from ps split known_failed (i + 1))
 
 (* [split] itself if it is already the probe's private copy, else a copy
    of the published split to write into. *)
@@ -181,13 +185,15 @@ let normalise split =
   let total = Array.fold_left ( +. ) 0.0 split in
   if total > 0.0 then Array.map (fun s -> s /. total) split else split
 
-let sleeping_links ps usable split =
+let sleeping_links ps known_failed split =
   (* Links the new split needs that the probe saw carrying nothing: ask the
      network to wake them. The caller knows which are actually asleep; waking
      an active link is a no-op. *)
   let links = ref [] in
   Array.iteri
-    (fun i s -> if s > 0.0 then Array.iter (fun l -> if usable l then links := l :: !links) ps.links.(i))
+    (fun i s ->
+      if s > 0.0 then
+        Array.iter (fun l -> if not known_failed.(l) then links := l :: !links) ps.links.(i))
     split;
   List.sort_uniq Int.compare !links
 
@@ -231,14 +237,14 @@ let enter_panic t ps now =
 
 (* The first probe that sees a usable installed path again puts the whole
    demand on the lowest one, [first]. *)
-let recover ps d ~now ~link_usable ~first =
+let recover ps d ~now ~known_failed ~first =
   Obs.Metric.Histogram.observe m_recovery_seconds (now -. d.d_since);
   ps.mode <- Normal;
   ps.below_since <- None;
   let split = Array.make (Array.length ps.links) 0.0 in
   split.(first) <- 1.0;
   ps.split <- split;
-  let wakes = sleeping_links ps link_usable split in
+  let wakes = sleeping_links ps known_failed split in
   Obs.Metric.Counter.incr m_shifts;
   Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
   let actions = [ Wake wakes; Set_split (Array.copy split) ] in
@@ -248,11 +254,11 @@ let recover ps d ~now ~link_usable ~first =
    is meaningfully cooler than the threshold (damping factor 0.85 keeps two
    hot paths from swapping traffic back and forth), the highest level on a
    tie; -1 if there is none. *)
-let overload_target t ps ~link_util ~link_usable hottest =
+let overload_target t ps ~util ~known_failed hottest =
   let best = ref (-1) and best_util = ref 0.0 in
   for i = Array.length ps.links - 1 downto 0 do
-    if i <> hottest && path_usable ps link_usable i then begin
-      let u = path_util ps link_util i in
+    if i <> hottest && path_usable ps known_failed i then begin
+      let u = path_util ps util i in
       if u < t.util_threshold *. 0.85 && (!best < 0 || not (!best_util <= u)) then begin
         best := i;
         best_util := u
@@ -264,7 +270,7 @@ let overload_target t ps ~link_util ~link_usable hottest =
 (* 3. Consolidation: after a sustained low-load period, move the highest
    active level down one step (towards the always-on path), but only if
    the lower path is usable. *)
-let consolidate t ps split ~now ~link_usable =
+let consolidate t ps split ~now ~known_failed =
   match ps.below_since with
   | None ->
       ps.below_since <- Some now;
@@ -277,7 +283,7 @@ let consolidate t ps split ~now ~link_usable =
       let lower = ref (-1) in
       if !top > 0 then
         for i = !top - 1 downto 0 do
-          if !lower < 0 && path_usable ps link_usable i then lower := i
+          if !lower < 0 && path_usable ps known_failed i then lower := i
         done;
       if !lower < 0 then split
       else begin
@@ -297,17 +303,17 @@ let consolidate t ps split ~now ~link_usable =
    path, the lowest being [first]. The published split is read in place and
    copied only when a step writes to it, so the probe changed the split
    exactly when the working split is no longer the published one. *)
-let normal_probe t ps ~now ~link_util ~link_usable ~first =
+let normal_probe t ps ~now ~util ~known_failed ~first =
   let n = Array.length ps.links in
   let split =
-    if failed_share_from ps ps.split link_usable 0 then Array.copy ps.split else ps.split
+    if failed_share_from ps ps.split known_failed 0 then Array.copy ps.split else ps.split
   in
   (* 1. Failures: traffic on an unusable path moves immediately to the
      first usable path (lowest activation level), in full. *)
   let failed_share = ref 0.0 in
   if split != ps.split then begin
     for i = 0 to n - 1 do
-      if split.(i) > 0.0 && not (path_usable ps link_usable i) then begin
+      if split.(i) > 0.0 && not (path_usable ps known_failed i) then begin
         failed_share := !failed_share +. split.(i);
         split.(i) <- 0.0
       end
@@ -324,7 +330,7 @@ let normal_probe t ps ~now ~link_util ~link_usable ~first =
   let hottest = ref (-1) in
   for i = 0 to n - 1 do
     if split.(i) > 0.0 then begin
-      let u = path_util ps link_util i in
+      let u = path_util ps util i in
       if u > !active_max_util then begin
         active_max_util := u;
         hottest := i
@@ -335,7 +341,7 @@ let normal_probe t ps ~now ~link_util ~link_usable ~first =
     if !active_max_util > t.util_threshold && !hottest >= 0 then begin
       ps.below_since <- None;
       let hottest = !hottest in
-      let target = overload_target t ps ~link_util ~link_usable hottest in
+      let target = overload_target t ps ~util ~known_failed hottest in
       if target < 0 then split
       else begin
         Obs.Metric.Counter.incr m_overload_shifts;
@@ -347,7 +353,7 @@ let normal_probe t ps ~now ~link_util ~link_usable ~first =
       end
     end
     else if !active_max_util < t.low_threshold && !failed_share = 0.0 then
-      consolidate t ps split ~now ~link_usable
+      consolidate t ps split ~now ~known_failed
     else begin
       ps.below_since <- None;
       split
@@ -357,24 +363,17 @@ let normal_probe t ps ~now ~link_util ~link_usable ~first =
   else begin
     let split = normalise split in
     ps.split <- split;
-    let wakes = sleeping_links ps link_usable split in
+    let wakes = sleeping_links ps known_failed split in
     Obs.Metric.Counter.incr m_shifts;
     Obs.Metric.Counter.add_int m_wake_requests (List.length wakes);
     [ Wake wakes; Set_split (Array.copy split) ]
   end
 
-let probe t ps ~now ~link_util ~link_usable =
+let probe t ps ~now ~util ~known_failed =
   Obs.Metric.Counter.incr m_probes;
-  let first = first_usable ps link_usable 0 in
+  let first = first_usable ps known_failed 0 in
   match ps.mode with
   | Normal when first < 0 -> enter_panic t ps now
-  | Normal -> normal_probe t ps ~now ~link_util ~link_usable ~first
+  | Normal -> normal_probe t ps ~now ~util ~known_failed ~first
   | Degraded d when first < 0 -> panic_step t ps d now
-  | Degraded d -> recover ps d ~now ~link_usable ~first
-
-let on_probe t ~origin ~dest ~now ~link_util ~link_usable =
-  match Hashtbl.find_opt t.pairs (origin, dest) with
-  | Some ps -> probe t ps ~now ~link_util ~link_usable
-  | None ->
-      Obs.Metric.Counter.incr m_probes;
-      []
+  | Degraded d -> recover ps d ~now ~known_failed ~first

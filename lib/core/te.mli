@@ -50,9 +50,9 @@ val create : Tables.t -> config -> t
 (** Fresh controller state: every pair fully on its always-on path. *)
 
 type pair
-(** One pair's controller state. A caller that probes the same pairs over
-    and over resolves each to a handle once with {!pair}; {!probe} and
-    {!shares} then skip the by-name lookup. *)
+(** One pair's controller state. A caller resolves each pair it probes to
+    a handle once with {!pair}; {!probe} and {!shares} take the handle, so
+    they skip the by-name lookup. *)
 
 val pair : t -> int -> int -> pair
 (** [pair t origin dest] is the pair's handle.
@@ -75,18 +75,15 @@ val force_split : t -> int -> int -> float array -> unit
     @raise Invalid_argument on an unknown pair or a split whose arity does
     not match the pair's path count. *)
 
-val on_probe :
-  t ->
-  origin:int ->
-  dest:int ->
-  now:float ->
-  link_util:(int -> float) ->
-  link_usable:(int -> bool) ->
-  action list
-(** One probe round for a pair. [link_util] is the utilisation the probe
-    reported for a link; [link_usable] is false for failed links (sleeping
-    links are usable — they wake on demand). The returned actions are to be
-    applied by the caller in order.
+val probe :
+  t -> pair -> now:float -> util:float array -> known_failed:bool array -> action list
+(** One probe round for a pair. Both arrays are indexed by link id and
+    hold one entry per link of the tables' graph. [util.(l)] is the
+    utilisation the probe reported for link [l]; [known_failed.(l)] is
+    [true] when the agent knows link [l] has failed, which makes every
+    installed path through it unusable (sleeping links are usable — they
+    wake on demand). The returned actions are to be applied by the caller
+    in order.
 
     When every installed path of the pair is unusable the agent escalates
     instead of silently dropping the share: the split is zeroed (so the
@@ -97,8 +94,3 @@ val on_probe :
     again restores traffic onto it, emits {!Cancel_fallback} if one was
     requested, and records the outage duration in the
     [te_recovery_seconds] histogram. *)
-
-val probe :
-  t -> pair -> now:float -> link_util:(int -> float) -> link_usable:(int -> bool) -> action list
-(** {!on_probe} for a resolved pair: the same decision and the same
-    actions. *)

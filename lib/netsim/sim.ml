@@ -114,7 +114,8 @@ let m_rate_redecided =
    (origin, destination) order in which [Traffic.Matrix.iter_flows] visits
    flows. The fields up to [probes] are built once per run; the rest hold
    each pair's demand, fallback grant and last decision, re-made only when
-   the pair is dirty or holds a granted fallback.
+   the pair is marked or holds a granted fallback. A pair is marked once
+   between passes: the first mark sets [dirty] and pushes it on [marked].
 
    A pair's placements are its shares of demand in split order, then any
    fallback route, each a volume and the path carrying it (None while the
@@ -136,10 +137,13 @@ type ledger = {
   link_arc2 : int array;
   by_link : int list array;  (* pairs whose installed paths cross the link, ascending *)
   probes : ev array;  (* [Probe k], built once per pair *)
-  dem : float array;  (* demand of the pairs in [flows] *)
+  dem : float array;  (* demand of the pairs in [flows], 0 for the others *)
   mutable flows : int array;  (* pairs carrying demand, ascending *)
-  dirty : bool array;
+  dirty : bool array;  (* marked since the last pass *)
+  marked : int array;  (* the marked pairs, a stack [n_marked] deep *)
+  mutable n_marked : int;
   on_fallback : bool array;  (* all-zero split and a granted fallback: re-decided on every pass *)
+  mutable n_on_fallback : int;  (* pairs whose [on_fallback] is set *)
   (* TE granted Use_fallback; the route is (re)computed lazily in [decide]
      and None while the pair is partitioned. *)
   granted : bool array;
@@ -151,7 +155,9 @@ type ledger = {
   placed : int array;  (* slots in use, per pair *)
   mutable moved : bool;
   wakes : int list array;  (* sleeping links the pair's shares ask to wake *)
+  mutable n_waking : int;  (* pairs whose [wakes] is not empty *)
   sums : float array;  (* achieved rate per pair *)
+  arc_util : float array;  (* per-arc scratch of a fold: offered load, then that over capacity *)
   achieved : float array;  (* per-arc scratch of a fold *)
   wanted : bool array;  (* per-link scratch of a pass *)
 }
@@ -170,7 +176,7 @@ type sim = {
   ledger : ledger;
   (* Rate cache: false once any input of a pass changed. *)
   mutable cache_valid : bool;
-  arc_offered : float array;
+  link_util : float array;  (* per link, the larger of its arcs' [arc_util] as of the last fold *)
   link_achieved : float array;
   mutable wakes_wanted : int list;  (* links data-plane traffic needs woken *)
   mutable wake_count : int;
@@ -215,8 +221,11 @@ let ledger_of tables te =
     probes = Array.init n (fun k -> Probe k);
     dem = Array.make n 0.0;
     flows = [||];
-    dirty = Array.make n true;
+    dirty = Array.make n false;
+    marked = Array.make n 0;
+    n_marked = 0;
     on_fallback = Array.make n false;
+    n_on_fallback = 0;
     granted = Array.make n false;
     fallback = Array.make n None;
     fallback_links = Array.make n [||];
@@ -226,27 +235,44 @@ let ledger_of tables te =
     placed = Array.make n 0;
     moved = true;
     wakes = Array.make n [];
+    n_waking = 0;
     sums = Array.make n 0.0;
+    arc_util = Array.make (Topo.Graph.arc_count g) 0.0;
     achieved = Array.make (Topo.Graph.arc_count g) 0.0;
     wanted = Array.make (Topo.Graph.link_count g) false;
   }
 
 (* Dirty marks. Any mark also makes the next [compute_rates] run a pass;
    [invalidate] alone schedules a pass that re-decides only the pairs on
-   the dynamic-fallback branch. *)
+   the dynamic-fallback branch. No pair starts marked: until the first
+   demand change, which marks every pair, no pair carries demand. *)
 let invalidate s = s.cache_valid <- false
 
+let mark lg k =
+  if not lg.dirty.(k) then begin
+    lg.dirty.(k) <- true;
+    lg.marked.(lg.n_marked) <- k;
+    lg.n_marked <- lg.n_marked + 1
+  end
+
+let rec mark_all lg = function
+  | [] -> ()
+  | k :: rest ->
+      mark lg k;
+      mark_all lg rest
+
 let touch_pair s k =
-  s.ledger.dirty.(k) <- true;
+  mark s.ledger k;
   invalidate s
 
 (* [failed] or [status] of the link changed. *)
 let touch_link s l =
-  List.iter (fun k -> s.ledger.dirty.(k) <- true) s.ledger.by_link.(l);
+  mark_all s.ledger s.ledger.by_link.(l);
   invalidate s
 
 let set_demand s tm =
   let lg = s.ledger in
+  Array.iter (fun k -> lg.dem.(k) <- 0.0) lg.flows;
   let flows = ref [] in
   Traffic.Matrix.iter_flows tm ~f:(fun o d dem ->
       match Hashtbl.find_opt lg.index (o, d) with
@@ -256,7 +282,9 @@ let set_demand s tm =
       | None -> ());
   s.demand <- tm;
   lg.flows <- Array.of_list (List.rev !flows);
-  Array.fill lg.dirty 0 (Array.length lg.dirty) true;
+  for k = 0 to Array.length lg.dirty - 1 do
+    mark lg k
+  done;
   lg.moved <- true;
   invalidate s
 
@@ -363,23 +391,31 @@ let decide s k =
     place lg k !j dem target;
     incr j
   end;
-  lg.on_fallback.(k) <- zero && lg.granted.(k);
+  let on_fallback = zero && lg.granted.(k) in
+  if on_fallback <> lg.on_fallback.(k) then begin
+    lg.on_fallback.(k) <- on_fallback;
+    lg.n_on_fallback <- (lg.n_on_fallback + if on_fallback then 1 else -1)
+  end;
   if lg.placed.(k) <> !j then begin
     lg.placed.(k) <- !j;
     lg.moved <- true
   end;
+  (match (lg.wakes.(k), !wakes) with
+  | [], _ :: _ -> lg.n_waking <- lg.n_waking + 1
+  | _ :: _, [] -> lg.n_waking <- lg.n_waking - 1
+  | [], [] | _ :: _, _ :: _ -> ());
   lg.wakes.(k) <- !wakes
 
 let fmax (a : float) b = if a >= b then a else b
 
 (* Folds every cached placement into the per-arc offered and achieved
-   loads, the per-pair sums and the per-link rates, in the order of a
-   from-scratch rebuild so every float is bit-identical to one: offered
-   loads forward in (pair, share) order, achieved rates and pair sums in
-   reverse. *)
+   loads, the per-pair sums and the per-link utilisations and rates, in the
+   order of a from-scratch rebuild so every float is bit-identical to one:
+   offered loads forward in (pair, share) order, achieved rates and pair
+   sums in reverse. *)
 let refold s =
   let lg = s.ledger in
-  let offered = s.arc_offered and achieved = lg.achieved and flows = lg.flows in
+  let offered = lg.arc_util and achieved = lg.achieved and flows = lg.flows in
   Array.fill offered 0 (Array.length offered) 0.0;
   for i = 0 to Array.length flows - 1 do
     let k = flows.(i) in
@@ -394,6 +430,15 @@ let refold s =
       | None -> ()
     done
   done;
+  (* Each arc's offered load over its capacity, divided once: the worst
+     oversubscription below reads it, and so does TE through [link_util]. *)
+  let util = offered in
+  for a = 0 to Array.length util - 1 do
+    util.(a) <- util.(a) /. lg.capacity.(a)
+  done;
+  for l = 0 to Array.length s.link_util - 1 do
+    s.link_util.(l) <- fmax util.(lg.link_arc1.(l)) util.(lg.link_arc2.(l))
+  done;
   (* Achieved rate: demand scaled by the worst oversubscription en route. *)
   Array.fill achieved 0 (Array.length achieved) 0.0;
   for i = Array.length flows - 1 downto 0 do
@@ -407,7 +452,7 @@ let refold s =
           let arcs = p.Topo.Path.arcs in
           let worst = ref 1.0 in
           for x = 0 to Array.length arcs - 1 do
-            worst := fmax !worst (offered.(arcs.(x)) /. lg.capacity.(arcs.(x)))
+            worst := fmax !worst util.(arcs.(x))
           done;
           let r = lg.volume.(slot) /. !worst in
           for x = 0 to Array.length arcs - 1 do
@@ -428,18 +473,30 @@ let rec mark_wanted wanted = function
       mark_wanted wanted rest
 
 (* Offered loads, achieved rates and data-plane wake requests for the
-   current demand, splits and link states. A pass re-decides the dirty
-   pairs and those holding a granted fallback, and re-folds the ledger
-   only if a placement moved: the fold reads nothing else. *)
+   current demand, splits and link states. A pass re-decides the marked
+   pairs that carry demand and the flows holding a granted fallback, each
+   once, and re-folds the ledger only if a placement moved: the fold reads
+   nothing else. The order of the decisions does not matter, as [decide k]
+   writes only pair k's own entries, [moved] and sums. *)
 let compute_rates s =
   if not s.cache_valid then begin
     let lg = s.ledger and flows = s.ledger.flows in
     let redecided = ref 0 in
-    for i = 0 to Array.length flows - 1 do
-      let k = flows.(i) in
-      if lg.dirty.(k) || lg.on_fallback.(k) then begin
+    (* A marked pair is left to the stack below. *)
+    if lg.n_on_fallback > 0 then
+      for i = 0 to Array.length flows - 1 do
+        let k = flows.(i) in
+        if lg.on_fallback.(k) && not lg.dirty.(k) then begin
+          decide s k;
+          incr redecided
+        end
+      done;
+    while lg.n_marked > 0 do
+      lg.n_marked <- lg.n_marked - 1;
+      let k = lg.marked.(lg.n_marked) in
+      lg.dirty.(k) <- false;
+      if lg.dem.(k) > 0.0 then begin
         decide s k;
-        lg.dirty.(k) <- false;
         incr redecided
       end
     done;
@@ -454,17 +511,20 @@ let compute_rates s =
     for l = 0 to Array.length s.link_achieved - 1 do
       if s.link_achieved.(l) > 0.0 then s.last_loaded.(l) <- s.now
     done;
-    for i = 0 to Array.length flows - 1 do
-      mark_wanted lg.wanted lg.wakes.(flows.(i))
-    done;
-    let wanted = ref [] in
-    for l = Array.length lg.wanted - 1 downto 0 do
-      if lg.wanted.(l) then begin
-        lg.wanted.(l) <- false;
-        wanted := l :: !wanted
-      end
-    done;
-    s.wakes_wanted <- !wanted;
+    if lg.n_waking = 0 then s.wakes_wanted <- []
+    else begin
+      for i = 0 to Array.length flows - 1 do
+        mark_wanted lg.wanted lg.wakes.(flows.(i))
+      done;
+      let wanted = ref [] in
+      for l = Array.length lg.wanted - 1 downto 0 do
+        if lg.wanted.(l) then begin
+          lg.wanted.(l) <- false;
+          wanted := l :: !wanted
+        end
+      done;
+      s.wakes_wanted <- !wanted
+    end;
     s.cache_valid <- true
   end
 
@@ -543,13 +603,6 @@ let housekeeping s =
       end)
     s.status
 
-let link_util s l =
-  let lg = s.ledger in
-  let a1 = lg.link_arc1.(l) and a2 = lg.link_arc2.(l) in
-  fmax (s.arc_offered.(a1) /. lg.capacity.(a1)) (s.arc_offered.(a2) /. lg.capacity.(a2))
-
-let link_usable s l = not s.known_failed.(l)
-
 let rec wake_links s = function
   | [] -> ()
   | l :: rest ->
@@ -573,15 +626,16 @@ let rec apply_actions s k = function
           touch_pair s k);
       apply_actions s k rest
 
-(* [link_util] and [link_usable] are [link_util s] and [link_usable s],
-   built once per run. *)
-let handle_probe s ~link_util ~link_usable k =
+(* TE reads the link arrays in place: [link_util] as of the fold the
+   rate pass just brought up to date, and [known_failed]. *)
+let handle_probe s k =
   if s.now >= s.cfg.te_start then begin
     compute_rates s;
     (* Data-plane wake requests piggyback on the probe round. *)
     wake_links s s.wakes_wanted;
     apply_actions s k
-      (Response.Te.probe s.te s.ledger.te_pairs.(k) ~now:s.now ~link_util ~link_usable)
+      (Response.Te.probe s.te s.ledger.te_pairs.(k) ~now:s.now ~util:s.link_util
+         ~known_failed:s.known_failed)
   end
 
 let take_sample s power =
@@ -623,7 +677,7 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
       queue = Eutil.Heap.create ();
       ledger = ledger_of tables te;
       cache_valid = false;
-      arc_offered = Array.make (Topo.Graph.arc_count g) 0.0;
+      link_util = Array.make (Topo.Graph.link_count g) 0.0;
       link_achieved = Array.make (Topo.Graph.link_count g) 0.0;
       wakes_wanted = [];
       wake_count = 0;
@@ -676,7 +730,6 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
     Eutil.Heap.push s.queue (float_of_int i *. config.sample_interval) Take_sample
   done;
   let samples = ref [] in
-  let link_util = link_util s and link_usable = link_usable s in
   (* The horizon check peeks at the next priority, so an event costs a
      [take] and no option or tuple. *)
   let rec loop () =
@@ -688,8 +741,10 @@ let run ?(config = default_config) ?(initial_splits = []) ~tables ~power ~events
         (match ev with
         | Probe k ->
             Obs.Metric.Counter.incr ev_probe;
-            handle_probe s ~link_util ~link_usable k;
-            Eutil.Heap.push s.queue (s.now +. t_probe) s.ledger.probes.(k)
+            handle_probe s k;
+            (* [now] never decreases, so neither does this priority: the
+               re-arm always takes the heap's O(1) sorted run. *)
+            Eutil.Heap.push_last s.queue (s.now +. t_probe) s.ledger.probes.(k)
         | Demand_change tm ->
             Obs.Metric.Counter.incr ev_demand;
             set_demand s tm

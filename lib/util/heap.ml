@@ -3,18 +3,47 @@
    neither [push] nor [take] boxes anything once the arrays have grown. The
    sifts move a hole instead of swapping, but make the comparisons the
    swapping version made, so the layout (and with it the pop order) is the
-   same. *)
+   same.
+
+   Beside the binary heap sits the sorted run: a FIFO ring of the entries
+   [push_last] appended, slot [(rhead + i) land (capacity - 1)] holding the
+   i-th (the capacity is a power of two). Each was appended at a priority
+   at least its predecessor's and with a larger insertion number, so the
+   ring is sorted by (priority, insertion number) and its head is its
+   minimum. [rlast] is the last entry's priority, [neg_infinity] while the
+   ring is empty. Both structures draw insertion numbers from [next_seq],
+   so no two entries tie and the smaller of the two heads is the minimum
+   of all. *)
 type 'a t = {
   mutable prio : Float.Array.t;
   mutable seq : int array;
   mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
+  mutable rprio : Float.Array.t;
+  mutable rseq : int array;
+  mutable rvals : 'a array;
+  mutable rhead : int;
+  mutable rlen : int;
+  mutable rlast : float;
 }
 
-let create () = { prio = Float.Array.create 0; seq = [||]; vals = [||]; len = 0; next_seq = 0 }
+let create () =
+  {
+    prio = Float.Array.create 0;
+    seq = [||];
+    vals = [||];
+    len = 0;
+    next_seq = 0;
+    rprio = Float.Array.create 0;
+    rseq = [||];
+    rvals = [||];
+    rhead = 0;
+    rlen = 0;
+    rlast = neg_infinity;
+  }
 
-let is_empty h = h.len = 0
+let is_empty h = h.len = 0 && h.rlen = 0
 
 (* (priority, insertion seq) order: FIFO among equal priorities. *)
 let[@inline] less (p1 : float) (s1 : int) (p2 : float) (s2 : int) =
@@ -63,6 +92,41 @@ let push h p value =
   seq.(!i) <- s;
   vals.(!i) <- value
 
+(* A full ring doubles, unrolled so that its head lands in slot 0. *)
+let ring_grow h value =
+  let cap = Array.length h.rseq in
+  if h.rlen = cap then begin
+    let ncap = max 16 (2 * cap) and head = h.rhead in
+    let wrapped = cap - head in
+    let prio = Float.Array.create ncap in
+    Float.Array.blit h.rprio head prio 0 wrapped;
+    Float.Array.blit h.rprio 0 prio wrapped head;
+    let seq = Array.make ncap 0 in
+    Array.blit h.rseq head seq 0 wrapped;
+    Array.blit h.rseq 0 seq wrapped head;
+    let vals = Array.make ncap value in
+    Array.blit h.rvals head vals 0 wrapped;
+    Array.blit h.rvals 0 vals wrapped head;
+    h.rprio <- prio;
+    h.rseq <- seq;
+    h.rvals <- vals;
+    h.rhead <- 0
+  end
+
+(* [p >= rlast] is false for a NaN, which therefore takes the heap path. *)
+let push_last h p value =
+  if p >= h.rlast then begin
+    ring_grow h value;
+    let i = (h.rhead + h.rlen) land (Array.length h.rseq - 1) in
+    Float.Array.set h.rprio i p;
+    h.rseq.(i) <- h.next_seq;
+    h.rvals.(i) <- value;
+    h.next_seq <- h.next_seq + 1;
+    h.rlen <- h.rlen + 1;
+    h.rlast <- p
+  end
+  else push h p value
+
 (* Removes slot 0: the last slot fills the hole and sifts down. *)
 let remove_min h =
   let n = h.len - 1 in
@@ -99,18 +163,43 @@ let remove_min h =
     vals.(!i) <- value
   end
 
+(* Does the next removal take the ring's head rather than the heap's? *)
+let[@inline] ring_first h =
+  h.rlen > 0
+  && (h.len = 0
+     || less (Float.Array.get h.rprio h.rhead) h.rseq.(h.rhead) (Float.Array.get h.prio 0) h.seq.(0)
+     )
+
+let ring_remove h =
+  h.rhead <- (h.rhead + 1) land (Array.length h.rseq - 1);
+  h.rlen <- h.rlen - 1;
+  if h.rlen = 0 then h.rlast <- neg_infinity
+
 let min_priority h =
-  if h.len = 0 then invalid_arg "Heap.min_priority: empty heap";
-  Float.Array.get h.prio 0
+  if ring_first h then Float.Array.get h.rprio h.rhead
+  else if h.len = 0 then invalid_arg "Heap.min_priority: empty heap"
+  else Float.Array.get h.prio 0
 
 let take h =
-  if h.len = 0 then invalid_arg "Heap.take: empty heap";
-  let top = h.vals.(0) in
-  remove_min h;
-  top
+  if ring_first h then begin
+    let top = h.rvals.(h.rhead) in
+    ring_remove h;
+    top
+  end
+  else begin
+    if h.len = 0 then invalid_arg "Heap.take: empty heap";
+    let top = h.vals.(0) in
+    remove_min h;
+    top
+  end
 
 let pop h =
-  if h.len = 0 then None
+  if ring_first h then begin
+    let p = Float.Array.get h.rprio h.rhead and top = h.rvals.(h.rhead) in
+    ring_remove h;
+    Some (p, top)
+  end
+  else if h.len = 0 then None
   else begin
     let p = Float.Array.get h.prio 0 and top = h.vals.(0) in
     remove_min h;

@@ -21,7 +21,7 @@ let float t =
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
 let int t n =
-  assert (n > 0);
+  if n <= 0 then invalid_arg "Prng.int: the bound must be positive";
   (* Rejection-free modulo is fine for our non-cryptographic needs. Keep 62
      bits so the value stays positive in OCaml's 63-bit native int. *)
   let v = Int64.to_int (Int64.shift_right_logical (next_raw t) 2) in
@@ -55,7 +55,7 @@ let shuffle t a =
   done
 
 let sample t k n =
-  assert (k <= n);
+  if k < 0 || k > n then invalid_arg "Prng.sample: k must lie in [0, n]";
   let all = Array.init n (fun i -> i) in
   shuffle t all;
   Array.sub all 0 k

@@ -17,7 +17,8 @@ val float : t -> float
 (** Uniform float in [0, 1). *)
 
 val int : t -> int -> int
-(** [int t n] is uniform in [0, n). [n] must be positive. *)
+(** [int t n] is uniform in [0, n).
+    @raise Invalid_argument when [n <= 0]. *)
 
 val range : t -> float -> float -> float
 (** [range t lo hi] is uniform in [lo, hi). *)
@@ -36,4 +37,4 @@ val shuffle : t -> 'a array -> unit
 
 val sample : t -> int -> int -> int array
 (** [sample t k n] draws [k] distinct integers from [0, n), in random order.
-    Requires [k <= n]. *)
+    @raise Invalid_argument when [k < 0] or [k > n], before drawing. *)

@@ -597,17 +597,18 @@ let test_obs_rate_ledger_work () =
         true
         (redecided < 10.0 *. passes))
 
-(* Oracle: [Response.Te] reads each path's links from arrays built once and
-   probes through pair handles, yet every probe must return the frozen
-   controller's actions and leave the same split, bit for bit. A case is a
-   random probe sequence over a few pairs of the GÉANT or k = 4 fat-tree
-   tables: time advancing by random steps (zero included), utilisations
-   drawn from a small set of levels so that ties occur, random usable
-   masks (all-unusable ones included), occasional forced splits, and
-   random panic retries and backoff. Each probe goes through the by-name
-   or the handle path at random, and a split read in place before a probe
-   must not change under it. [hits] counts the cases that reached each
-   decision branch, read off the live controller's Obs counters. *)
+(* Oracle: [Response.Te] reads each path's links from arrays built once,
+   probes through pair handles and reads the link state from per-link
+   arrays, yet every probe must return the frozen controller's actions
+   (fed the same state through closures) and leave the same split, bit for
+   bit. A case is a random probe sequence over a few pairs of the GÉANT or
+   k = 4 fat-tree tables: time advancing by random steps (zero included),
+   utilisations drawn from a small set of levels so that ties occur,
+   random known-failed masks (all-failed ones included), occasional forced
+   splits, and random panic retries and backoff. A split read in place
+   before a probe must not change under it. [hits] counts the cases that
+   reached each decision branch, read off the live controller's Obs
+   counters. *)
 
 let te_branches =
   [| "panic"; "Use_fallback"; "recover"; "overload shift"; "consolidation" |]
@@ -664,7 +665,7 @@ let prop_te_matches_reference hits =
       let links = Topo.Graph.link_count (Response.Tables.graph tables) in
       let low = [| 0.0; 0.2; 0.35 |] and high = [| 0.9 *. 0.85; 0.9; 1.0; 1.5 |] in
       let levels = Array.concat [ low; [| 0.4; 0.5 |]; high ] in
-      let util = Array.make links 0.0 and usable = Array.make links true in
+      let util = Array.make links 0.0 and failed = Array.make links false in
       let before = te_branch_counts () in
       let now = ref 0.0 in
       let rec step i =
@@ -680,8 +681,8 @@ let prop_te_matches_reference hits =
             let mask = Eutil.Prng.float rng in
             Array.iteri
               (fun l _ ->
-                usable.(l) <- (if mask < 0.45 then true else mask >= 0.65 && not (chance 0.15)))
-              usable
+                failed.(l) <- mask >= 0.45 && (mask < 0.65 || chance 0.15))
+              failed
           end;
           let k = Eutil.Prng.int rng (Array.length pairs) in
           let o, d = pairs.(k) in
@@ -692,14 +693,10 @@ let prop_te_matches_reference hits =
             Te_reference.force_split frozen o d split
           end;
           if not (chance 0.1) then now := !now +. Eutil.Prng.range rng 0.0 0.12;
-          let link_util l = util.(l) and link_usable l = usable.(l) in
+          let link_util l = util.(l) and link_usable l = not failed.(l) in
           let read = Response.Te.shares handles.(k) in
           let read_copy = Array.copy read in
-          let got =
-            if chance 0.5 then
-              Response.Te.probe live handles.(k) ~now:!now ~link_util ~link_usable
-            else Response.Te.on_probe live ~origin:o ~dest:d ~now:!now ~link_util ~link_usable
-          in
+          let got = Response.Te.probe live handles.(k) ~now:!now ~util ~known_failed:failed in
           let want =
             Te_reference.on_probe frozen ~origin:o ~dest:d ~now:!now ~link_util ~link_usable
           in

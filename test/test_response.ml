@@ -360,6 +360,13 @@ let fig3_tables () =
   in
   (ex, Response.Tables.make g entries)
 
+(* One probe of pair [o -> d] over per-link arrays filled from [util] and
+   [failed], the form the simulator runs. *)
+let te_probe te g o d ~now ~util ~failed =
+  let n = G.link_count g in
+  Response.Te.probe te (Response.Te.pair te o d) ~now ~util:(Array.init n util)
+    ~known_failed:(Array.init n failed)
+
 let test_te_initial_split_on_always_on () =
   let _, tables = fig3_tables () in
   let te = Response.Te.create tables Response.Te.default_config in
@@ -379,9 +386,9 @@ let test_te_overload_activates_on_demand () =
   in
   let hot l = Array.exists (fun x -> x = l) ao_links in
   let actions =
-    Response.Te.on_probe te ~origin:a ~dest:k ~now:1.0
-      ~link_util:(fun l -> if hot l then 0.97 else 0.0)
-      ~link_usable:(fun _ -> true)
+    te_probe te ex.Topo.Example.graph a k ~now:1.0
+      ~util:(fun l -> if hot l then 0.97 else 0.0)
+      ~failed:(fun _ -> false)
   in
   Alcotest.(check bool) "acted" true (actions <> []);
   let s = Response.Te.split te a k in
@@ -394,9 +401,7 @@ let test_te_failure_moves_everything () =
   let g = ex.Topo.Example.graph in
   let eh = (G.arc g (Option.get (G.find_arc g ex.Topo.Example.e ex.Topo.Example.h))).G.link in
   let actions =
-    Response.Te.on_probe te ~origin:a ~dest:k ~now:1.0
-      ~link_util:(fun _ -> 0.1)
-      ~link_usable:(fun l -> l <> eh)
+    te_probe te g a k ~now:1.0 ~util:(fun _ -> 0.1) ~failed:(fun l -> l = eh)
   in
   Alcotest.(check bool) "acted on failure" true (actions <> []);
   let s = Response.Te.split te a k in
@@ -411,14 +416,9 @@ let test_te_consolidates_after_hysteresis () =
   (* Force traffic to the on-demand path via a failure, then heal it. *)
   let g = ex.Topo.Example.graph in
   let eh = (G.arc g (Option.get (G.find_arc g ex.Topo.Example.e ex.Topo.Example.h))).G.link in
-  ignore
-    (Response.Te.on_probe te ~origin:a ~dest:k ~now:0.0 ~link_util:(fun _ -> 0.1)
-       ~link_usable:(fun l -> l <> eh));
+  ignore (te_probe te g a k ~now:0.0 ~util:(fun _ -> 0.1) ~failed:(fun l -> l = eh));
   (* Low utilisation, link healed: first probe starts the low streak... *)
-  let probe now =
-    Response.Te.on_probe te ~origin:a ~dest:k ~now ~link_util:(fun _ -> 0.05)
-      ~link_usable:(fun _ -> true)
-  in
+  let probe now = te_probe te g a k ~now ~util:(fun _ -> 0.05) ~failed:(fun _ -> false) in
   ignore (probe 1.0);
   Alcotest.(check bool) "not yet consolidated" true ((Response.Te.split te a k).(1) > 0.9);
   (* ...after the hysteresis expires, traffic steps back down. *)
@@ -436,9 +436,9 @@ let test_te_stable_under_constant_load () =
   let a = ex.Topo.Example.a and k = ex.Topo.Example.k in
   for i = 1 to 20 do
     let actions =
-      Response.Te.on_probe te ~origin:a ~dest:k ~now:(float_of_int i)
-        ~link_util:(fun _ -> 0.6)
-        ~link_usable:(fun _ -> true)
+      te_probe te ex.Topo.Example.graph a k ~now:(float_of_int i)
+        ~util:(fun _ -> 0.6)
+        ~failed:(fun _ -> false)
     in
     Alcotest.(check bool) "no oscillation" true (actions = [])
   done
@@ -538,9 +538,7 @@ let test_te_overload_picks_coolest () =
   let util l =
     if List.mem l l0 then 0.95 else if List.mem l l1 then 0.5 else 0.05
   in
-  ignore
-    (Response.Te.on_probe te ~origin:0 ~dest:2 ~now:1.0 ~link_util:util
-       ~link_usable:(fun _ -> true));
+  ignore (te_probe te g 0 2 ~now:1.0 ~util ~failed:(fun _ -> false));
   let s = Response.Te.split te 0 2 in
   Alcotest.(check bool) "went to the coldest" true (s.(2) > 0.0 && s.(1) = 0.0)
 

@@ -117,6 +117,24 @@ let test_prng_sample_distinct () =
     Alcotest.(check bool) "distinct" true (sorted.(i) <> sorted.(i - 1))
   done
 
+let test_prng_bad_arguments () =
+  let r = Prng.create 3 in
+  Alcotest.check_raises "int 0" (Invalid_argument "Prng.int: the bound must be positive")
+    (fun () -> ignore (Prng.int r 0));
+  Alcotest.check_raises "int -1" (Invalid_argument "Prng.int: the bound must be positive")
+    (fun () -> ignore (Prng.int r (-1)));
+  Alcotest.check_raises "sample k > n" (Invalid_argument "Prng.sample: k must lie in [0, n]")
+    (fun () -> ignore (Prng.sample r 4 3));
+  Alcotest.check_raises "sample k < 0" (Invalid_argument "Prng.sample: k must lie in [0, n]")
+    (fun () -> ignore (Prng.sample r (-1) 3));
+  (* The bounds themselves are legal, and a refused call draws nothing. *)
+  Alcotest.(check int) "sample 0" 0 (Array.length (Prng.sample r 0 3));
+  Alcotest.(check int) "sample n" 3 (Array.length (Prng.sample r 3 3));
+  Alcotest.(check int) "int 1" 0 (Prng.int r 1);
+  let fresh = Prng.create 3 and used = Prng.create 3 in
+  (try ignore (Prng.sample used 4 3) with Invalid_argument _ -> ());
+  Alcotest.(check (float 0.0)) "no draw" (Prng.float fresh) (Prng.float used)
+
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun p -> Heap.push h p p) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
@@ -147,45 +165,76 @@ let prop_heap_sorts =
 
 (* [Eutil.Heap] pops exactly what the frozen boxed heap pops: the same
    priority bits and values, in the same order, through random interleavings
-   of [push], [pop], [take] and [is_empty]. Priorities come mostly
-   from four values, so most comparisons are ties and FIFO decides them. The
-   values are push numbers, as ints and as floats (a float value array is
-   stored flat, which is a separate code path). *)
+   of [push], [push_last], [pop], [take], [min_priority] and [is_empty]. The
+   reference takes every push as a [push]. [push_last] priorities follow a
+   clock that mostly stays put or steps up (runs of non-decreasing
+   priorities with ties inside the run) and sometimes dips below it (the
+   heap path). Half the [push] priorities are the clock itself, so the run
+   and the heap often hold equal priorities and the insertion number
+   decides; the rest come mostly from four values. Pushes outnumber
+   removals, so the run grows past its first 16 slots after its head has
+   moved. The values are push numbers, as ints and as floats (a float value
+   array is stored flat, which is a separate code path). *)
 let prop_heap_vs_reference =
   let same_run (type a) (value : int -> a) (equal : a -> a -> bool) rng =
     let h = Heap.create () and r = Heap_reference.create () in
     let ties = [| 0.0; 0.5; 1.0; infinity |] in
-    let ok = ref true and pushed = ref 0 in
+    let pick xs = xs.(Eutil.Prng.int rng (Array.length xs)) in
+    let ok = ref true and pushed = ref 0 and clock = ref 0.0 in
+    let same_bits p q = Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q) in
+    let push_both push p =
+      push h p (value !pushed);
+      Heap_reference.push r p (value !pushed);
+      incr pushed
+    in
     for _ = 1 to 300 do
       let op = Eutil.Prng.int rng 100 in
-      if op < 55 then begin
-        let p =
-          if Eutil.Prng.float rng < 0.85 then ties.(Eutil.Prng.int rng 4)
-          else (2.0 *. Eutil.Prng.float rng) -. 0.5
-        in
-        Heap.push h p (value !pushed);
-        Heap_reference.push r p (value !pushed);
-        incr pushed
+      if op < 25 then
+        push_both Heap.push
+          (if Eutil.Prng.float rng < 0.5 then !clock
+           else if Eutil.Prng.float rng < 0.85 then pick ties
+           else (2.0 *. Eutil.Prng.float rng) -. 0.5)
+      else if op < 55 then begin
+        if Eutil.Prng.float rng < 0.8 then begin
+          clock := !clock +. pick [| 0.0; 0.0; 0.25; 0.5 |];
+          push_both Heap.push_last !clock
+        end
+        else push_both Heap.push_last (!clock -. pick [| 0.25; 1.0 |])
       end
-      else if op < 72 then
+      else if op < 70 then
         ok :=
           !ok
           &&
           match (Heap.pop h, Heap_reference.pop r) with
           | None, None -> true
-          | Some (p, x), Some (q, y) ->
-              Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q) && equal x y
+          | Some (p, x), Some (q, y) -> same_bits p q && equal x y
           | _ -> false
-      else if op < 89 then
+      else if op < 85 then
         ok :=
           !ok
           &&
           match Heap_reference.pop r with
           | Some (_, y) -> equal (Heap.take h) y
           | None -> ( try ignore (Heap.take h); false with Invalid_argument _ -> true)
+      else if op < 93 then
+        ok :=
+          !ok
+          &&
+          match Heap_reference.pop r with
+          | Some (q, y) ->
+              same_bits (Heap.min_priority h) q
+              && equal (Heap.take h) y
+          | None -> ( try ignore (Heap.min_priority h); false with Invalid_argument _ -> true)
       else ok := !ok && Bool.equal (Heap.is_empty h) (Heap_reference.is_empty r)
     done;
-    !ok
+    (* Drain what is left. *)
+    let rec drain () =
+      match (Heap.pop h, Heap_reference.pop r) with
+      | None, None -> true
+      | Some (p, x), Some (q, y) -> same_bits p q && equal x y && drain ()
+      | _ -> false
+    in
+    !ok && drain ()
   in
   QCheck.Test.make ~name:"heap equals frozen reference" ~count:300
     QCheck.(int_range 0 100_000)
@@ -349,6 +398,7 @@ let () =
           Alcotest.test_case "int range" `Quick test_prng_int_range;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "sample distinct" `Quick test_prng_sample_distinct;
+          Alcotest.test_case "bad arguments" `Quick test_prng_bad_arguments;
         ] );
       ( "heap",
         [
